@@ -60,6 +60,7 @@ from .tableaux import (
     inflate,
     k_bender_knuth,
     promotion,
+    promotion_census,
     rotate_left,
     vector_inflation,
 )

@@ -26,6 +26,7 @@ from .orbits import (
 )
 from .poset import cayley_moufang, freudenthal, parse_poset_spec, propeller
 from .qpoly import plane_partition_gf
+from .tableaux import promotion_census
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -225,7 +226,7 @@ def reproduce_all(threads: int = 1, golden_root=None, out=sys.stdout) -> int:
 
     for shape, k in ((cm, 1), (propeller(3), 2)):
         psi = Counter(dict(rowmotion_orbits(shape, k).orbit_sizes))
-        pro = _promotion_census(shape, shape.rk + k + 1)
+        pro = promotion_census(shape, shape.rk + k + 1)
         check(f"orbit multisets agree ({shape.family}, k={k})", psi == pro, f"{psi} vs {pro}")
 
     check(
@@ -260,24 +261,6 @@ def _gapless_with_ceiling(shape, m):
     from .tableaux import enumerate_gapless
 
     return [t for t in enumerate_gapless(shape) if t.m == m]
-
-
-def _promotion_census(shape, m) -> "Counter":
-    from .tableaux import enumerate_increasing, promotion
-
-    seen = set()
-    sizes = Counter()
-    for T in enumerate_increasing(shape, m):
-        if T in seen:
-            continue
-        orbit = [T]
-        cur = promotion(T)
-        while cur != T:
-            orbit.append(cur)
-            cur = promotion(cur)
-        seen.update(orbit)
-        sizes[len(orbit)] += 1
-    return sizes
 
 
 def _cmd_reproduce(args) -> tuple[int, str]:

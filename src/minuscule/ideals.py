@@ -62,28 +62,26 @@ def rowmotion(ideal: OrderIdeal) -> OrderIdeal:
 
 
 def _ideal_masks(poset: Poset, cap: int | None = None) -> Iterator[int]:
-    # Decide membership element-by-element along a linear extension; a
-    # partial choice never dead-ends, so the walk does O(n) work per ideal.
+    # Decide membership element-by-element along a linear extension, leaving
+    # each element out first; a partial choice never dead-ends, so the walk
+    # does O(n) work per ideal.  The stack holds the branches that put an
+    # element in, deepest last, which keeps the depth-first order.
     cap = state_cap(cap)
     topo = poset.topo
     lm = poset.lower_masks
     n = poset.n
     count = 0
-
-    def rec(i: int, mask: int) -> Iterator[int]:
-        nonlocal count
-        if i == n:
-            count += 1
-            if count > cap:
-                raise StateCapExceeded("too many order ideals", cap)
-            yield mask
-            return
-        x = topo[i]
-        yield from rec(i + 1, mask)
-        if mask & lm[x] == lm[x]:
-            yield from rec(i + 1, mask | (1 << x))
-
-    yield from rec(0, 0)
+    stack = [(0, 0)]
+    while stack:
+        i, mask = stack.pop()
+        for j in range(i, n):
+            x = topo[j]
+            if mask & lm[x] == lm[x]:
+                stack.append((j + 1, mask | (1 << x)))
+        count += 1
+        if count > cap:
+            raise StateCapExceeded("too many order ideals", cap)
+        yield mask
 
 
 def enumerate_ideals(poset: Poset, cap: int | None = None) -> Iterator[OrderIdeal]:

@@ -9,6 +9,7 @@ generating function) is exact arithmetic over that table.
 
 import json
 import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
@@ -19,7 +20,7 @@ from .errors import ParameterError, StateCapExceeded, UnsupportedPosetError, sta
 from .ideals import _ideal_masks
 from .poset import Poset, freudenthal, poset_from_dict
 from .qpoly import RootOfUnityValue, eval_at_root, plane_partition_gf, q_binomial_at_root
-from .tableaux import IncreasingTableau, _IdealGraph, _promote_labels, inflate, promotion, rotate_left
+from .tableaux import IncreasingTableau, _IdealGraph, inflate, promotion, rotate_left
 
 _TABLE_SCHEMA = "minuscule.gapless-table/1"
 
@@ -73,58 +74,56 @@ def _table_from_dict(data: dict, poset: Poset) -> GaplessOrbitTable:
     return table
 
 
-def _partition_class(shape: Poset, m: int, tabs: list[bytes]) -> dict:
-    """Split one ceiling's gapless tableaux into promotion orbits.
+def _partition_class(graph: _IdealGraph, m: int) -> dict:
+    """Split one ceiling's gapless tableaux into promotion orbits, walked on ideal chains.
 
     Also accumulates, per element, whether the m-fold promotion fixes the
     entry at that element for every tableau of the class (orbit position
     shifts by m mod period, so this is a pairwise comparison inside each
-    stored orbit).
+    stored orbit).  Each row's representative is the orbit's least label array.
     """
-    neighbors = shape.neighbors
-    index = {t: i for i, t in enumerate(tabs)}
-    seen = bytearray(len(tabs))
+    chains = graph.class_chains(m)
+    promote = graph.promote
+    key = graph.key
+    seen = set()
     counts: dict[int, list] = {}
-    stable = list(range(shape.n))
-    for start, t0 in enumerate(tabs):
-        if seen[start]:
+    moved = 0
+    for c0 in chains:
+        if c0 in seen:
             continue
-        orbit = [t0]
-        labels = list(t0)
-        while True:
-            _promote_labels(labels, m, neighbors)
-            key = bytes(labels)
-            if key == t0:
-                break
-            orbit.append(key)
+        orbit = [c0]
+        c = promote(c0)
+        while c != c0:
+            orbit.append(c)
+            c = promote(c)
+        seen.update(orbit)
         tau = len(orbit)
-        for t in orbit:
-            seen[index[t]] = 1
+        keys = [key(c) for c in orbit]
         entry = counts.get(tau)
         if entry is None:
-            counts[tau] = [1, min(orbit)]
+            counts[tau] = [1, min(keys)]
         else:
             entry[0] += 1
         shift = m % tau
-        if shift and stable:
+        if shift:
+            # Labels of the two tableaux differ exactly in the nonzero bytes of the xor.
             for s in range(tau):
-                a = orbit[s]
-                b = orbit[(s + shift) % tau]
-                if a != b:
-                    stable = [x for x in stable if a[x] == b[x]]
+                moved |= keys[s] ^ keys[(s + shift) % tau]
+    n = graph.shape.n
+    moved_bytes = moved.to_bytes(n, "big")
     return {
         "m_t": m,
-        "size": len(tabs),
-        "rows": [(tau, cnt, tuple(rep)) for tau, (cnt, rep) in sorted(counts.items())],
-        "stable": stable,
+        "size": len(chains),
+        "rows": [
+            (tau, cnt, tuple(rep.to_bytes(n, "big"))) for tau, (cnt, rep) in sorted(counts.items())
+        ],
+        "stable": [x for x in range(n) if not moved_bytes[x]],
     }
 
 
 def _class_task(payload: tuple[str, int]) -> dict:
     poset_json, m = payload
-    shape = poset_from_dict(json.loads(poset_json))
-    graph = _IdealGraph(shape)
-    return _partition_class(shape, m, graph.class_labels(m))
+    return _partition_class(_IdealGraph(poset_from_dict(json.loads(poset_json))), m)
 
 
 def build_gapless_table(poset: Poset, workers: int = 1, cap: int | None = None) -> GaplessOrbitTable:
@@ -144,14 +143,14 @@ def build_gapless_table(poset: Poset, workers: int = 1, cap: int | None = None) 
     results: dict[int, dict] = {}
     if workers <= 1:
         for m in order:
-            results[m] = _partition_class(poset, m, graph.class_labels(m))
+            results[m] = _partition_class(graph, m)
     else:
         payload = poset.canonical_json()
         try:
             ctx = multiprocessing.get_context("fork")
         except ValueError:
             ctx = multiprocessing.get_context()
-        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(order)), mp_context=ctx) as pool:
             for m, res in zip(order, pool.map(_class_task, [(payload, m) for m in order])):
                 results[m] = res
     rows = []
@@ -170,7 +169,16 @@ def build_gapless_table(poset: Poset, workers: int = 1, cap: int | None = None) 
 
 
 def save_table(table: GaplessOrbitTable, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(table.to_dict(), indent=1, sort_keys=True) + "\n")
+    """Write the table as JSON; a temporary file renamed into place, so readers never see half a table."""
+    path = Path(path)
+    text = json.dumps(table.to_dict(), indent=1, sort_keys=True) + "\n"
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_table(path: str | Path, poset: Poset) -> GaplessOrbitTable:

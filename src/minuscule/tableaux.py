@@ -6,13 +6,24 @@ the composite of the label-swapping involutions rho_1, ..., rho_(m-1);
 deflation compresses the label set to an initial segment, producing a
 gapless tableau, and inflation reverses that using a binary content vector.
 
-Tableaux are also in bijection with strict chains of order ideals whose
-successive differences are antichains; the enumeration of all gapless
-tableaux walks paths in that (small) ideal graph, which is how the large
-shapes stay tractable.
+A gapless tableau with ceiling m is the chain of order ideals
+0 = I_0 < I_1 < ... < I_m = P, where I_j holds the boxes labelled at most
+j; successive differences are antichains.  The swap rho_i rewrites only
+I_i, and the new I_i depends only on (I_(i-1), I_i, I_(i+1)), so K-promotion
+is one left-to-right sweep I_i <- step(I_(i-1), I_i, I_(i+1)) for
+i = 1..m-1, each new I_i feeding the next step.  The step is decided by the
+same singleton-component rule as k_bender_knuth and memoised per shape by
+ideal masks; a shape has few distinct triples (262 on the 27-element
+exceptional shape), so the sweep is a table lookup per position.  General
+promotion deflates, sweeps (when label 1 is present) and inflates with the
+rotated content vector.  The orbit-table build stores each chain as bytes
+of indices into the shape's sorted ideal masks, enumerated as paths in the
+(small) ideal graph, which is how the large shapes stay tractable.
 """
 
+from collections import Counter
 from collections.abc import Iterator
+from functools import lru_cache
 
 from .errors import ParameterError, StateCapExceeded, state_cap
 from .ideals import _ideal_masks
@@ -31,7 +42,7 @@ class IncreasingTableau:
 
     def __init__(self, shape: Poset, labels, m: int, validate: bool = True):
         self.shape = shape
-        self.labels = tuple(int(v) for v in labels)
+        self.labels = tuple(map(int, labels))
         self.m = int(m)
         if validate:
             self._validate()
@@ -136,44 +147,72 @@ def k_bender_knuth(tableau: IncreasingTableau, i: int) -> IncreasingTableau:
     return tableau.relabel(labels)
 
 
-def _promote_labels(labels: list[int], m: int, neighbors) -> None:
-    """Apply rho_1 through rho_(m-1) in place."""
-    buckets = [[] for _ in range(m + 2)]
-    for j, v in enumerate(labels):
-        buckets[v].append(j)
-    for i in range(1, m):
-        a = buckets[i]
-        b = buckets[i + 1]
-        if not b:
-            if a:
-                for x in a:
-                    labels[x] = i + 1
-                buckets[i + 1] = a
-                buckets[i] = []
-            continue
-        if not a:
-            for y in b:
-                labels[y] = i
-            buckets[i] = b
-            buckets[i + 1] = []
-            continue
-        ip1 = i + 1
-        up = [x for x in a if not any(labels[t] == ip1 for t in neighbors[x])]
-        dn = [y for y in b if not any(labels[t] == i for t in neighbors[y])]
-        if up or dn:
-            for x in up:
-                labels[x] = ip1
-            for y in dn:
-                labels[y] = i
-            buckets[i] = [x for x in a if labels[x] == i] + dn
-            buckets[i + 1] = [y for y in b if labels[y] == ip1] + up
+@lru_cache(maxsize=8)
+def _step_memo(shape: Poset) -> dict[tuple[int, int, int], int]:
+    return {}
+
+
+def _swap_step(shape: Poset, lo: int, mid: int, hi: int) -> int:
+    """The ideal rho_i leaves between lo = I_(i-1) and hi = I_(i+1) in place of mid = I_i.
+
+    rho_i only moves boxes labelled i or i+1, that is the boxes of hi - lo,
+    so the new I_i is a function of the three masks; entries are memoised
+    per shape.
+    """
+    memo = _step_memo(shape)
+    key = (lo, mid, hi)
+    new = memo.get(key)
+    if new is None:
+        # Label the boxes 0 (in lo), 1 (in mid - lo), 2 (in hi - mid), 3 (outside hi).
+        labels = [
+            0 if (lo >> x) & 1 else 1 if (mid >> x) & 1 else 2 if (hi >> x) & 1 else 3
+            for x in range(shape.n)
+        ]
+        up, dn = _swap_sets(labels, 1, shape.neighbors)
+        new = mid
+        for x in up:
+            new &= ~(1 << x)
+        for y in dn:
+            new |= 1 << y
+        memo[key] = new
+    return new
 
 
 def promotion(tableau: IncreasingTableau) -> IncreasingTableau:
-    """K-promotion: rho_(m-1) o ... o rho_1; a bijection on tableaux with ceiling m."""
-    labels = list(tableau.labels)
-    _promote_labels(labels, tableau.m, tableau.shape.neighbors)
-    return tableau.relabel(labels)
+    """K-promotion: rho_(m-1) o ... o rho_1; a bijection on tableaux with ceiling m.
+
+    Computed through deflation: the ideal chain of the deflated tableau is
+    swept left to right when label 1 is present, and the result is inflated
+    with the rotated content vector (the promote_pair identity).
+    """
+    labels = tableau.labels
+    if not labels:
+        return tableau
+    by_value: dict[int, int] = {}
+    for x, v in enumerate(labels):
+        by_value[v] = by_value.get(v, 0) | (1 << x)
+    present = sorted(by_value)
+    if present[0] != 1:
+        return tableau.relabel([v - 1 for v in labels])
+    chain = [0]
+    for v in present:
+        chain.append(chain[-1] | by_value[v])
+    memo = _step_memo(tableau.shape)
+    prev = 0
+    for i in range(1, len(chain) - 1):
+        key = (prev, chain[i], chain[i + 1])
+        prev = memo.get(key)
+        if prev is None:
+            prev = _swap_step(tableau.shape, *key)
+        chain[i] = prev
+    out = [0] * len(labels)
+    for value, lo, hi in zip(present[1:] + [tableau.m + 1], chain, chain[1:]):
+        added = hi ^ lo
+        while added:
+            low = added & -added
+            out[low.bit_length() - 1] = value - 1
+            added ^= low
+    return tableau.relabel(out)
 
 
 def content_vector(tableau: IncreasingTableau) -> tuple[int, ...]:
@@ -268,7 +307,9 @@ class _IdealGraph:
     Gapless tableaux with ceiling m correspond to length-m paths from the
     empty ideal to the full one, where each step adds a nonempty subset of
     the minimal elements of the complement, and the label of a box is the
-    index of the step that added it.
+    index of the step that added it.  A path is stored as a chain: the
+    node indices I_0, ..., I_m into the sorted ideal masks, as bytes (a
+    tuple when there are more than 256 ideals).
     """
 
     def __init__(self, shape: Poset, cap: int | None = None):
@@ -286,14 +327,14 @@ class _IdealGraph:
                 x for x in range(n)
                 if not (mask >> x) & 1 and mask & lower_masks[x] == lower_masks[x]
             ]
-            subsets = []
+            targets = []
             for s in range(1, 1 << len(mins)):
-                add = tuple(mins[t] for t in range(len(mins)) if (s >> t) & 1)
                 target = mask
-                for x in add:
-                    target |= 1 << x
-                subsets.append((index[target], add))
-            succ.append(tuple(subsets))
+                for t in range(len(mins)):
+                    if (s >> t) & 1:
+                        target |= 1 << mins[t]
+                targets.append(index[target])
+            succ.append(tuple(targets))
             longest = [0] * n
             best = 0
             for x in range(n):
@@ -305,11 +346,21 @@ class _IdealGraph:
                         best = longest[x]
             min_steps.append(best)
             comp_sizes.append(n - bin(mask).count("1"))
+        self.masks = masks
+        self.index = index
         self.succ = succ
         self.min_steps = min_steps
         self.comp_sizes = comp_sizes
         self.start = index[0]
         self.full = index[(1 << n) - 1]
+        self.pack = bytes if len(masks) <= 256 else tuple
+        # Big-endian packed complement indicators: summed over a chain they
+        # give its label array, one byte per element, element 0 first.
+        self.comp = [
+            sum(1 << 8 * (n - 1 - x) for x in range(n) if not (mask >> x) & 1) for mask in masks
+        ]
+        # Step table of the sweep: _steps[I_(i-1)][I_i * len(masks) + I_(i+1)] = new I_i.
+        self._steps: list[dict[int, int]] = [{} for _ in masks]
 
     def class_sizes(self) -> dict[int, int]:
         """Number of gapless tableaux per ceiling, by path counting."""
@@ -319,7 +370,7 @@ class _IdealGraph:
         for depth in range(1, n + 1):
             nxt: dict[int, int] = {}
             for node, ways in paths.items():
-                for target, _ in self.succ[node]:
+                for target in self.succ[node]:
                     nxt[target] = nxt.get(target, 0) + ways
             if self.full in nxt:
                 sizes[depth] = nxt[self.full]
@@ -327,30 +378,51 @@ class _IdealGraph:
             paths = nxt
         return sizes
 
-    def class_labels(self, target: int) -> list[bytes]:
-        """All gapless label arrays with ceiling target, in a fixed search order."""
-        out: list[bytes] = []
-        labels = bytearray(self.shape.n)
-        succ = self.succ
-        min_steps = self.min_steps
-        comp_sizes = self.comp_sizes
-        full = self.full
+    def class_chains(self, target: int) -> list:
+        """All chains of gapless tableaux with ceiling target, in a fixed search order.
 
-        def rec(node: int, depth: int) -> None:
-            if depth == target:
-                if node == full:
-                    out.append(bytes(labels))
-                return
+        Prefixes are extended one level at a time, each in successor order,
+        which lists the chains in depth-first order; a successor is kept
+        only if the full ideal is still reachable in exactly the steps left.
+        """
+        units = [self.pack((i,)) for i in range(len(self.masks))]
+        level = [units[self.start]]
+        for depth in range(target):
             remaining = target - depth - 1
-            value = depth + 1
-            for nxt, added in succ[node]:
-                if min_steps[nxt] <= remaining <= comp_sizes[nxt]:
-                    for box in added:
-                        labels[box] = value
-                    rec(nxt, depth + 1)
+            admissible = {
+                node: [
+                    units[nxt] for nxt in self.succ[node]
+                    if self.min_steps[nxt] <= remaining <= self.comp_sizes[nxt]
+                ]
+                for node in {prefix[-1] for prefix in level}
+            }
+            level = [prefix + unit for prefix in level for unit in admissible[prefix[-1]]]
+        return level
 
-        rec(self.start, 0)
-        return out
+    def key(self, chain) -> int:
+        """The chain's label array as a big-endian integer (orders like the label bytes)."""
+        return sum(map(self.comp.__getitem__, chain))
+
+    def labels(self, chain) -> bytes:
+        return self.key(chain).to_bytes(self.shape.n, "big")
+
+    def promote(self, chain):
+        """K-promotion of a chain: one left-to-right sweep through the step table."""
+        steps = self._steps
+        size = len(self.masks)
+        prev = chain[0]
+        out = [prev]
+        for cur, nxt in zip(chain[1:], chain[2:]):
+            row = steps[prev]
+            try:
+                prev = row[cur * size + nxt]
+            except KeyError:
+                masks = self.masks
+                new = _swap_step(self.shape, masks[prev], masks[cur], masks[nxt])
+                prev = row[cur * size + nxt] = self.index[new]
+            out.append(prev)
+        out.append(chain[-1])
+        return self.pack(out)
 
 
 def enumerate_gapless(shape: Poset, cap: int | None = None) -> Iterator[IncreasingTableau]:
@@ -364,5 +436,22 @@ def enumerate_gapless(shape: Poset, cap: int | None = None) -> Iterator[Increasi
     if sum(sizes.values()) > cap:
         raise StateCapExceeded("too many gapless tableaux", cap)
     for m in range(shape.rk + 1, shape.n + 1):
-        for labels in graph.class_labels(m):
-            yield IncreasingTableau(shape, labels, m, validate=False)
+        for chain in graph.class_chains(m):
+            yield IncreasingTableau(shape, graph.labels(chain), m, validate=False)
+
+
+def promotion_census(shape: Poset, m: int) -> Counter:
+    """Orbit sizes of promotion on all ceiling-m tableaux, by walking every orbit."""
+    seen = set()
+    sizes = Counter()
+    for T in enumerate_increasing(shape, m):
+        if T in seen:
+            continue
+        orbit = [T]
+        cur = promotion(T)
+        while cur != T:
+            orbit.append(cur)
+            cur = promotion(cur)
+        seen.update(orbit)
+        sizes[len(orbit)] += 1
+    return sizes

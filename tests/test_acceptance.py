@@ -31,6 +31,7 @@ from minuscule import (
     k_bender_knuth,
     plane_partition_gf,
     promotion,
+    promotion_census,
     promotion_order,
     propeller,
     rectangle,
@@ -93,22 +94,6 @@ def kjdt_orbit_size(covers, labels, m: int) -> int | None:
         if cur == start:
             return steps
     return None
-
-
-def promotion_census(shape, m) -> Counter:
-    seen = set()
-    sizes = Counter()
-    for T in enumerate_increasing(shape, m):
-        if T in seen:
-            continue
-        orbit = [T]
-        cur = promotion(T)
-        while cur != T:
-            orbit.append(cur)
-            cur = promotion(cur)
-        seen.update(orbit)
-        sizes[len(orbit)] += 1
-    return sizes
 
 
 def test_criterion_1_gapless_table_cayley_moufang():

@@ -140,3 +140,11 @@ def test_reproduce_everything(capsys):
         "generating function point counts",
     ):
         assert any(needle in line for line in lines), needle
+
+
+def test_deep_chain_rowmotion(capsys):
+    # A 1,200-element chain: the ideal traversal must not recurse per element.
+    code, out, err = run(capsys, "rowmotion-orbits", "--poset", "rectangle-1x1", "--k", "1200")
+    assert code == 0 and err == ""
+    assert out.splitlines()[1].split() == ["1201", "1"]
+    assert out.splitlines()[-1] == '{"total_states": 1201}'

@@ -26,6 +26,7 @@ from minuscule import (
     max_tree_ideal,
     promote_pair,
     promotion,
+    promotion_census,
     promotion_order,
     propeller,
     rectangle,
@@ -34,23 +35,6 @@ from minuscule import (
     verify_csp,
 )
 from minuscule.orbits import load_table, packaged_table, save_table
-
-
-def pro_orbit_census(shape, m):
-    """Brute-force promotion orbit sizes over all ceiling-m tableaux."""
-    seen = set()
-    sizes = Counter()
-    for T in enumerate_increasing(shape, m):
-        if T in seen:
-            continue
-        orbit = [T]
-        cur = promotion(T)
-        while cur != T:
-            orbit.append(cur)
-            cur = promotion(cur)
-        seen.update(orbit)
-        sizes[len(orbit)] += 1
-    return sizes
 
 
 def census_fixed(sizes: Counter, j: int) -> int:
@@ -150,7 +134,7 @@ def test_realized_orbit_sizes_divide_action_order():
         shape = propeller(p)
         table = build_gapless_table(shape)
         for m in range(2 * p - 1, 2 * p + 4):
-            census = pro_orbit_census(shape, m)
+            census = promotion_census(shape, m)
             order = promotion_order(shape, m, table=table).period
             assert all(order % s == 0 for s in census)
 
@@ -197,7 +181,7 @@ def test_exact_period_vector_count():
 def test_count_fixed_against_census_small():
     for shape, table in ((propeller(3), build_gapless_table(propeller(3))),):
         for m in range(5, 10):
-            census = pro_orbit_census(shape, m)
+            census = promotion_census(shape, m)
             order = promotion_order(shape, m, table=table).period
             for j in range(1, order + 1):
                 if order % j == 0:
@@ -255,7 +239,7 @@ def test_promotion_order_matches_brute_force():
         shape = propeller(p)
         table = build_gapless_table(shape)
         for m in ms:
-            census = pro_orbit_census(shape, m)
+            census = promotion_census(shape, m)
             rep = promotion_order(shape, m, table=table)
             assert rep.period == lcm(*census)
             assert rep.max_orbit == max(census)
@@ -268,7 +252,7 @@ def test_rowmotion_and_promotion_orbit_multisets_agree():
     for shape, k in cases:
         m = shape.rk + k + 1
         psi = rowmotion_orbits(shape, k)
-        pro = pro_orbit_census(shape, m)
+        pro = promotion_census(shape, m)
         assert Counter(dict(psi.orbit_sizes)) == pro
 
 
@@ -351,3 +335,64 @@ def test_load_or_build_uses_cache_dir(tmp_path):
 def test_build_cap():
     with pytest.raises(StateCapExceeded):
         build_gapless_table(cayley_moufang(), cap=10)
+
+
+def test_pool_is_clamped_to_the_ceiling_count(monkeypatch):
+    # A stand-in pool that records its size and maps in-process: no real
+    # processes are started for the large worker count.
+    from minuscule import orbits
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers, mp_context=None):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    shape = propeller(3)
+    single = build_gapless_table(shape, workers=1)
+    monkeypatch.setattr(orbits, "ProcessPoolExecutor", RecordingPool)
+    wide = build_gapless_table(shape, workers=8)
+    ceilings = {row.m_t for row in single.rows}
+    assert sizes == [len(ceilings)] and len(ceilings) < 8
+    assert (wide.rows, wide.stable, wide.total) == (single.rows, single.stable, single.total)
+
+
+def test_failed_cache_write_leaves_no_table(tmp_path, monkeypatch):
+    # A write that dies half-way must not leave a truncated table under the
+    # cache name; the next lookup rebuilds and writes a complete one.
+    import pathlib
+
+    from minuscule import orbits
+
+    shape = propeller(4)
+    real_write = pathlib.Path.write_text
+
+    def half_write(self, text, *args, **kwargs):
+        real_write(self, text[: len(text) // 2], *args, **kwargs)
+        raise OSError("disk full")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(pathlib.Path, "write_text", half_write)
+        with pytest.raises(OSError):
+            load_or_build_table(shape, cache_dir=tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+    builds = []
+    real_build = orbits.build_gapless_table
+    monkeypatch.setattr(
+        orbits, "build_gapless_table", lambda *a, **k: builds.append(1) or real_build(*a, **k)
+    )
+    table = load_or_build_table(shape, cache_dir=tmp_path)
+    assert builds == [1]
+    (path,) = tmp_path.iterdir()
+    assert path.name == f"gapless-{shape.digest()}.json"
+    assert load_table(path, shape).triples() == table.triples()

@@ -8,6 +8,7 @@ import pytest
 from minuscule import (
     IncreasingTableau,
     ParameterError,
+    Poset,
     ShapeDiagram,
     StateCapExceeded,
     cayley_moufang,
@@ -17,6 +18,7 @@ from minuscule import (
     enumerate_increasing,
     inflate,
     k_bender_knuth,
+    parse_poset_spec,
     poset_from_shape,
     promotion,
     propeller,
@@ -24,6 +26,7 @@ from minuscule import (
     rotate_left,
     vector_inflation,
 )
+from minuscule.tableaux import _IdealGraph
 
 
 def fixture_text(name: str) -> str:
@@ -273,3 +276,53 @@ def test_text_format_round_trip():
         assert IncreasingTableau.from_text(T.to_text(), m=T.m) == T
     with pytest.raises(ParameterError):
         IncreasingTableau.from_text("1,.,2")
+
+
+def by_kbk(T):
+    """rho_(m-1) o ... o rho_1, one k_bender_knuth call at a time: the promotion oracle."""
+    for i in range(1, T.m):
+        T = k_bender_knuth(T, i)
+    return T
+
+
+def test_transducer_matches_kbk_oracle():
+    # Every gapless tableau: the chain sweep of the table build and the
+    # general promotion both equal the oracle; gappy tableaux go through
+    # deflation and inflation.
+    for spec in ("rectangle-3x4", "shifted-staircase-5", "cayley-moufang"):
+        shape = parse_poset_spec(spec)
+        graph = _IdealGraph(shape)
+        for m in graph.class_sizes():
+            for chain in graph.class_chains(m):
+                T = IncreasingTableau(shape, graph.labels(chain), m)
+                expected = by_kbk(T)
+                assert promotion(T) == expected
+                assert graph.labels(graph.promote(chain)) == bytes(expected.labels)
+    for T in all_increasing(cayley_moufang(), 13):
+        assert promotion(T) == by_kbk(T)
+    # A 9-element antichain has 512 ideals, too many for byte chains.
+    wide = Poset(9, [])
+    graph = _IdealGraph(wide)
+    for m in (1, 2):
+        for chain in graph.class_chains(m):
+            assert isinstance(chain, tuple)
+            T = IncreasingTableau(wide, graph.labels(chain), m)
+            assert graph.labels(graph.promote(chain)) == bytes(by_kbk(T).labels)
+
+
+def test_promotion_never_enumerates_ideals(monkeypatch):
+    # rectangle(8, 8) has 12,870 ideals; a single promotion must not list them.
+    from minuscule import ideals, tableaux
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("promotion enumerated the shape's ideals")
+
+    monkeypatch.setattr(ideals, "_ideal_masks", refuse)
+    monkeypatch.setattr(tableaux, "_ideal_masks", refuse)
+    shape = rectangle(8, 8)
+    rank = shape.rank
+    gapless = IncreasingTableau(shape, [r + 1 for r in rank], 15)
+    assert promotion(gapless) == gapless == by_kbk(gapless)
+    for offset in (1, 2):  # gappy, with and without label 1
+        gappy = IncreasingTableau(shape, [2 * r + offset for r in rank], 31)
+        assert promotion(gappy) == by_kbk(gappy) != gappy
