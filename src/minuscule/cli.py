@@ -1,7 +1,8 @@
 """Command-line interface: one binary, subcommands per engine capability.
 
 Exit codes: 0 all good, 1 mathematical mismatch against golden data,
-2 resource cap exceeded, 3 bad input.  Output is canonical (sorted,
+2 resource cap exceeded, 3 bad input (usage errors included).  Each
+subcommand offers only the options it reads.  Output is canonical (sorted,
 newline-terminated) so identical inputs give byte-identical output
 regardless of worker count.
 """
@@ -67,8 +68,7 @@ def _golden_dir(args) -> "resources.abc.Traversable | Path":
 
 
 def _load_golden(root, name: str) -> dict:
-    path = root.joinpath(name) if hasattr(root, "joinpath") else root / name
-    return json.loads(path.read_text())
+    return json.loads(root.joinpath(name).read_text())
 
 
 def _cmd_rowmotion_orbits(args) -> tuple[int, str]:
@@ -271,32 +271,43 @@ def _cmd_reproduce(args) -> tuple[int, str]:
     return (EXIT_OK if failures == 0 else EXIT_MISMATCH), buf.getvalue()
 
 
-def _add_common(sub: argparse.ArgumentParser, poset_required: bool = True) -> None:
+def _add_common(sub: argparse.ArgumentParser, poset_required: bool = True, tables: bool = True, state_cap: bool = False) -> None:
+    """Options shared by the subcommands; each takes only the ones it reads."""
     if poset_required:
         sub.add_argument("--poset", required=True, help="family (e.g. cayley-moufang, freudenthal, propeller-5, rectangle-2x3) or a JSON file")
     else:
         sub.add_argument("--poset", default=None, help="poset family or JSON file (default: freudenthal)")
-    sub.add_argument("--threads", type=int, default=1, help="worker processes for table building")
-    sub.add_argument("--cache-dir", default=None, help="directory for gapless-table caches")
-    sub.add_argument("--state-cap", type=int, default=None, help="cap on exhaustive traversals (env MINUSCULE_STATE_CAP)")
+    if tables:
+        sub.add_argument("--threads", type=int, default=1, help="worker processes for table building")
+        sub.add_argument("--cache-dir", default=None, help="directory for gapless-table caches")
+    if state_cap:
+        sub.add_argument("--state-cap", type=int, default=None, help="cap on exhaustive traversals (env MINUSCULE_STATE_CAP)")
     sub.add_argument("--manifest", default=None, help="write a run manifest JSON to this path")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with EXIT_BAD_INPUT; subparsers are made from the same class."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_BAD_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="minuscule",
         description="Exact rowmotion, K-promotion, and cyclic-sieving engine over minuscule posets.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
     s = subs.add_parser("rowmotion-orbits", help="rowmotion orbit sizes on ideals of poset x k")
-    _add_common(s)
+    _add_common(s, tables=False, state_cap=True)
     s.add_argument("--k", type=int, required=True, help="chain height")
     s.add_argument("--format", choices=("text", "json", "csv"), default="text")
     s.set_defaults(func=_cmd_rowmotion_orbits)
 
     s = subs.add_parser("gapless-table", help="promotion orbit table of gapless tableaux")
-    _add_common(s)
+    _add_common(s, state_cap=True)
     s.add_argument("--format", choices=("text", "json", "csv"), default="text")
     s.add_argument("--fresh", action="store_true", help="rebuild even if a cached table exists")
     s.set_defaults(func=_cmd_gapless_table)
@@ -317,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=_cmd_frame_check)
 
     s = subs.add_parser("qpoly", help="coefficients of the plane-partition generating function")
-    _add_common(s)
+    _add_common(s, tables=False)
     s.add_argument("--k", type=int, required=True, help="plane partition height bound")
     s.set_defaults(func=_cmd_qpoly)
 

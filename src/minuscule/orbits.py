@@ -10,14 +10,15 @@ generating function) is exact arithmetic over that table.
 import json
 import multiprocessing
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
-from math import comb, gcd, lcm
+from math import comb, gcd
 from pathlib import Path
 
 from .errors import ParameterError, StateCapExceeded, UnsupportedPosetError, state_cap
-from .ideals import _ideal_masks
+from .ideals import OrbitSummary, _ideal_masks, rowmotion_orbits
 from .poset import Poset, freudenthal, poset_from_dict
 from .qpoly import RootOfUnityValue, eval_at_root, plane_partition_gf, q_binomial_at_root
 from .tableaux import IncreasingTableau, _IdealGraph, inflate, promotion, rotate_left
@@ -74,6 +75,18 @@ def _table_from_dict(data: dict, poset: Poset) -> GaplessOrbitTable:
     return table
 
 
+def _orbit(start, step, bound: int) -> list:
+    """The orbit of start under step; a walk that has not closed after bound steps raises."""
+    orbit = [start]
+    current = step(start)
+    while current != start:
+        if len(orbit) == bound:
+            raise RuntimeError(f"orbit walk did not return to its start within {bound} steps")
+        orbit.append(current)
+        current = step(current)
+    return orbit
+
+
 def _partition_class(graph: _IdealGraph, m: int) -> dict:
     """Split one ceiling's gapless tableaux into promotion orbits, walked on ideal chains.
 
@@ -91,11 +104,7 @@ def _partition_class(graph: _IdealGraph, m: int) -> dict:
     for c0 in chains:
         if c0 in seen:
             continue
-        orbit = [c0]
-        c = promote(c0)
-        while c != c0:
-            orbit.append(c)
-            c = promote(c)
+        orbit = _orbit(c0, promote, len(chains))
         seen.update(orbit)
         tau = len(orbit)
         keys = [key(c) for c in orbit]
@@ -185,20 +194,16 @@ def load_table(path: str | Path, poset: Poset) -> GaplessOrbitTable:
     return _table_from_dict(json.loads(Path(path).read_text()), poset)
 
 
+def _table_name(poset: Poset) -> str:
+    return f"gapless-{poset.digest()}.json"
+
+
 def packaged_table(poset: Poset) -> GaplessOrbitTable | None:
     """Table shipped with the package for this exact poset, if any."""
-    digest = poset.digest()
-    root = resources.files("minuscule").joinpath("data/cache")
-    try:
-        entries = list(root.iterdir())
-    except (FileNotFoundError, NotADirectoryError):
+    entry = resources.files("minuscule").joinpath("data/cache", _table_name(poset))
+    if not entry.is_file():
         return None
-    for entry in sorted(entries, key=lambda e: e.name):
-        if entry.name.endswith(".json"):
-            data = json.loads(entry.read_text())
-            if data.get("poset_digest") == digest:
-                return _table_from_dict(data, poset)
-    return None
+    return _table_from_dict(json.loads(entry.read_text()), poset)
 
 
 def load_or_build_table(
@@ -213,7 +218,7 @@ def load_or_build_table(
         return table
     cache_path = None
     if cache_dir is not None:
-        cache_path = Path(cache_dir) / f"gapless-{poset.digest()}.json"
+        cache_path = Path(cache_dir) / _table_name(poset)
         if cache_path.exists():
             return load_table(cache_path, poset)
     table = build_gapless_table(poset, workers=workers, cap=cap)
@@ -282,6 +287,33 @@ def exact_period_vector_count(m: int, n: int, e: int) -> int:
     return sum(_mobius(e // ep) * at_most(ep) for ep in _divisors(e))
 
 
+def _inflation_classes(table: GaplessOrbitTable, m: int):
+    """All ceiling-m tableaux, as inflations of a table row by the vectors of exact content
+    period e: yields (row, e, vector count, promotion period h of each inflation)."""
+    for row in table.rows:
+        if row.m_t > m:
+            continue
+        for e in _divisors(m):
+            if (e * row.m_t) % m:
+                continue
+            vectors = exact_period_vector_count(m, row.m_t, e)
+            if vectors:
+                yield row, e, vectors, inflated_period(m, row.m_t, row.period, e)
+
+
+def promotion_orbits(table: GaplessOrbitTable, m: int) -> OrbitSummary:
+    """Multiset of promotion orbit sizes on all ceiling-m tableaux, read off the table."""
+    states: Counter = Counter()
+    for row, _, vectors, h in _inflation_classes(table, m):
+        states[h] += row.period * row.orbits * vectors
+    for h, count in states.items():
+        if count % h:
+            raise RuntimeError(f"{count} tableaux of promotion period {h} do not split into orbits")
+    return OrbitSummary(
+        tuple((h, count // h) for h, count in sorted(states.items())), sum(states.values())
+    )
+
+
 def count_fixed(table: GaplessOrbitTable, m: int, j: int) -> int:
     """Number of tableaux with ceiling m whose promotion period divides j.
 
@@ -291,19 +323,7 @@ def count_fixed(table: GaplessOrbitTable, m: int, j: int) -> int:
     """
     if j < 1:
         raise ParameterError("j must be positive")
-    total = 0
-    for row in table.rows:
-        if row.m_t > m:
-            continue
-        vectors = 0
-        for e in _divisors(m):
-            if (e * row.m_t) % m:
-                continue
-            v = exact_period_vector_count(m, row.m_t, e)
-            if v and j % inflated_period(m, row.m_t, row.period, e) == 0:
-                vectors += v
-        total += row.period * row.orbits * vectors
-    return total
+    return promotion_orbits(table, m).fixed_by_power(j)
 
 
 def count_fixed_qbinomial(table: GaplessOrbitTable, m: int, d: int) -> int:
@@ -369,36 +389,20 @@ def promotion_order(
         table = load_or_build_table(poset, cache_dir=cache_dir, workers=workers)
     if m < poset.rk + 1:
         raise ParameterError(f"no tableaux of this shape with ceiling {m}")
-    attained = []
-    order = 1
-    for row in table.rows:
-        if row.m_t > m:
-            continue
-        for e in _divisors(m):
-            if (e * row.m_t) % m or exact_period_vector_count(m, row.m_t, e) == 0:
-                continue
-            h = inflated_period(m, row.m_t, row.period, e)
-            attained.append((row, e, h))
-            order = lcm(order, h)
-    max_orbit = max((h for _, _, h in attained), default=1)
+    promo = promotion_orbits(table, m)
+    max_orbit = promo.orbit_sizes[-1][0] if promo.orbit_sizes else 1
     witness = None
-    for row, e, h in attained:
+    for row, e, _, h in _inflation_classes(table, m):
         if h == max_orbit:
             rep = IncreasingTableau(poset, row.rep, row.m_t)
             witness = inflate(rep, _periodic_vector(m, row.m_t, e))
-            steps = 0
-            current = witness
-            while True:
-                current = promotion(current)
-                steps += 1
-                if current == witness:
-                    break
+            steps = len(_orbit(witness, promotion, max_orbit))
             if steps != max_orbit:
                 raise RuntimeError(
                     f"witness verification failed: orbit size {steps}, expected {max_orbit}"
                 )
             break
-    return PeriodReport(m, order, max_orbit, witness)
+    return PeriodReport(m, promo.order(), max_orbit, witness)
 
 
 @dataclass(frozen=True)
@@ -450,11 +454,11 @@ def verify_csp(
     """Exact sieving check: does the generating function evaluate, at every power of a
     primitive root of unity of the action's order, to the matching fixed-point count?
 
-    Fixed points of the d-fold action are counted on the tableau side, with
-    ceiling m = k + rk + 1; the polynomial is evaluated exactly at each root,
-    and any non-integer value is an automatic mismatch.  When the ideal count
-    is at most psi_check_cap, the fixed points are recounted on the rowmotion
-    side by brute force and must agree (orbit-multiset equivalence); a
+    Fixed points of the d-fold action are read off the tableau side's orbit
+    multiset, with ceiling m = k + rk + 1; the polynomial is evaluated exactly
+    at each root, and any non-integer value is an automatic mismatch.  When
+    the ideal count is at most psi_check_cap, the rowmotion orbit multiset is
+    recounted by brute force and must equal the tableau side's; a
     disagreement is an engine bug, not a sieving failure, and raises.
     """
     if k < 0:
@@ -465,29 +469,23 @@ def verify_csp(
         table = load_or_build_table(poset, cache_dir=cache_dir, workers=workers)
     m = k + poset.rk + 1
     order = promotion_order(poset, m, table=table).period
+    promo = promotion_orbits(table, m)
     gf = plane_partition_gf(poset, k)
-    summary = None
-    if psi_check_cap is not None and gf(1) <= psi_check_cap:
-        from .ideals import rowmotion_orbits
-
+    recounted = psi_check_cap is not None and gf(1) <= psi_check_cap
+    if recounted:
         summary = rowmotion_orbits(poset, k, cap=psi_check_cap)
-        if summary.order() != order:
+        if summary != promo:
             raise RuntimeError(
-                f"rowmotion order {summary.order()} disagrees with the tableau side {order}"
+                f"rowmotion orbits {summary.orbit_sizes} disagree with the tableau side {promo.orbit_sizes}"
             )
     records = []
     for d in range(1, order + 1):
-        j = gcd(d, order)
-        fixed = count_fixed(table, m, j)
-        if summary is not None and summary.fixed_by_power(j) != fixed:
-            raise RuntimeError(
-                f"rowmotion recount disagrees at d={d}: {summary.fixed_by_power(j)} vs {fixed}"
-            )
+        fixed = promo.fixed_by_power(gcd(d, order))
         value = eval_at_root(gf, order, d)
         records.append(CspRecord(d, fixed, value, value.equals_int(fixed)))
     return CspVerdict(
         poset.family or "custom", k, m, order, tuple(records),
-        all(r.match for r in records), summary is not None,
+        all(r.match for r in records), recounted,
     )
 
 
@@ -495,14 +493,6 @@ def _is_tree_ideal(poset: Poset, mask: int) -> bool:
     for x in range(poset.n):
         if (mask >> x) & 1:
             if sum(1 for a in poset.lower[x] if (mask >> a) & 1) > 1:
-                return False
-    return True
-
-
-def _is_dual_tree_filter(poset: Poset, mask: int) -> bool:
-    for x in range(poset.n):
-        if (mask >> x) & 1:
-            if sum(1 for b in poset.upper[x] if (mask >> b) & 1) > 1:
                 return False
     return True
 
@@ -518,13 +508,7 @@ def max_tree_ideal(poset: Poset, cap: int | None = None) -> frozenset[int]:
 
 def max_dual_tree_filter(poset: Poset, cap: int | None = None) -> frozenset[int]:
     """The unique largest order filter in which every element is covered by at most one other."""
-    full = (1 << poset.n) - 1
-    filters = [full ^ m for m in _ideal_masks(poset, cap)]
-    duals = [m for m in filters if _is_dual_tree_filter(poset, m)]
-    best = max(duals, key=lambda m: bin(m).count("1"))
-    if any(t & best != t for t in duals):
-        raise RuntimeError("dual-tree filters of this poset have no unique maximum")
-    return frozenset(x for x in range(poset.n) if (best >> x) & 1)
+    return max_tree_ideal(Poset(poset.n, [(b, a) for a, b in poset.covers]), cap)
 
 
 def frame(poset: Poset, cap: int | None = None) -> frozenset[int]:

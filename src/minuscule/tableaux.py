@@ -277,28 +277,29 @@ def enumerate_increasing(shape: Poset, m: int, cap: int | None = None) -> Iterat
         yield IncreasingTableau(shape, (), m, validate=False)
         return
     topo = shape.topo
-    lower = shape.lower
+    lower = [shape.lower[x] for x in topo]
     headroom = _up_heights(shape)
+    top = [m - headroom[x] for x in topo]
     labels = [0] * n
     count = 0
-
-    def rec(i: int) -> Iterator[IncreasingTableau]:
-        nonlocal count
-        if i == n:
-            count += 1
-            if count > cap:
-                raise StateCapExceeded("too many increasing tableaux", cap)
-            yield IncreasingTableau(shape, labels, m, validate=False)
-            return
+    # An explicit position i, not recursion: labels[topo[i]] is the label on
+    # trial there (0 before the first), and a position out of labels steps back.
+    i = 0
+    while i >= 0:
         x = topo[i]
-        lo = max((labels[a] for a in lower[x]), default=0) + 1
-        hi = m - headroom[x]
-        for v in range(lo, hi + 1):
-            labels[x] = v
-            yield from rec(i + 1)
-        labels[x] = 0
-
-    yield from rec(0)
+        v = labels[x] + 1 if labels[x] else max((labels[a] for a in lower[i]), default=0) + 1
+        if v > top[i]:
+            labels[x] = 0
+            i -= 1
+            continue
+        labels[x] = v
+        if i < n - 1:
+            i += 1
+            continue
+        count += 1
+        if count > cap:
+            raise StateCapExceeded("too many increasing tableaux", cap)
+        yield IncreasingTableau(shape, labels, m, validate=False)
 
 
 class _IdealGraph:

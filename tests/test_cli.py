@@ -148,3 +148,22 @@ def test_deep_chain_rowmotion(capsys):
     assert code == 0 and err == ""
     assert out.splitlines()[1].split() == ["1201", "1"]
     assert out.splitlines()[-1] == '{"total_states": 1201}'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("period", "--poset", "cayley-moufang", "--m", "x"),
+        ("rowmotion-orbits", "--poset", "propeller-3"),
+        ("qpoly", "--poset", "propeller-3", "--k", "1", "--threads", "2"),
+        ("verify-csp", "--poset", "rectangle-3x4", "--k", "0", "--state-cap", "5"),
+    ],
+)
+def test_usage_errors_are_bad_input(capsys, argv):
+    # Malformed, missing and unoffered options exit 3, like any other bad input.
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 3 and "error" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--help"])
+    assert exc.value.code == 0

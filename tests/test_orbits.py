@@ -1,4 +1,7 @@
+import json
 from collections import Counter
+from dataclasses import replace
+from importlib import resources
 from math import gcd, lcm
 
 import pytest
@@ -34,7 +37,7 @@ from minuscule import (
     rowmotion_orbits,
     verify_csp,
 )
-from minuscule.orbits import load_table, packaged_table, save_table
+from minuscule.orbits import load_table, packaged_table, promotion_orbits, save_table
 
 
 def census_fixed(sizes: Counter, j: int) -> int:
@@ -254,6 +257,7 @@ def test_rowmotion_and_promotion_orbit_multisets_agree():
         psi = rowmotion_orbits(shape, k)
         pro = promotion_census(shape, m)
         assert Counter(dict(psi.orbit_sizes)) == pro
+        assert promotion_orbits(load_or_build_table(shape), m) == psi
 
 
 def test_low_height_sieving_on_other_minuscule_families():
@@ -278,6 +282,16 @@ def test_verify_csp_records(cm_table):
     assert len(data["records"]) == 12
     big = verify_csp(cayley_moufang(), 8, table=cm_table)
     assert big.holds and not big.psi_cross_checked
+
+
+def test_verify_csp_recount_rejects_a_wrong_table(cm_table):
+    # One extra orbit in a ceiling-12 row still splits into whole orbits, so
+    # only the rowmotion recount can catch it.
+    row = next(r for r in cm_table.rows if r.m_t == 12)
+    rows = tuple(replace(r, orbits=r.orbits + 1) if r is row else r for r in cm_table.rows)
+    wrong = replace(cm_table, rows=rows, total=cm_table.total + row.period)
+    with pytest.raises(RuntimeError, match="rowmotion orbits"):
+        verify_csp(cayley_moufang(), 1, table=wrong)
 
 
 def test_verify_csp_failure_detail(pf_table):
@@ -321,6 +335,15 @@ def test_packaged_tables_present():
         table = packaged_table(poset)
         assert table is not None and table.total == total
     assert packaged_table(rectangle(2, 2)) is None
+
+
+def test_shipped_tables_are_named_by_digest():
+    shipped = resources.files("minuscule").joinpath("data/cache")
+    names = sorted(e.name for e in shipped.iterdir() if e.name.endswith(".json"))
+    assert len(names) == 2
+    for name in names:
+        digest = json.loads(shipped.joinpath(name).read_text())["poset_digest"]
+        assert name == f"gapless-{digest}.json"
 
 
 def test_load_or_build_uses_cache_dir(tmp_path):
@@ -396,3 +419,22 @@ def test_failed_cache_write_leaves_no_table(tmp_path, monkeypatch):
     (path,) = tmp_path.iterdir()
     assert path.name == f"gapless-{shape.digest()}.json"
     assert load_table(path, shape).triples() == table.triples()
+
+
+def test_orbit_walks_are_bounded(monkeypatch):
+    # A promotion that is not a bijection must fail the walk, not hang it.
+    from minuscule import orbits
+    from minuscule.tableaux import _IdealGraph
+
+    shape = propeller(3)
+    table = build_gapless_table(shape)
+    class_chains = _IdealGraph.class_chains
+    with monkeypatch.context() as patched:
+        patched.setattr(_IdealGraph, "promote", lambda self, c: class_chains(self, len(c) - 1)[0])
+        with pytest.raises(RuntimeError, match="within"):
+            build_gapless_table(shape)
+    witness = promotion_order(shape, 8, table=table).witness
+    sink = next(t for t in enumerate_increasing(shape, 8) if t != witness)
+    monkeypatch.setattr(orbits, "promotion", lambda t: sink)
+    with pytest.raises(RuntimeError, match="within"):
+        promotion_order(shape, 8, table=table)

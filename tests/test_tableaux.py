@@ -252,6 +252,14 @@ def test_enumerate_increasing_cap():
         list(enumerate_increasing(rectangle(2, 3), 7, cap=10))
 
 
+def test_enumerate_increasing_deep_chain():
+    # A 1,200-element chain: the backtracking must not recurse per element.
+    from minuscule import chain_product
+
+    (only,) = enumerate_increasing(chain_product(rectangle(1, 1), 1200), 1200)
+    assert only.labels == tuple(range(1, 1201))
+
+
 def test_promotion_commutation_sampled_on_cayley_moufang():
     rng = random.Random(3)
     cm = cayley_moufang()
