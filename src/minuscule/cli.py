@@ -1,7 +1,8 @@
 """Command-line interface: one binary, subcommands per engine capability.
 
 Exit codes: 0 all good, 1 mathematical mismatch against golden data,
-2 resource cap exceeded, 3 bad input (usage errors included).  Each
+2 resource cap exceeded, 3 bad input (usage errors included), 4 internal
+error (any other exception, such as a failed engine self-check).  Each
 subcommand offers only the options it reads.  Output is canonical (sorted,
 newline-terminated) so identical inputs give byte-identical output
 regardless of worker count.
@@ -12,6 +13,7 @@ import hashlib
 import json
 import sys
 import time
+import traceback
 from collections import Counter
 from importlib import resources
 from pathlib import Path
@@ -33,6 +35,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_RESOURCE = 2
 EXIT_BAD_INPUT = 3
+EXIT_INTERNAL = 4
 
 
 def _emit_table(rows: list[list], header: list[str], fmt: str) -> str:
@@ -373,6 +376,10 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    except Exception as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
     wall = time.monotonic() - start
     sys.stdout.write(output)
     if getattr(args, "manifest", None):

@@ -47,18 +47,46 @@ class OrderIdeal:
         return bin(self.mask).count("1")
 
 
-def _rowmotion_mask(poset: Poset, mask: int) -> int:
-    lm = poset.lower_masks
-    out = 0
-    for x in range(poset.n):
-        if not (mask >> x) & 1 and mask & lm[x] == lm[x]:
-            out |= poset.down_masks[x]
-    return out
+def _chunk_tables(masks: list[int]) -> list[list[int]]:
+    # Table j maps a byte b to the union of masks[8j + i] over the set bits i of b.
+    tables = []
+    for j in range(0, len(masks), 8):
+        table = [0]
+        for mask in masks[j:j + 8]:
+            table += [t | mask for t in table]
+        tables.append(table)
+    return tables
+
+
+def _rowmotion_step(poset: Poset):
+    """Rowmotion on ideal masks, as a function built once per poset.
+
+    With C the complement of the ideal, min C = C & ~up(C) and the image is
+    down(min C); up (the upper covers) and down (the down-closures) are
+    unions over set bits, so each is one table lookup per byte of the mask.
+    """
+    n = poset.n
+    width = (n + 7) // 8
+    full = (1 << n) - 1
+    up_tables = _chunk_tables([sum(1 << y for y in poset.upper[x]) for x in range(n)])
+    down_tables = _chunk_tables(list(poset.down_masks))
+
+    def step(mask: int) -> int:
+        comp = full ^ mask
+        up = 0
+        for table, byte in zip(up_tables, comp.to_bytes(width, "little")):
+            up |= table[byte]
+        out = 0
+        for table, byte in zip(down_tables, (comp & ~up).to_bytes(width, "little")):
+            out |= table[byte]
+        return out
+
+    return step
 
 
 def rowmotion(ideal: OrderIdeal) -> OrderIdeal:
     """Down-closure of the minimal elements of the complement; a bijection on ideals."""
-    return OrderIdeal(ideal.poset, _rowmotion_mask(ideal.poset, ideal.mask))
+    return OrderIdeal(ideal.poset, _rowmotion_step(ideal.poset)(ideal.mask))
 
 
 def _ideal_masks(poset: Poset, cap: int | None = None) -> Iterator[int]:
@@ -110,26 +138,36 @@ class OrbitSummary:
         return lcm(*(size for size, _ in self.orbit_sizes)) if self.orbit_sizes else 1
 
 
+def _orbit(start, step, bound: int) -> list:
+    """The orbit of start under step; a walk that has not closed after bound steps raises."""
+    orbit = [start]
+    current = step(start)
+    while current != start:
+        if len(orbit) == bound:
+            raise RuntimeError(f"orbit walk did not return to its start within {bound} steps")
+        orbit.append(current)
+        current = step(current)
+    return orbit
+
+
 def rowmotion_orbits(poset: Poset, k: int, cap: int | None = None) -> OrbitSummary:
-    """Partition the ideals of poset x k into rowmotion orbits by exhaustive traversal."""
+    """Partition the ideals of poset x k into rowmotion orbits by exhaustive traversal.
+
+    Reads only the product's covers: each orbit is walked with the table-driven
+    rowmotion step, and a walk longer than the ideal count raises.
+    """
     cap = state_cap(cap)
     product = chain_product(poset, k)
     states = list(_ideal_masks(product, cap))
-    index = {m: i for i, m in enumerate(states)}
-    seen = bytearray(len(states))
+    step = _rowmotion_step(product)
+    seen = set()
     sizes = Counter()
-    for start, mask in enumerate(states):
-        if seen[start]:
+    for mask in states:
+        if mask in seen:
             continue
-        size = 0
-        cur = mask
-        while True:
-            seen[index[cur]] = 1
-            size += 1
-            cur = _rowmotion_mask(product, cur)
-            if cur == mask:
-                break
-        sizes[size] += 1
+        orbit = _orbit(mask, step, len(states))
+        seen.update(orbit)
+        sizes[len(orbit)] += 1
     return OrbitSummary(tuple(sorted(sizes.items())), len(states))
 
 

@@ -18,7 +18,7 @@ from math import comb, gcd
 from pathlib import Path
 
 from .errors import ParameterError, StateCapExceeded, UnsupportedPosetError, state_cap
-from .ideals import OrbitSummary, _ideal_masks, rowmotion_orbits
+from .ideals import OrbitSummary, _ideal_masks, _orbit, rowmotion_orbits
 from .poset import Poset, freudenthal, poset_from_dict
 from .qpoly import RootOfUnityValue, eval_at_root, plane_partition_gf, q_binomial_at_root
 from .tableaux import IncreasingTableau, _IdealGraph, inflate, promotion, rotate_left
@@ -73,18 +73,6 @@ def _table_from_dict(data: dict, poset: Poset) -> GaplessOrbitTable:
     if sum(r.period * r.orbits for r in rows) != table.total:
         raise ParameterError("cached table is inconsistent: orbit sizes do not sum to the total")
     return table
-
-
-def _orbit(start, step, bound: int) -> list:
-    """The orbit of start under step; a walk that has not closed after bound steps raises."""
-    orbit = [start]
-    current = step(start)
-    while current != start:
-        if len(orbit) == bound:
-            raise RuntimeError(f"orbit walk did not return to its start within {bound} steps")
-        orbit.append(current)
-        current = step(current)
-    return orbit
 
 
 def _partition_class(graph: _IdealGraph, m: int) -> dict:
@@ -455,8 +443,9 @@ def verify_csp(
     primitive root of unity of the action's order, to the matching fixed-point count?
 
     Fixed points of the d-fold action are read off the tableau side's orbit
-    multiset, with ceiling m = k + rk + 1; the polynomial is evaluated exactly
-    at each root, and any non-integer value is an automatic mismatch.  When
+    multiset, with ceiling m = k + rk + 1.  The polynomial is evaluated exactly,
+    once per primitive order (zeta^d and zeta^gcd(d, order) are primitive roots
+    of the same order), and any non-integer value is an automatic mismatch.  When
     the ideal count is at most psi_check_cap, the rowmotion orbit multiset is
     recounted by brute force and must equal the tableau side's; a
     disagreement is an engine bug, not a sieving failure, and raises.
@@ -478,10 +467,12 @@ def verify_csp(
             raise RuntimeError(
                 f"rowmotion orbits {summary.orbit_sizes} disagree with the tableau side {promo.orbit_sizes}"
             )
+    residues = {g: eval_at_root(gf, order, g).residue for g in _divisors(order)}
     records = []
     for d in range(1, order + 1):
-        fixed = promo.fixed_by_power(gcd(d, order))
-        value = eval_at_root(gf, order, d)
+        g = gcd(d, order)
+        fixed = promo.fixed_by_power(g)
+        value = RootOfUnityValue(order, d, order // g, residues[g])
         records.append(CspRecord(d, fixed, value, value.equals_int(fixed)))
     return CspVerdict(
         poset.family or "custom", k, m, order, tuple(records),

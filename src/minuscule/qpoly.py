@@ -267,16 +267,25 @@ def plane_partition_gf(poset: Poset, k: int) -> QPolynomial:
 
     Uses the hook-style product over element heights h_x = rank(x) + 1:
     prod (1 - q^(h_x + k)) / prod (1 - q^(h_x)).  Only the built-in minuscule
-    families are accepted; the division is checked to be exact.
+    families are accepted.  Each numerator factor is multiplied in by one
+    shift-and-subtract, then each denominator factor is divided out by the
+    recurrence c[i] += c[i - h]; every partial denominator divides the full
+    one, so every partial quotient is a polynomial; a division whose top h
+    coefficients are not all zero is not exact and raises.
     """
     if poset.family is None:
         raise UnsupportedPosetError("the product formula is only asserted for built-in minuscule posets")
     if k < 0:
         raise ParameterError("height bound must be nonnegative")
-    num = QPolynomial.one()
-    den = QPolynomial.one()
-    for r in poset.rank:
-        h = r + 1
-        num = num * (QPolynomial.monomial(h + k) - QPolynomial.one())
-        den = den * (QPolynomial.monomial(h) - QPolynomial.one())
-    return num.exact_div(den)
+    heights = [r + 1 for r in poset.rank]
+    coeffs = [1]
+    for h in heights:
+        pad = [0] * (h + k)
+        coeffs = [a - b for a, b in zip(coeffs + pad, pad + coeffs)]
+    for h in heights:
+        for i in range(h, len(coeffs)):
+            coeffs[i] += coeffs[i - h]
+        if any(coeffs[-h:]):
+            raise ExactnessError(f"the product formula does not divide exactly by 1 - q^{h}")
+        del coeffs[-h:]
+    return QPolynomial(coeffs)

@@ -26,7 +26,7 @@ from collections.abc import Iterator
 from functools import lru_cache
 
 from .errors import ParameterError, StateCapExceeded, state_cap
-from .ideals import _ideal_masks
+from .ideals import _ideal_masks, _orbit
 from .poset import Poset, ShapeDiagram, poset_from_shape
 
 
@@ -442,17 +442,17 @@ def enumerate_gapless(shape: Poset, cap: int | None = None) -> Iterator[Increasi
 
 
 def promotion_census(shape: Poset, m: int) -> Counter:
-    """Orbit sizes of promotion on all ceiling-m tableaux, by walking every orbit."""
+    """Orbit sizes of promotion on all ceiling-m tableaux, by walking every orbit.
+
+    A walk longer than the number of tableaux raises.
+    """
+    tableaux = list(enumerate_increasing(shape, m))
     seen = set()
     sizes = Counter()
-    for T in enumerate_increasing(shape, m):
+    for T in tableaux:
         if T in seen:
             continue
-        orbit = [T]
-        cur = promotion(T)
-        while cur != T:
-            orbit.append(cur)
-            cur = promotion(cur)
+        orbit = _orbit(T, promotion, len(tableaux))
         seen.update(orbit)
         sizes[len(orbit)] += 1
     return sizes

@@ -110,6 +110,19 @@ def test_resource_cap_exit_code(capsys):
     assert code == 2 and "state cap" in err
 
 
+def test_internal_error_exit_code(capsys, monkeypatch):
+    # An engine fault is neither a mismatch (1) nor bad input (3), and prints nothing on stdout.
+    from minuscule import cli
+
+    def broken(args):
+        raise RuntimeError("rowmotion orbits disagree with the tableau side")
+
+    monkeypatch.setattr(cli, "_cmd_qpoly", broken)
+    code, out, err = run(capsys, "qpoly", "--poset", "propeller-3", "--k", "1")
+    assert code == 4 and out == ""
+    assert err.startswith("internal error: rowmotion orbits disagree")
+
+
 def test_manifest(tmp_path, capsys):
     path = tmp_path / "manifest.json"
     code, out, _ = run(capsys, "qpoly", "--poset", "propeller-3", "--k", "1", "--manifest", str(path))

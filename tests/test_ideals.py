@@ -75,6 +75,49 @@ def test_rowmotion_is_bijection():
         assert images == set(masks)
 
 
+def definitional_rowmotion(P):
+    """Rowmotion on P as a function of masks: the down-closure of the minimal
+    elements of the complement, computed on sets from the covers alone."""
+    below = {x: {x} for x in range(P.n)}
+    for x in P.topo:
+        for a, b in P.covers:
+            if b == x:
+                below[x] |= below[a]
+
+    def image(mask):
+        complement = {x for x in range(P.n) if not (mask >> x) & 1}
+        minimal = {x for x in complement if not (below[x] - {x}) & complement}
+        return sum(1 << y for y in set().union(*(below[x] for x in minimal)))
+
+    return image
+
+
+def test_rowmotion_matches_set_definition():
+    # Element counts 0, 8, 9, 48, 54 and 66 cover empty, whole, partial and multi-word byte chunks.
+    products = (
+        chain_product(rectangle(2, 2), 0),
+        chain_product(rectangle(2, 2), 2),
+        chain_product(rectangle(3, 3), 1),
+        chain_product(cayley_moufang(), 3),
+        chain_product(freudenthal(), 2),
+        chain_product(rectangle(1, 2), 33),
+    )
+    assert [P.n for P in products] == [0, 8, 9, 48, 54, 66]
+    for P in products:
+        oracle = definitional_rowmotion(P)
+        for ideal in enumerate_ideals(P):
+            assert rowmotion(ideal).mask == oracle(ideal.mask)
+
+
+def test_rowmotion_orbit_walk_is_bounded(monkeypatch):
+    # A rowmotion that is not a bijection must fail the census, not hang it.
+    from minuscule import ideals
+
+    monkeypatch.setattr(ideals, "_rowmotion_step", lambda poset: lambda mask: 0)
+    with pytest.raises(RuntimeError, match="within"):
+        rowmotion_orbits(propeller(3), 1)
+
+
 def test_rowmotion_orbit_example_2x2():
     summary = rowmotion_orbits(rectangle(2, 2), 1)
     assert summary.total_states == 6

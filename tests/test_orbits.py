@@ -37,6 +37,7 @@ from minuscule import (
     rowmotion_orbits,
     verify_csp,
 )
+from minuscule.qpoly import eval_at_root, plane_partition_gf
 from minuscule.orbits import load_table, packaged_table, promotion_orbits, save_table
 
 
@@ -282,6 +283,21 @@ def test_verify_csp_records(cm_table):
     assert len(data["records"]) == 12
     big = verify_csp(cayley_moufang(), 8, table=cm_table)
     assert big.holds and not big.psi_cross_checked
+
+
+def test_verify_csp_values_are_the_roots_values(cm_table, pf_table):
+    # One evaluation per primitive order must give every record the per-d value.
+    for shape, table, ks in (
+        (cayley_moufang(), cm_table, (0, 1, 2, 3, 4, 5, 6, 80)),
+        (freudenthal(), pf_table, range(8)),
+        (propeller(4), build_gapless_table(propeller(4)), range(7)),
+    ):
+        for k in ks:
+            verdict = verify_csp(shape, k, table=table)
+            gf = plane_partition_gf(shape, k)
+            assert [r.d for r in verdict.records] == list(range(1, verdict.order + 1))
+            for r in verdict.records:
+                assert r.value == eval_at_root(gf, verdict.order, r.d), (shape.family, k, r.d)
 
 
 def test_verify_csp_recount_rejects_a_wrong_table(cm_table):

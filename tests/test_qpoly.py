@@ -7,6 +7,7 @@ import pytest
 from minuscule import (
     ExactnessError,
     ParameterError,
+    Poset,
     QPolynomial,
     UnsupportedPosetError,
     cayley_moufang,
@@ -185,3 +186,25 @@ def test_gf_rejects_custom_posets():
     hook = poset_from_shape(ShapeDiagram([(0, 3), (0, 1)]))
     with pytest.raises(UnsupportedPosetError):
         plane_partition_gf(hook, 1)
+
+
+def test_gf_matches_dense_product_oracle():
+    # The product formula computed with dense QPolynomial arithmetic and one exact division.
+    one = QPolynomial.one()
+    for P in (
+        propeller(3), propeller(5), rectangle(2, 3), rectangle(3, 4),
+        shifted_staircase(4), cayley_moufang(), freudenthal(),
+    ):
+        for k in range(13):
+            num, den = one, one
+            for r in P.rank:
+                num = num * (QPolynomial.monomial(r + 1 + k) - one)
+                den = den * (QPolynomial.monomial(r + 1) - one)
+            assert plane_partition_gf(P, k) == num.exact_div(den), (P.family, k)
+
+
+def test_gf_division_is_checked():
+    # Heights 1, 2, 2: at k = 1 the quotient is [3]_q (1 - q^3) / (1 - q^2), not a polynomial.
+    fake = Poset(3, [(0, 1), (0, 2)], family="fake")
+    with pytest.raises(ExactnessError):
+        plane_partition_gf(fake, 1)

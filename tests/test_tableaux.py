@@ -21,6 +21,7 @@ from minuscule import (
     parse_poset_spec,
     poset_from_shape,
     promotion,
+    promotion_census,
     propeller,
     rectangle,
     rotate_left,
@@ -334,3 +335,14 @@ def test_promotion_never_enumerates_ideals(monkeypatch):
     for offset in (1, 2):  # gappy, with and without label 1
         gappy = IncreasingTableau(shape, [2 * r + offset for r in rank], 31)
         assert promotion(gappy) == by_kbk(gappy) != gappy
+
+
+def test_promotion_census_walk_is_bounded(monkeypatch):
+    # A promotion onto one tableau must fail the census, not hang it.
+    from minuscule import tableaux
+
+    shape = propeller(3)
+    sink = next(enumerate_increasing(shape, 8))
+    monkeypatch.setattr(tableaux, "promotion", lambda t: sink)
+    with pytest.raises(RuntimeError, match="within"):
+        promotion_census(shape, 8)
