@@ -17,8 +17,9 @@ from minuscule import (
 # ---------------------------------------------------------------------------
 # The whole promotion action is controlled by a finite table: for each
 # ceiling, the gapless tableaux split into orbits.  The 16-box exceptional
-# shape has 549 gapless tableaux; the 27-box one has 624,493 (shipped as a
-# verified cache; rebuild with build_gapless_table or the CLI's --fresh).
+# shape has 549 gapless tableaux; the 27-box one has 624,493 (a shipped table,
+# checked on load for its schema, poset digest and total only; rebuild it with
+# build_gapless_table or the CLI's --fresh).
 # ---------------------------------------------------------------------------
 cm = cayley_moufang()
 cm_table = build_gapless_table(cm)

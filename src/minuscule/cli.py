@@ -10,11 +10,11 @@ regardless of worker count.
 
 import argparse
 import hashlib
+import io
 import json
 import sys
 import time
 import traceback
-from collections import Counter
 from importlib import resources
 from pathlib import Path
 
@@ -27,7 +27,7 @@ from .orbits import (
     promotion_order,
     verify_csp,
 )
-from .poset import cayley_moufang, freudenthal, parse_poset_spec, propeller
+from .poset import freudenthal, parse_poset_spec
 from .qpoly import plane_partition_gf
 from .tableaux import promotion_census
 
@@ -64,22 +64,12 @@ def emit(payload, fmt: str = "text") -> str:
     return str(payload) + "\n"
 
 
-def _golden_dir(args) -> "resources.abc.Traversable | Path":
-    if args.golden_dir:
-        return Path(args.golden_dir)
-    return resources.files("minuscule").joinpath("data/golden")
-
-
-def _load_golden(root, name: str) -> dict:
-    return json.loads(root.joinpath(name).read_text())
-
-
 def _cmd_rowmotion_orbits(args) -> tuple[int, str]:
     poset = parse_poset_spec(args.poset)
     summary = rowmotion_orbits(poset, args.k, cap=args.state_cap)
     rows = [[size, mult] for size, mult in summary.orbit_sizes]
     out = emit((["orbit_size", "multiplicity"], rows), args.format)
-    out += emit({"total_states": summary.total_states}, "json" if args.format == "json" else "text")
+    out += emit({"total_states": summary.total_states})
     return EXIT_OK, out
 
 
@@ -94,7 +84,7 @@ def _cmd_gapless_table(args) -> tuple[int, str]:
     rows = table.triples()
     out = emit((["m_t", "period", "orbits"], rows), args.format)
     if args.format != "csv":
-        out += emit({"total": table.total}, "json" if args.format == "json" else "text")
+        out += emit({"total": table.total})
     return EXIT_OK, out
 
 
@@ -102,7 +92,7 @@ def _cmd_verify_csp(args) -> tuple[int, str]:
     poset = parse_poset_spec(args.poset)
     verdict = verify_csp(poset, args.k, cache_dir=args.cache_dir, workers=args.threads)
     if args.json:
-        return EXIT_OK, emit(verdict.to_dict(), "json")
+        return EXIT_OK, emit(verdict.to_dict())
     rows = [
         [r.d, r.fixed_count, r.value.value if r.value.is_integer else "non-integer", r.match]
         for r in verdict.records
@@ -116,7 +106,7 @@ def _cmd_period(args) -> tuple[int, str]:
     poset = parse_poset_spec(args.poset)
     report = promotion_order(poset, args.m, cache_dir=args.cache_dir, workers=args.threads)
     payload = {"m": report.m, "period": report.period, "max_orbit": report.max_orbit}
-    return EXIT_OK, emit(payload, "json")
+    return EXIT_OK, emit(payload)
 
 
 def _cmd_frame_check(args) -> tuple[int, str]:
@@ -127,7 +117,7 @@ def _cmd_frame_check(args) -> tuple[int, str]:
         "stable": list(report.stable_elements),
         "match": report.match,
     }
-    return (EXIT_OK if report.match else EXIT_MISMATCH), emit(payload, "json")
+    return (EXIT_OK if report.match else EXIT_MISMATCH), emit(payload)
 
 
 def _cmd_qpoly(args) -> tuple[int, str]:
@@ -136,8 +126,63 @@ def _cmd_qpoly(args) -> tuple[int, str]:
     return EXIT_OK, json.dumps(list(gf.coeffs)) + "\n"
 
 
-def _expected_csp(family: str, k: int) -> bool:
-    return k <= 4 if family == "freudenthal" else True
+# Headline shapes, in report order; each table is built fresh once per run.
+_FAMILIES = ("cayley-moufang", "propeller-3", "propeller-4", "propeller-5", "propeller-6", "freudenthal")
+
+# Sieving verdicts (family, k, holds): Cayley-Moufang holds at every height
+# checked, Freudenthal up to height 4 and fails at 5.
+_SIEVING = tuple(("cayley-moufang", k, True) for k in range(9)) + tuple(
+    ("freudenthal", k, k <= 4) for k in range(6)
+)
+
+# Spot checks of the action order (family, m, period, max_orbit).  The full
+# action order and the largest single orbit differ on the 27-element shape
+# once the ceiling reaches 24; both are checked.
+_PERIODS = (
+    ("cayley-moufang", 12, 12, 12), ("cayley-moufang", 17, 17, 17), ("cayley-moufang", 30, 30, 30),
+    ("freudenthal", 18, 18, 18), ("freudenthal", 21, 21, 21), ("freudenthal", 22, 66, 66),
+    ("freudenthal", 23, 69, 69), ("freudenthal", 24, 144, 72), ("freudenthal", 25, 150, 75),
+    ("propeller-4", 8, 8, 8), ("propeller-4", 13, 13, 13),
+)
+
+
+def _headline_checks(threads: int, golden_root):
+    """Yield (name, passed, detail) for each headline result, in report order."""
+    tables = {}
+    for family in _FAMILIES:
+        table = tables[family] = build_gapless_table(parse_poset_spec(family), workers=threads)
+        golden = json.loads(golden_root.joinpath(f"table_{family.replace('-', '_')}.json").read_text())
+        got = table.triples()
+        detail = f"got {got}" if family.startswith("propeller") else f"got total {table.total}"
+        yield f"gapless-table {family}", got == golden["rows"] and table.total == golden["total"], detail
+
+    for family, k, holds in _SIEVING:
+        name = f"verify-csp {family} k={k}"
+        if family == "freudenthal":
+            name += " (holds)" if holds else " (fails)"
+        table = tables[family]
+        yield name, verify_csp(table.poset, k, table=table).holds == holds, ""
+
+    for family, m, period, max_orbit in _PERIODS:
+        table = tables[family]
+        rep = promotion_order(table.poset, m, table=table)
+        ok = (rep.period, rep.max_orbit) == (period, max_orbit)
+        yield f"period {family} m={m}", ok, f"got {rep.period}/{rep.max_orbit}"
+
+    cm, pf = tables["cayley-moufang"].poset, tables["freudenthal"].poset
+    report = frame_check(pf, table=tables["freudenthal"])
+    yield "frame-check freudenthal", report.match, f"frame {report.frame_elements} vs stable {report.stable_elements}"
+
+    yield "tableau operator fixtures", _tableau_fixtures_ok(tables["propeller-4"].poset), ""
+
+    for family, k in (("cayley-moufang", 1), ("propeller-3", 2)):
+        shape = tables[family].poset
+        psi = rowmotion_orbits(shape, k).sizes()
+        pro = promotion_census(shape, shape.rk + k + 1)
+        yield f"orbit multisets agree ({family}, k={k})", psi == pro, f"{psi} vs {pro}"
+
+    points = (plane_partition_gf(cm, 1)(1), plane_partition_gf(pf, 1)(1))
+    yield "generating function point counts", points == (27, 56), ""
 
 
 def reproduce_all(threads: int = 1, golden_root=None, out=sys.stdout) -> int:
@@ -149,100 +194,19 @@ def reproduce_all(threads: int = 1, golden_root=None, out=sys.stdout) -> int:
     if golden_root is None:
         golden_root = resources.files("minuscule").joinpath("data/golden")
     failures = 0
-
-    def check(name: str, ok: bool, detail: str = "") -> None:
-        nonlocal failures
+    for name, ok, detail in _headline_checks(threads, golden_root):
         line = f"{'PASS' if ok else 'FAIL'}  {name}"
-        if detail and not ok:
-            line += f"  ({detail})"
-        print(line, file=out)
         if not ok:
             failures += 1
-
-    cm = cayley_moufang()
-    cm_table = build_gapless_table(cm, workers=threads)
-    golden = _load_golden(golden_root, "table_cayley_moufang.json")
-    check(
-        "gapless-table cayley-moufang",
-        cm_table.triples() == golden["rows"] and cm_table.total == golden["total"],
-        f"got total {cm_table.total}",
-    )
-
-    for p in (3, 4, 5, 6):
-        pp = propeller(p)
-        p_table = build_gapless_table(pp, workers=threads)
-        golden = _load_golden(golden_root, f"table_propeller_{p}.json")
-        check(
-            f"gapless-table propeller-{p}",
-            p_table.triples() == golden["rows"] and p_table.total == golden["total"],
-            f"got {p_table.triples()}",
-        )
-
-    pf = freudenthal()
-    pf_table = build_gapless_table(pf, workers=threads)
-    golden = _load_golden(golden_root, "table_freudenthal.json")
-    check(
-        "gapless-table freudenthal",
-        pf_table.triples() == golden["rows"] and pf_table.total == golden["total"],
-        f"got total {pf_table.total}",
-    )
-
-    for k in range(0, 9):
-        verdict = verify_csp(cm, k, table=cm_table)
-        check(f"verify-csp cayley-moufang k={k}", verdict.holds == _expected_csp("cayley-moufang", k))
-    for k in range(0, 6):
-        verdict = verify_csp(pf, k, table=pf_table)
-        check(
-            f"verify-csp freudenthal k={k} ({'holds' if _expected_csp('freudenthal', k) else 'fails'})",
-            verdict.holds == _expected_csp("freudenthal", k),
-        )
-
-    # Spot checks of the action order.  The full action order and the largest
-    # single orbit differ on the 27-element shape once the ceiling reaches 24;
-    # both are checked.
-    for m, period, max_orbit in ((12, 12, 12), (17, 17, 17), (30, 30, 30)):
-        rep = promotion_order(cm, m, table=cm_table)
-        check(
-            f"period cayley-moufang m={m}",
-            rep.period == period and rep.max_orbit == max_orbit,
-            f"got {rep.period}/{rep.max_orbit}",
-        )
-    for m, period, max_orbit in (
-        (18, 18, 18), (21, 21, 21), (22, 66, 66), (23, 69, 69), (24, 144, 72), (25, 150, 75),
-    ):
-        rep = promotion_order(pf, m, table=pf_table)
-        check(
-            f"period freudenthal m={m}",
-            rep.period == period and rep.max_orbit == max_orbit,
-            f"got {rep.period}/{rep.max_orbit}",
-        )
-    p4 = propeller(4)
-    p4_table = build_gapless_table(p4, workers=threads)
-    for m in (8, 13):
-        rep = promotion_order(p4, m, table=p4_table)
-        check(f"period propeller-4 m={m}", rep.period == m, f"got {rep.period}")
-
-    report = frame_check(pf, table=pf_table)
-    check("frame-check freudenthal", report.match, f"frame {report.frame_elements} vs stable {report.stable_elements}")
-
-    check("tableau operator fixtures", _tableau_fixtures_ok())
-
-    for shape, k in ((cm, 1), (propeller(3), 2)):
-        psi = Counter(dict(rowmotion_orbits(shape, k).orbit_sizes))
-        pro = promotion_census(shape, shape.rk + k + 1)
-        check(f"orbit multisets agree ({shape.family}, k={k})", psi == pro, f"{psi} vs {pro}")
-
-    check(
-        "generating function point counts",
-        plane_partition_gf(cm, 1)(1) == 27 and plane_partition_gf(pf, 1)(1) == 56,
-    )
-
+            if detail:
+                line += f"  ({detail})"
+        print(line, file=out)
     print(f"{'OK' if failures == 0 else 'MISMATCH'}: {failures} failure(s)", file=out)
     return failures
 
 
-def _tableau_fixtures_ok() -> bool:
-    from .tableaux import IncreasingTableau, content_vector, deflate, inflate, k_bender_knuth, promotion
+def _tableau_fixtures_ok(propeller_4) -> bool:
+    from .tableaux import IncreasingTableau, content_vector, deflate, enumerate_gapless, inflate, k_bender_knuth, promotion
 
     fixtures = resources.files("minuscule").joinpath("data/golden/tableaux")
     load = lambda name, m=None: IncreasingTableau.from_text(fixtures.joinpath(name).read_text(), m=m)
@@ -254,23 +218,16 @@ def _tableau_fixtures_ok() -> bool:
     ok = ok and deflate(gappy) == gapless
     ok = ok and content_vector(gappy) == (1, 1, 0, 1, 1, 1, 0)
     ok = ok and inflate(gapless, (1, 1, 0, 1, 1, 1, 0)) == gappy
-    first, second = _gapless_with_ceiling(propeller(4), 8)
+    first, second = [t for t in enumerate_gapless(propeller_4) if t.m == 8]
     ok = ok and {load("propeller4_m8_first.txt"), load("propeller4_m8_second.txt")} == {first, second}
     ok = ok and promotion(first) == second and promotion(second) == first
     return ok
 
 
-def _gapless_with_ceiling(shape, m):
-    from .tableaux import enumerate_gapless
-
-    return [t for t in enumerate_gapless(shape) if t.m == m]
-
-
 def _cmd_reproduce(args) -> tuple[int, str]:
-    import io
-
     buf = io.StringIO()
-    failures = reproduce_all(threads=args.threads, golden_root=_golden_dir(args), out=buf)
+    golden_root = Path(args.golden_dir) if args.golden_dir else None
+    failures = reproduce_all(threads=args.threads, golden_root=golden_root, out=buf)
     return (EXIT_OK if failures == 0 else EXIT_MISMATCH), buf.getvalue()
 
 

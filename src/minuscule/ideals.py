@@ -9,6 +9,7 @@ action whose orbit structure the rest of the package studies.
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import ParameterError, StateCapExceeded, state_cap
 from .poset import Poset, chain_product
@@ -58,8 +59,9 @@ def _chunk_tables(masks: list[int]) -> list[list[int]]:
     return tables
 
 
+@lru_cache(maxsize=8)
 def _rowmotion_step(poset: Poset):
-    """Rowmotion on ideal masks, as a function built once per poset.
+    """Rowmotion on ideal masks, as a function built once per poset and memoised.
 
     With C the complement of the ideal, min C = C & ~up(C) and the image is
     down(min C); up (the upper covers) and down (the down-closures) are

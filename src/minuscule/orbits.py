@@ -13,13 +13,14 @@ import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
 from math import comb, gcd
 from pathlib import Path
 
 from .errors import ParameterError, StateCapExceeded, UnsupportedPosetError, state_cap
 from .ideals import OrbitSummary, _ideal_masks, _orbit, rowmotion_orbits
-from .poset import Poset, freudenthal, poset_from_dict
+from .poset import Poset, freudenthal
 from .qpoly import RootOfUnityValue, eval_at_root, plane_partition_gf, q_binomial_at_root
 from .tableaux import IncreasingTableau, _IdealGraph, inflate, promotion, rotate_left
 
@@ -61,6 +62,8 @@ class GaplessOrbitTable:
 
 
 def _table_from_dict(data: dict, poset: Poset) -> GaplessOrbitTable:
+    if not isinstance(data, dict):
+        raise ParameterError("not a JSON object")
     if data.get("schema") != _TABLE_SCHEMA:
         raise ParameterError(f"unsupported table schema {data.get('schema')!r}")
     if data.get("poset_digest") != poset.digest():
@@ -118,11 +121,6 @@ def _partition_class(graph: _IdealGraph, m: int) -> dict:
     }
 
 
-def _class_task(payload: tuple[str, int]) -> dict:
-    poset_json, m = payload
-    return _partition_class(_IdealGraph(poset_from_dict(json.loads(poset_json))), m)
-
-
 def build_gapless_table(poset: Poset, workers: int = 1, cap: int | None = None) -> GaplessOrbitTable:
     """Enumerate every gapless tableau of the shape and partition each ceiling into orbits.
 
@@ -142,13 +140,12 @@ def build_gapless_table(poset: Poset, workers: int = 1, cap: int | None = None) 
         for m in order:
             results[m] = _partition_class(graph, m)
     else:
-        payload = poset.canonical_json()
         try:
             ctx = multiprocessing.get_context("fork")
         except ValueError:
             ctx = multiprocessing.get_context()
         with ProcessPoolExecutor(max_workers=min(workers, len(order)), mp_context=ctx) as pool:
-            for m, res in zip(order, pool.map(_class_task, [(payload, m) for m in order])):
+            for m, res in zip(order, pool.map(partial(_partition_class, graph), order)):
                 results[m] = res
     rows = []
     stable = set(range(poset.n))
@@ -178,8 +175,18 @@ def save_table(table: GaplessOrbitTable, path: str | Path) -> None:
         raise
 
 
+def _read_table(source, poset: Poset) -> GaplessOrbitTable:
+    """The table stored in a JSON file; an unreadable or ill-formed file is bad input naming the file."""
+    try:
+        return _table_from_dict(json.loads(source.read_text()), poset)
+    except KeyError as exc:
+        raise ParameterError(f"bad table file {source}: no field {exc}") from exc
+    except (ValueError, TypeError) as exc:
+        raise ParameterError(f"bad table file {source}: {exc}") from exc
+
+
 def load_table(path: str | Path, poset: Poset) -> GaplessOrbitTable:
-    return _table_from_dict(json.loads(Path(path).read_text()), poset)
+    return _read_table(Path(path), poset)
 
 
 def _table_name(poset: Poset) -> str:
@@ -191,7 +198,7 @@ def packaged_table(poset: Poset) -> GaplessOrbitTable | None:
     entry = resources.files("minuscule").joinpath("data/cache", _table_name(poset))
     if not entry.is_file():
         return None
-    return _table_from_dict(json.loads(entry.read_text()), poset)
+    return _read_table(entry, poset)
 
 
 def load_or_build_table(

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import shutil
+from importlib import resources
 
 import pytest
 
@@ -153,6 +155,58 @@ def test_reproduce_everything(capsys):
         "generating function point counts",
     ):
         assert any(needle in line for line in lines), needle
+
+
+def test_reproduce_reports_golden_mismatches(tmp_path, capsys, monkeypatch):
+    # A doctored golden directory gives one FAIL line per changed table and exit 1;
+    # each headline table is built once.
+    from minuscule import cli
+
+    golden = tmp_path / "golden"
+    shutil.copytree(resources.files("minuscule").joinpath("data/golden"), golden)
+    cm = json.loads((golden / "table_cayley_moufang.json").read_text())
+    cm["total"] += 1
+    (golden / "table_cayley_moufang.json").write_text(json.dumps(cm))
+    p3 = json.loads((golden / "table_propeller_3.json").read_text())
+    p3["rows"].pop()
+    (golden / "table_propeller_3.json").write_text(json.dumps(p3))
+
+    builds = []
+    real = cli.build_gapless_table
+
+    def spy(poset, **kwargs):
+        builds.append(poset.family)
+        return real(poset, **kwargs)
+
+    monkeypatch.setattr(cli, "build_gapless_table", spy)
+    code, out, _ = run(capsys, "reproduce", "--threads", "2", "--golden-dir", str(golden))
+    assert code == 1
+    assert [line for line in out.splitlines() if not line.startswith("PASS")] == [
+        "FAIL  gapless-table cayley-moufang  (got total 549)",
+        "FAIL  gapless-table propeller-3  (got [[5, 1, 1], [6, 2, 1]])",
+        "MISMATCH: 2 failure(s)",
+    ]
+    assert len(builds) == len(set(builds)) == 6
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        lambda text: text[:200],
+        lambda text: "[1, 2, 3]\n",
+        lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "rows"}),
+    ],
+    ids=["truncated", "not-an-object", "no-rows"],
+)
+def test_bad_cache_file_is_bad_input(tmp_path, capsys, content):
+    # An unreadable or ill-formed cached table exits 3 naming the file, with nothing on stdout.
+    argv = ("gapless-table", "--poset", "propeller-3", "--cache-dir", str(tmp_path))
+    assert run(capsys, *argv)[0] == 0
+    (path,) = tmp_path.iterdir()
+    path.write_text(content(path.read_text()))
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and str(path) in err
 
 
 def test_deep_chain_rowmotion(capsys):
