@@ -3,13 +3,16 @@
 An ideal of a poset on n elements is a down-closed subset stored as an
 n-bit integer mask.  Rowmotion sends an ideal to the down-closure of the
 minimal elements of its complement; on the ideals of P x k this is the
-action whose orbit structure the rest of the package studies.
+action whose orbit structure the rest of the package studies.  The orbit
+census lists those ideals as multichains of ideals of P and steps a whole
+chunk of them at once, one bit of an integer per ideal.
 """
 
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 from .errors import ParameterError, StateCapExceeded, state_cap
 from .poset import Poset, chain_product
@@ -152,25 +155,286 @@ def _orbit(start, step, bound: int) -> list:
     return orbit
 
 
+# Lanes per sweep; the bytes of multichain tails listed ahead of the sweep; and
+# a sweep hands its last lanes to a later one once at most lanes >> _STRAGGLERS remain.
+_CHUNK = 1 << 16
+_TAIL_BYTES = 1 << 22
+_STRAGGLERS = 10
+
+
+def _sub_ideals(poset: Poset, masks: list[int], cap: int) -> list[set[int]]:
+    """For each ideal in masks (sorted), the indices of the ideals inside it.
+
+    An ideal holds itself and whatever the ideals one maximal element
+    smaller hold.  These pairs are the ideals of poset x 2, so there are no
+    more of them than ideals of poset x k for any k >= 2; more than cap raise.
+    """
+    index = {mask: i for i, mask in enumerate(masks)}
+    above = [sum(1 << y for y in ys) for ys in poset.upper]
+    subs = []
+    pairs = 0
+    for i, a in enumerate(masks):
+        inside = {i}
+        for x in range(poset.n):
+            if a >> x & 1 and not a & above[x]:
+                inside |= subs[index[a ^ 1 << x]]
+        subs.append(inside)
+        pairs += len(inside)
+        if pairs > cap:
+            raise StateCapExceeded("too many order ideals", cap)
+    return subs
+
+
+def _multichain_counts(poset: Poset, k: int, cap: int) -> tuple[list[int], dict, list[int]]:
+    """The ideals of poset (sorted masks), the sub-ideal lists the listing follows, and
+    tops[L], the number of multichains of L ideals, for L <= k, by a dynamic program.
+
+    Raises StateCapExceeded when poset x k has more than cap ideals, before any is listed.
+    """
+    masks = sorted(_ideal_masks(poset, cap)) if k else [0]
+    top = len(masks) - 1
+    subs = dict(enumerate(_sub_ideals(poset, masks, cap))) if k > 1 else {top: range(len(masks))}
+    # counts[a]: the multichains of one level fewer inside ideal a.
+    counts = [1] * len(masks)
+    tops = [1]
+    for level in range(1, k + 1):
+        tops.append(sum(counts))
+        if level < k:
+            counts = [sum(map(counts.__getitem__, subs[a])) for a in range(len(masks))]
+    if tops[k] > cap:
+        raise StateCapExceeded("too many order ideals", cap)
+    return masks, subs, tops
+
+
+def _multichain_chunks(masks: list[int], subs: dict, tops: list[int], k: int, width: int):
+    """Stream the multichains I_1 ⊇ ... ⊇ I_k of ideals of P, that is the ideals of P x k.
+
+    masks are the ideals of P, sorted, so the last is P itself; subs[a] lists
+    the indices of the ideals inside ideal a, for every a that can be
+    followed by another level; tops[L] counts the multichains of L ideals.
+    Yields (lanes, planes) chunks of at most _CHUNK multichains, where
+    planes[i * width + p] holds byte p of I_(i+1) for each multichain.
+
+    The last `depth` levels come from tails listed once per ideal, and the
+    levels above them from a depth-first walk that copies one tail per
+    step.  Of the depths whose tails fit in _TAIL_BYTES, the one with the
+    fewest byte-string operations is used: deep tails cost about
+    depth^2 / 2 joins per ideal, a shallow walk k per step.
+    """
+    top = len(masks) - 1
+    # cells[p][a]: byte p of ideal a.
+    cells = [[m.to_bytes(width, "little")[p:p + 1] for m in masks] for p in range(width)]
+
+    def operations(d: int) -> int:
+        return len(masks) * d * (d - 1) // 2 + (len(masks) if d < k else 1) * d + tops[k - d] * k
+
+    depth = min(k, 1)
+    for d in range(depth + 1, k + 1):
+        if tops[min(d + 1, k)] * d * width > _TAIL_BYTES:
+            break
+        if operations(d) < operations(depth):
+            depth = d
+    prefix_levels = k - depth
+    # The tail inside ideal a: counts[a] multichains, whose plane j is tail[j][a].
+    counts = dict.fromkeys(range(len(masks)), 1)
+    tail = []
+    for level in range(1, depth + 1):
+        ends = subs if level < depth or prefix_levels else (top,)
+        tail = [
+            {a: b"".join(map(mul, map(cell.__getitem__, subs[a]), map(counts.__getitem__, subs[a]))) for a in ends}
+            for cell in cells
+        ] + [{a: b"".join(map(plane.__getitem__, subs[a])) for a in ends} for plane in tail]
+        counts = {a: sum(map(counts.__getitem__, subs[a])) for a in ends}
+
+    planes = [bytearray() for _ in range(k * width)]
+    lanes = 0
+    prefix = []
+    stack = [iter(subs[top])] if prefix_levels else []
+    while True:
+        if len(prefix) == prefix_levels:
+            end = prefix[-1] if prefix else top
+            count = counts[end]
+            for i, b in enumerate(prefix):
+                for p, cell in enumerate(cells):
+                    planes[i * width + p] += cell[b] * count
+            for j, plane in enumerate(tail, prefix_levels * width):
+                planes[j] += plane[end]
+            lanes += count
+            while lanes >= _CHUNK:
+                yield _CHUNK, [bytes(plane[:_CHUNK]) for plane in planes]
+                for plane in planes:
+                    del plane[:_CHUNK]
+                lanes -= _CHUNK
+            if not prefix:
+                break
+            prefix.pop()
+        for b in stack[-1]:
+            prefix.append(b)
+            if len(prefix) < prefix_levels:
+                stack.append(iter(subs[b]))
+            break
+        else:
+            stack.pop()
+            if not stack:
+                break
+            prefix.pop()
+    if lanes:
+        yield lanes, [bytes(plane) for plane in planes]
+
+
+def _transpose_bytes(xs: list[int], masks) -> None:
+    # Within every byte position, swap bit b of xs[t] with bit t of xs[b]:
+    # three rounds of block swaps, halving the block each round.
+    for h, m in masks:
+        for r in range(8):
+            if not r & h:
+                a, b = xs[r], xs[r + h]
+                t = ((a >> h) ^ b) & m
+                xs[r + h] = b ^ t
+                xs[r] = a ^ (t << h)
+
+
+def _bit_columns(lanes: int, planes: list[bytes], n: int, k: int, width: int) -> tuple[list[int], int]:
+    """Transpose a chunk into one lane-bit integer per element of P x k, and the lane mask.
+
+    Lane j of the chunk sits at bit 8 * (j % s) + j // s, s = ceil(lanes / 8):
+    the plane's eighths are read as integers whose byte i holds lane
+    s * t + i of eighth t, and a bit transpose within each byte turns
+    byte p of element masks into the columns of elements 8p, ..., 8p + 7.
+    """
+    s = -(-lanes // 8)
+    ones = int.from_bytes(b"\x01" * s, "little")
+    masks = ((4, ones * 0x0F), (2, ones * 0x33), (1, ones * 0x55))
+    full = 0
+    for t in range(8):
+        size = min(s, max(0, lanes - s * t))
+        full |= (ones >> 8 * (s - size)) << t
+    columns = [0] * (n * k)
+    for i in range(k):
+        for p in range(width):
+            view = memoryview(planes[i * width + p])
+            xs = [int.from_bytes(view[s * t:s * (t + 1)], "little") for t in range(8)]
+            _transpose_bytes(xs, masks)
+            for x in range(8 * p, min(8 * p + 8, n)):
+                columns[x * k + i] = xs[x - 8 * p]
+    return columns, full
+
+
+def _sweep_step(poset: Poset, k: int):
+    """Rowmotion on P x k for every lane at once, as a map of lane-bit columns.
+
+    Column x * k + i is element (x, i) of P x k.  An element is a minimal
+    element of the complement when it is absent and all its lower covers
+    are present; the image is the down-closure of those, filled in reverse
+    topological order from the upper covers.
+    """
+    n = poset.n * k
+    plan = []
+    for x in reversed(poset.topo):
+        for i in reversed(range(k)):
+            lower = [x * k + i - 1] * (i > 0) + [y * k + i for y in poset.lower[x]]
+            upper = [x * k + i + 1] * (i + 1 < k) + [y * k + i for y in poset.upper[x]]
+            # Index n stands for the all-lanes mask: what a minimal element's lower covers give.
+            plan.append((x * k + i, (lower or [n])[0], lower[1:], upper))
+
+    def step(ideal: list[int], full: int) -> list[int]:
+        ideal = [*ideal, full]
+        image = [0] * n
+        for x, first, lower, upper in plan:
+            v = ideal[first]
+            for y in lower:
+                v &= ideal[y]
+            v ^= ideal[x]
+            for y in upper:
+                v |= image[y]
+            image[x] = v
+        return image
+
+    return step
+
+
+def _lane_masks(columns: list[int], lanes: int) -> list[int]:
+    """The ideal held by each set bit of lanes, as a mask over the columns."""
+    size = (max([lanes, *columns]).bit_length() + 7) // 8
+    rows = [c.to_bytes(size, "little") for c in columns]
+    masks = []
+    while lanes:
+        q, r = divmod((lanes & -lanes).bit_length() - 1, 8)
+        lanes &= lanes - 1
+        masks.append(sum((row[q] >> r & 1) << e for e, row in enumerate(rows)))
+    return masks
+
+
+def _mask_columns(masks: list[int], n: int) -> tuple[list[int], int]:
+    """Lane-bit columns of a few ideals given as masks, and their lane mask."""
+    columns = [0] * n
+    for q, mask in enumerate(masks):
+        for e in range(n):
+            if mask >> e & 1:
+                columns[e] |= 1 << q
+    return columns, (1 << len(masks)) - 1
+
+
+def _sweep(step, start: list[int], full: int, states: Counter, bound: int) -> list[int]:
+    """Step every lane of full until it is back at its start, adding it to states[j] at
+    its first return, after j steps: its orbit size.
+
+    Once at most a 2^-_STRAGGLERS share of the lanes is left, the sweep stops
+    and returns their current ideals as masks: an orbit has the same size from
+    any of its states, so they restart, together, in a narrower sweep.
+    """
+    pending = full
+    current = start
+    lanes = full.bit_count()
+    j = 0
+    while pending:
+        if j == bound:
+            raise RuntimeError(f"rowmotion sweep did not return every lane to its start within {bound} steps")
+        current = step(current, full)
+        j += 1
+        moved = 0
+        for a, b in zip(current, start):
+            moved |= a ^ b
+        back = pending & ~moved
+        if back:
+            states[j] += back.bit_count()
+            pending ^= back
+            if pending and pending.bit_count() <= lanes >> _STRAGGLERS:
+                return _lane_masks(current, pending)
+    return []
+
+
 def rowmotion_orbits(poset: Poset, k: int, cap: int | None = None) -> OrbitSummary:
     """Partition the ideals of poset x k into rowmotion orbits by exhaustive traversal.
 
-    Reads only the product's covers: each orbit is walked with the table-driven
-    rowmotion step, and a walk longer than the ideal count raises.
+    The ideals are counted first (multichains of ideals of poset, by a
+    dynamic program), so an over-cap census fails before listing any.  They
+    are then listed in chunks and swept bit-parallel: at step j, the lanes
+    back at their start for the first time lie in orbits of size j.  Reads
+    only the covers of poset and its ideal masks; a sweep longer than the
+    ideal count raises.
     """
     cap = state_cap(cap)
-    product = chain_product(poset, k)
-    states = list(_ideal_masks(product, cap))
-    step = _rowmotion_step(product)
-    seen = set()
-    sizes = Counter()
-    for mask in states:
-        if mask in seen:
-            continue
-        orbit = _orbit(mask, step, len(states))
-        seen.update(orbit)
-        sizes[len(orbit)] += 1
-    return OrbitSummary(tuple(sorted(sizes.items())), len(states))
+    if k < 0:
+        raise ParameterError("chain length must be nonnegative")
+    masks, subs, tops = _multichain_counts(poset, k, cap)
+    total = tops[k]
+    step = _sweep_step(poset, k)
+    width = (poset.n + 7) // 8
+    states = Counter()
+    listed = 0
+    stragglers = []
+    for lanes, planes in _multichain_chunks(masks, subs, tops, k, width):
+        listed += lanes
+        stragglers += _sweep(step, *_bit_columns(lanes, planes, poset.n, k, width), states, total)
+    while stragglers:
+        stragglers = _sweep(step, *_mask_columns(stragglers, poset.n * k), states, total)
+    if listed != total:
+        raise RuntimeError(f"listed {listed} ideals of {poset!r} x {k}, but counted {total}")
+    for size, count in states.items():
+        if count % size:
+            raise RuntimeError(f"{count} ideals of rowmotion period {size} do not split into orbits")
+    return OrbitSummary(tuple((size, count // size) for size, count in sorted(states.items())), total)
 
 
 @dataclass(frozen=True)

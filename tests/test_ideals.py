@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 
 import pytest
@@ -93,6 +94,8 @@ def definitional_rowmotion(P):
 
 
 def test_rowmotion_matches_set_definition():
+    from minuscule import ideals
+
     # Element counts 0, 8, 9, 48, 54 and 66 cover empty, whole, partial and multi-word byte chunks.
     products = (
         chain_product(rectangle(2, 2), 0),
@@ -107,15 +110,75 @@ def test_rowmotion_matches_set_definition():
         oracle = definitional_rowmotion(P)
         for ideal in enumerate_ideals(P):
             assert rowmotion(ideal).mask == oracle(ideal.mask)
+        # The census's bit-parallel step, on every ideal of the product at once.
+        base, k = P.product_of
+        masks = [ideal.mask for ideal in enumerate_ideals(P)] + [0] * 8  # a top byte of empty ideals
+        columns, full = ideals._mask_columns(masks, P.n)
+        assert ideals._lane_masks(columns, full) == masks
+        assert ideals._lane_masks(ideals._sweep_step(base, k)(columns, full), full) == [oracle(m) for m in masks]
 
 
 def test_rowmotion_orbit_walk_is_bounded(monkeypatch):
     # A rowmotion that is not a bijection must fail the census, not hang it.
     from minuscule import ideals
 
-    monkeypatch.setattr(ideals, "_rowmotion_step", lambda poset: lambda mask: 0)
+    monkeypatch.setattr(ideals, "_sweep_step", lambda poset, k: lambda ideal, full: [0] * (poset.n * k))
     with pytest.raises(RuntimeError, match="within"):
         rowmotion_orbits(propeller(3), 1)
+
+
+def test_rowmotion_orbits_checks_the_cap_before_listing(monkeypatch):
+    # freudenthal x 7 has 144,538,624 ideals: the count alone must refuse it.
+    from minuscule import ideals
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the census listed ideals past the state cap")
+
+    monkeypatch.setattr(ideals, "_multichain_chunks", refuse)
+    with pytest.raises(StateCapExceeded):
+        rowmotion_orbits(freudenthal(), 7, cap=10**6)
+
+
+def test_rowmotion_orbits_across_chunks(monkeypatch):
+    # Orbits straddle chunk boundaries; sizes are divided out only at the end.
+    from minuscule import ideals
+
+    cases = ((cayley_moufang(), 2), (propeller(4), 3), (rectangle(1, 1), 40))
+    expected = [rowmotion_orbits(P, k) for P, k in cases]
+    for chunk in (5, 8):
+        monkeypatch.setattr(ideals, "_CHUNK", chunk)
+        assert [rowmotion_orbits(P, k) for P, k in cases] == expected
+    # Lanes left behind restart from where they stand, in later and narrower sweeps.
+    monkeypatch.setattr(ideals, "_CHUNK", 1 << 16)
+    monkeypatch.setattr(ideals, "_STRAGGLERS", 0)
+    assert [rowmotion_orbits(P, k) for P, k in cases] == expected
+
+
+def test_multichain_listing_is_the_product_ideals(monkeypatch):
+    # Read every streamed multichain back into a mask of P x k: each ideal exactly once,
+    # whether the levels come from precomputed tails or from the depth-first walk above them.
+    from minuscule import ideals
+
+    monkeypatch.setattr(ideals, "_CHUNK", 7)
+    cases = ((rectangle(2, 2), 0), (propeller(3), 1), (rectangle(3, 3), 2), (cayley_moufang(), 3), (rectangle(1, 1), 9))
+    for budget, (P, k) in itertools.product((0, 300, ideals._TAIL_BYTES), cases):
+        monkeypatch.setattr(ideals, "_TAIL_BYTES", budget)
+        masks, subs, tops = ideals._multichain_counts(P, k, 10**6)
+        width = (P.n + 7) // 8
+        listed = []
+        for lanes, planes in ideals._multichain_chunks(masks, subs, tops, k, width):
+            assert lanes <= 7 and all(len(plane) == lanes for plane in planes)
+            chunk = []
+            for j in range(lanes):
+                mask = 0
+                for i in range(k):
+                    level = int.from_bytes(bytes(planes[i * width + p][j] for p in range(width)), "little")
+                    mask |= sum(1 << (x * k + i) for x in range(P.n) if level >> x & 1)
+                chunk.append(mask)
+            # The transposed chunk holds the same ideals, one lane each.
+            assert sorted(ideals._lane_masks(*ideals._bit_columns(lanes, planes, P.n, k, width))) == sorted(chunk)
+            listed += chunk
+        assert sorted(listed) == sorted(ideals._ideal_masks(chain_product(P, k)))
 
 
 def test_rowmotion_step_is_built_once_per_poset(monkeypatch):

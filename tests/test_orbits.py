@@ -261,6 +261,22 @@ def test_rowmotion_and_promotion_orbit_multisets_agree():
         assert promotion_orbits(load_or_build_table(shape), m) == psi
 
 
+def test_rowmotion_census_certifies_the_headline_range():
+    # The paper's range on the plane-partition side: a full rowmotion census of
+    # P x k, against the shipped tables' promotion orbits at m = k + rk + 1.
+    summaries = {}
+    for shape, ks in ((freudenthal(), (3, 4, 5)), (cayley_moufang(), range(3, 7))):
+        table = packaged_table(shape)
+        for k in ks:
+            summaries[shape.family, k] = summary = rowmotion_orbits(shape, k)
+            assert summary == promotion_orbits(table, k + shape.rk + 1), (shape.family, k)
+    # Freudenthal height 5, where sieving fails: no plane partition is fixed by rowmotion.
+    height5 = summaries["freudenthal", 5]
+    assert height5.total_states == 2_785_552
+    assert height5.orbit_sizes == ((22, 126_610), (66, 2))
+    assert height5.fixed_by_power(1) == 0
+
+
 def test_low_height_sieving_on_other_minuscule_families():
     # Height <= 2 sieving is a theorem for every minuscule family; the
     # rectangles and staircases have very different orbit tables, so this
