@@ -18,7 +18,7 @@ import traceback
 from importlib import resources
 from pathlib import Path
 
-from .errors import ParameterError, StateCapExceeded, UnsupportedPosetError
+from .errors import ParameterError, StateCapExceeded, UnsupportedPosetError, read_json
 from .ideals import rowmotion_orbits
 from .orbits import (
     build_gapless_table,
@@ -150,11 +150,12 @@ def _headline_checks(threads: int, golden_root):
     """Yield (name, passed, detail) for each headline result, in report order."""
     tables = {}
     for family in _FAMILIES:
+        golden = golden_root.joinpath(f"table_{family.replace('-', '_')}.json")
+        rows, total = read_json(golden, lambda data: (data["rows"], data["total"]), "golden")
         table = tables[family] = build_gapless_table(parse_poset_spec(family), workers=threads)
-        golden = json.loads(golden_root.joinpath(f"table_{family.replace('-', '_')}.json").read_text())
         got = table.triples()
         detail = f"got {got}" if family.startswith("propeller") else f"got total {table.total}"
-        yield f"gapless-table {family}", got == golden["rows"] and table.total == golden["total"], detail
+        yield f"gapless-table {family}", got == rows and table.total == total, detail
 
     for family, k, holds in _SIEVING:
         name = f"verify-csp {family} k={k}"
@@ -315,7 +316,10 @@ def _write_manifest(path: str, args, command: str, wall: float, output: str, cod
         "output_sha256": hashlib.sha256(output.encode()).hexdigest(),
         "output_bytes": len(output.encode()),
     }
-    Path(path).write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
+    try:
+        Path(path).write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
+    except OSError as exc:
+        raise ParameterError(f"cannot write manifest {path}: {exc}") from exc
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -324,23 +328,19 @@ def main(argv: list[str] | None = None) -> int:
     start = time.monotonic()
     try:
         code, output = args.func(args)
+        if args.manifest:
+            _write_manifest(args.manifest, args, args.command, time.monotonic() - start, output, code)
     except (ParameterError, UnsupportedPosetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except StateCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
     except Exception as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         traceback.print_exc()
         return EXIT_INTERNAL
-    wall = time.monotonic() - start
     sys.stdout.write(output)
-    if getattr(args, "manifest", None):
-        _write_manifest(args.manifest, args, args.command, wall, output, code)
     return code
 
 

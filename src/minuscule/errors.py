@@ -1,5 +1,6 @@
-"""Shared exception types and the global state-cap setting."""
+"""Shared exception types, the global state-cap setting, and the JSON input reader."""
 
+import json
 import os
 
 DEFAULT_STATE_CAP = 10**7
@@ -42,3 +43,14 @@ def state_cap(override: int | None = None) -> int:
             raise ParameterError(f"{_CAP_ENV} must be positive")
         return cap
     return DEFAULT_STATE_CAP
+
+
+def read_json(source, convert, what: str):
+    """convert(the JSON in source, a path or package resource); a file that cannot be
+    read, parsed or converted is bad input whose message names it."""
+    try:
+        return convert(json.loads(source.read_text(encoding="utf-8")))
+    except KeyError as exc:
+        raise ParameterError(f"bad {what} file {source}: no field {exc}") from exc
+    except (OSError, ValueError, TypeError, RecursionError) as exc:  # RecursionError: nesting too deep
+        raise ParameterError(f"bad {what} file {source}: {exc}") from exc

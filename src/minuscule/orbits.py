@@ -18,13 +18,16 @@ from importlib import resources
 from math import comb, gcd
 from pathlib import Path
 
-from .errors import ParameterError, StateCapExceeded, UnsupportedPosetError, state_cap
-from .ideals import OrbitSummary, _ideal_masks, _orbit, rowmotion_orbits
-from .poset import Poset, freudenthal
+from .errors import ParameterError, StateCapExceeded, UnsupportedPosetError, read_json, state_cap
+from .ideals import OrbitSummary, _orbit, rowmotion_orbits
+from .poset import Poset
 from .qpoly import RootOfUnityValue, eval_at_root, plane_partition_gf, q_binomial_at_root
 from .tableaux import IncreasingTableau, _IdealGraph, inflate, promotion, rotate_left
 
 _TABLE_SCHEMA = "minuscule.gapless-table/1"
+
+# verify_csp recounts rowmotion orbits when P x k has at most this many ideals.
+_PSI_CHECK_CAP = 20_000
 
 
 @dataclass(frozen=True)
@@ -177,12 +180,7 @@ def save_table(table: GaplessOrbitTable, path: str | Path) -> None:
 
 def _read_table(source, poset: Poset) -> GaplessOrbitTable:
     """The table stored in a JSON file; an unreadable or ill-formed file is bad input naming the file."""
-    try:
-        return _table_from_dict(json.loads(source.read_text()), poset)
-    except KeyError as exc:
-        raise ParameterError(f"bad table file {source}: no field {exc}") from exc
-    except (ValueError, TypeError) as exc:
-        raise ParameterError(f"bad table file {source}: {exc}") from exc
+    return read_json(source, partial(_table_from_dict, poset=poset), "table")
 
 
 def load_table(path: str | Path, poset: Poset) -> GaplessOrbitTable:
@@ -207,18 +205,22 @@ def load_or_build_table(
     workers: int = 1,
     cap: int | None = None,
 ) -> GaplessOrbitTable:
-    """Packaged table, else on-disk cache keyed by poset digest, else a fresh build."""
+    """Packaged table, else on-disk cache keyed by poset digest (made before any build), else a fresh build."""
     table = packaged_table(poset)
     if table is not None:
         return table
     cache_path = None
     if cache_dir is not None:
-        cache_path = Path(cache_dir) / _table_name(poset)
+        cache_dir = Path(cache_dir)
+        try:
+            cache_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ParameterError(f"unusable cache directory {cache_dir}: {exc}") from exc
+        cache_path = cache_dir / _table_name(poset)
         if cache_path.exists():
             return load_table(cache_path, poset)
     table = build_gapless_table(poset, workers=workers, cap=cap)
     if cache_path is not None:
-        cache_path.parent.mkdir(parents=True, exist_ok=True)
         save_table(table, cache_path)
     return table
 
@@ -366,6 +368,23 @@ class PeriodReport:
     witness: IncreasingTableau | None
 
 
+def _largest_orbit_witness(poset: Poset, table: GaplessOrbitTable, m: int, promo: OrbitSummary):
+    """(largest orbit size in promo, the ceiling-m summary of table; a tableau attaining
+    it, or None): an inflated table row whose orbit is walked to confirm its size."""
+    max_orbit = promo.orbit_sizes[-1][0] if promo.orbit_sizes else 1
+    for row, e, _, h in _inflation_classes(table, m):
+        if h == max_orbit:
+            rep = IncreasingTableau(poset, row.rep, row.m_t)
+            witness = inflate(rep, _periodic_vector(m, row.m_t, e))
+            steps = len(_orbit(witness, promotion, max_orbit))
+            if steps != max_orbit:
+                raise RuntimeError(
+                    f"witness verification failed: orbit size {steps}, expected {max_orbit}"
+                )
+            return max_orbit, witness
+    return max_orbit, None
+
+
 def promotion_order(
     poset: Poset,
     m: int,
@@ -385,18 +404,7 @@ def promotion_order(
     if m < poset.rk + 1:
         raise ParameterError(f"no tableaux of this shape with ceiling {m}")
     promo = promotion_orbits(table, m)
-    max_orbit = promo.orbit_sizes[-1][0] if promo.orbit_sizes else 1
-    witness = None
-    for row, e, _, h in _inflation_classes(table, m):
-        if h == max_orbit:
-            rep = IncreasingTableau(poset, row.rep, row.m_t)
-            witness = inflate(rep, _periodic_vector(m, row.m_t, e))
-            steps = len(_orbit(witness, promotion, max_orbit))
-            if steps != max_orbit:
-                raise RuntimeError(
-                    f"witness verification failed: orbit size {steps}, expected {max_orbit}"
-                )
-            break
+    max_orbit, witness = _largest_orbit_witness(poset, table, m, promo)
     return PeriodReport(m, promo.order(), max_orbit, witness)
 
 
@@ -444,18 +452,16 @@ def verify_csp(
     table: GaplessOrbitTable | None = None,
     cache_dir: str | Path | None = None,
     workers: int = 1,
-    psi_check_cap: int | None = 20_000,
 ) -> CspVerdict:
     """Exact sieving check: does the generating function evaluate, at every power of a
     primitive root of unity of the action's order, to the matching fixed-point count?
 
-    Fixed points of the d-fold action are read off the tableau side's orbit
-    multiset, with ceiling m = k + rk + 1.  The polynomial is evaluated exactly,
-    once per primitive order (zeta^d and zeta^gcd(d, order) are primitive roots
-    of the same order), and any non-integer value is an automatic mismatch.  When
-    the ideal count is at most psi_check_cap, the rowmotion orbit multiset is
-    recounted by brute force and must equal the tableau side's; a
-    disagreement is an engine bug, not a sieving failure, and raises.
+    The order and the fixed points of every power are read off one tableau-side
+    orbit summary at ceiling m = k + rk + 1, whose largest orbit is walked.  The
+    polynomial is evaluated exactly, once per primitive order, and a non-integer
+    value is an automatic mismatch.  At most _PSI_CHECK_CAP ideals, the rowmotion
+    orbit multiset is recounted by brute force and must equal the tableau side's;
+    a disagreement is an engine bug, not a sieving failure, and raises.
     """
     if k < 0:
         raise ParameterError("height bound must be nonnegative")
@@ -464,12 +470,13 @@ def verify_csp(
     if table is None:
         table = load_or_build_table(poset, cache_dir=cache_dir, workers=workers)
     m = k + poset.rk + 1
-    order = promotion_order(poset, m, table=table).period
     promo = promotion_orbits(table, m)
+    _largest_orbit_witness(poset, table, m, promo)
+    order = promo.order()
     gf = plane_partition_gf(poset, k)
-    recounted = psi_check_cap is not None and gf(1) <= psi_check_cap
+    recounted = gf(1) <= _PSI_CHECK_CAP
     if recounted:
-        summary = rowmotion_orbits(poset, k, cap=psi_check_cap)
+        summary = rowmotion_orbits(poset, k, cap=_PSI_CHECK_CAP)
         if summary != promo:
             raise RuntimeError(
                 f"rowmotion orbits {summary.orbit_sizes} disagree with the tableau side {promo.orbit_sizes}"
@@ -487,31 +494,25 @@ def verify_csp(
     )
 
 
-def _is_tree_ideal(poset: Poset, mask: int) -> bool:
-    for x in range(poset.n):
-        if (mask >> x) & 1:
-            if sum(1 for a in poset.lower[x] if (mask >> a) & 1) > 1:
-                return False
-    return True
+def max_tree_ideal(poset: Poset) -> frozenset[int]:
+    """The largest order ideal in which every element covers at most one other.
+
+    An ideal holds every lower cover of its members, so it is a tree ideal
+    exactly when it avoids the elements with two or more lower covers; the
+    elements whose down-set avoids them all form the largest one.
+    """
+    branching = sum(1 << x for x in range(poset.n) if len(poset.lower[x]) > 1)
+    return frozenset(x for x in range(poset.n) if not poset.down_masks[x] & branching)
 
 
-def max_tree_ideal(poset: Poset, cap: int | None = None) -> frozenset[int]:
-    """The unique largest order ideal in which every element covers at most one other."""
-    trees = [m for m in _ideal_masks(poset, cap) if _is_tree_ideal(poset, m)]
-    best = max(trees, key=lambda m: bin(m).count("1"))
-    if any(t & best != t for t in trees):
-        raise RuntimeError("tree ideals of this poset have no unique maximum")
-    return frozenset(x for x in range(poset.n) if (best >> x) & 1)
+def max_dual_tree_filter(poset: Poset) -> frozenset[int]:
+    """The largest order filter in which every element is covered by at most one other."""
+    return max_tree_ideal(Poset(poset.n, [(b, a) for a, b in poset.covers]))
 
 
-def max_dual_tree_filter(poset: Poset, cap: int | None = None) -> frozenset[int]:
-    """The unique largest order filter in which every element is covered by at most one other."""
-    return max_tree_ideal(Poset(poset.n, [(b, a) for a, b in poset.covers]), cap)
-
-
-def frame(poset: Poset, cap: int | None = None) -> frozenset[int]:
+def frame(poset: Poset) -> frozenset[int]:
     """Union of the maximal tree ideal and the maximal dual-tree filter."""
-    return max_tree_ideal(poset, cap) | max_dual_tree_filter(poset, cap)
+    return max_tree_ideal(poset) | max_dual_tree_filter(poset)
 
 
 @dataclass(frozen=True)
@@ -522,15 +523,13 @@ class FrameReport:
 
 
 def frame_check(
-    poset: Poset | None = None,
+    poset: Poset,
     table: GaplessOrbitTable | None = None,
     cache_dir: str | Path | None = None,
     workers: int = 1,
 ) -> FrameReport:
     """Compare the structural frame with the set of elements fixed by m-fold promotion
     across every gapless tableau (accumulated during table construction)."""
-    if poset is None:
-        poset = freudenthal()
     if table is None:
         table = load_or_build_table(poset, cache_dir=cache_dir, workers=workers)
     frame_els = tuple(sorted(frame(poset)))

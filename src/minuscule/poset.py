@@ -10,9 +10,9 @@ are all built this way from hardcoded diagrams.
 
 import hashlib
 import json
-from dataclasses import dataclass
+from pathlib import Path
 
-from .errors import ParameterError
+from .errors import ParameterError, read_json
 
 # Diagrams of the two exceptional posets, rows bottom-to-top.
 _CAYLEY_MOUFANG_ROWS = ((0, 5), (2, 3), (3, 3), (3, 5))
@@ -242,20 +242,25 @@ def shifted_staircase(s: int) -> Poset:
     return poset_from_shape(ShapeDiagram([(i, s - i) for i in range(s)]), family=f"shifted-staircase-{s}")
 
 
+# Family name -> (builder, number of integer parameters).
+_FAMILIES = {
+    "propeller": (propeller, 1),
+    "cayley-moufang": (cayley_moufang, 0),
+    "freudenthal": (freudenthal, 0),
+    "rectangle": (rectangle, 2),
+    "shifted-staircase": (shifted_staircase, 1),
+}
+
+
 def build_minuscule_poset(family: str, *params: int) -> Poset:
     """Dispatch on a family name: propeller, cayley-moufang, freudenthal, rectangle, shifted-staircase."""
     name = family.replace("_", "-").lower()
-    if name == "propeller":
-        return propeller(*params)
-    if name == "cayley-moufang":
-        return cayley_moufang()
-    if name == "freudenthal":
-        return freudenthal()
-    if name == "rectangle":
-        return rectangle(*params)
-    if name == "shifted-staircase":
-        return shifted_staircase(*params)
-    raise ParameterError(f"unknown poset family {family!r}")
+    if name not in _FAMILIES:
+        raise ParameterError(f"unknown poset family {family!r}")
+    build, arity = _FAMILIES[name]
+    if len(params) != arity:
+        raise ParameterError(f"poset family {name!r} takes {arity} parameter(s), got {len(params)}")
+    return build(*params)
 
 
 def chain_product(poset: Poset, k: int) -> Poset:
@@ -291,30 +296,19 @@ def parse_poset_spec(spec: str) -> Poset:
     text = spec.strip()
     if text.endswith(".json"):
         return load_poset(text)
-    name = text.replace("_", "-").lower()
-    if name in ("cayley-moufang", "freudenthal"):
-        return build_minuscule_poset(name)
-    for prefix in ("propeller-", "shifted-staircase-"):
-        if name.startswith(prefix):
-            try:
-                return build_minuscule_poset(prefix[:-1], int(name[len(prefix):]))
-            except ValueError as exc:
-                raise ParameterError(f"bad poset spec {spec!r}") from exc
-    if name.startswith("rectangle-"):
-        dims = name[len("rectangle-"):].split("x")
+    family, params = text.replace("_", "-").lower(), ()
+    if family not in _FAMILIES:
+        family, _, tail = family.rpartition("-")
         try:
-            a, b = (int(d) for d in dims)
+            params = tuple(int(d) for d in tail.split("x"))
         except ValueError as exc:
             raise ParameterError(f"bad poset spec {spec!r}") from exc
-        return rectangle(a, b)
-    raise ParameterError(f"unknown poset spec {spec!r}")
+    return build_minuscule_poset(family, *params)
 
 
 def load_poset(path: str) -> Poset:
     """Load a poset from JSON: either {"shape": {"rows": [[off, len], ...]}} or {"covers": [...], "n": n}."""
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    return poset_from_dict(data)
+    return read_json(Path(path), poset_from_dict, "poset")
 
 
 def poset_from_dict(data: dict) -> Poset:

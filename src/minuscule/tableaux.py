@@ -324,28 +324,20 @@ class _IdealGraph:
         min_steps = []
         comp_sizes = []
         for mask in masks:
-            mins = [
-                x for x in range(n)
-                if not (mask >> x) & 1 and mask & lower_masks[x] == lower_masks[x]
-            ]
-            targets = []
-            for s in range(1, 1 << len(mins)):
-                target = mask
-                for t in range(len(mins)):
-                    if (s >> t) & 1:
-                        target |= 1 << mins[t]
-                targets.append(index[target])
-            succ.append(tuple(targets))
-            longest = [0] * n
-            best = 0
+            # Targets by doubling over the minimal elements of the complement, in
+            # index order: position s adds the t-th of them for each set bit t of s.
+            targets = [mask]
             for x in range(n):
+                if not (mask >> x) & 1 and mask & lower_masks[x] == lower_masks[x]:
+                    targets += [t | 1 << x for t in targets]
+            succ.append(tuple(index[t] for t in targets[1:]))
+            # Longest chain of the complement, along a linear extension; members
+            # of the ideal keep 0, so they never lengthen a chain.
+            longest = [0] * n
+            for x in shape.topo:
                 if not (mask >> x) & 1:
-                    longest[x] = 1 + max(
-                        (longest[a] for a in lower[x] if not (mask >> a) & 1), default=0
-                    )
-                    if longest[x] > best:
-                        best = longest[x]
-            min_steps.append(best)
+                    longest[x] = 1 + max((longest[a] for a in lower[x]), default=0)
+            min_steps.append(max(longest))
             comp_sizes.append(n - bin(mask).count("1"))
         self.masks = masks
         self.index = index

@@ -209,6 +209,56 @@ def test_bad_cache_file_is_bad_input(tmp_path, capsys, content):
     assert err.startswith("error: ") and str(path) in err
 
 
+@pytest.mark.parametrize(
+    "name, content",
+    [
+        ("poset.json", "not json"),
+        ("poset.json", "5"),
+        ("poset.json", '{"shape": {"rows": [[0, "x"]]}}'),
+        ("poset.json", '{"n": 3, "covers": [[0, 1, 2]]}'),
+        ("poset.json", "[" * 100_000 + "]" * 100_000),
+        ("table_propeller_3.json", '{"rows": '),
+    ],
+    ids=["poset-not-json", "poset-number", "poset-bad-row", "poset-bad-cover", "poset-too-deep", "golden-not-json"],
+)
+def test_malformed_input_file_is_bad_input(tmp_path, capsys, name, content):
+    # Every JSON input goes through one reader: a malformed file exits 3 naming it, with nothing on stdout.
+    if name == "poset.json":
+        path = tmp_path / name
+        argv = ("rowmotion-orbits", "--k", "1", "--poset", str(path))
+    else:
+        golden = tmp_path / "golden"
+        shutil.copytree(resources.files("minuscule").joinpath("data/golden"), golden)
+        path = golden / name
+        argv = ("reproduce", "--golden-dir", str(golden))
+    path.write_text(content)
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and str(path) in err
+
+
+@pytest.mark.parametrize("target", ["cache-dir-is-a-file", "manifest-dir-missing", "manifest-is-a-dir"])
+def test_unusable_output_path_is_bad_input(tmp_path, capsys, monkeypatch, target):
+    # An output path that cannot be written exits 3 naming it, with nothing on
+    # stdout; a cache directory is rejected before any table is built.
+    from minuscule import orbits
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a table for an unusable cache directory")
+
+    monkeypatch.setattr(orbits, "build_gapless_table", refuse)
+    if target == "cache-dir-is-a-file":
+        path = tmp_path / "cache"
+        path.write_text("")
+        argv = ("gapless-table", "--poset", "propeller-3", "--cache-dir", str(path))
+    else:
+        path = tmp_path / "missing" / "m.json" if target == "manifest-dir-missing" else tmp_path
+        argv = ("qpoly", "--poset", "propeller-3", "--k", "1", "--manifest", str(path))
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and str(path) in err
+
+
 def test_deep_chain_rowmotion(capsys):
     # A 1,200-element chain: the ideal traversal must not recurse per element.
     code, out, err = run(capsys, "rowmotion-orbits", "--poset", "rectangle-1x1", "--k", "1200")

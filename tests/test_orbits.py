@@ -2,13 +2,14 @@ import json
 from collections import Counter
 from dataclasses import replace
 from importlib import resources
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 import pytest
 
 from minuscule import (
     IncreasingTableau,
     ParameterError,
+    Poset,
     StateCapExceeded,
     build_gapless_table,
     cayley_moufang,
@@ -35,8 +36,10 @@ from minuscule import (
     rectangle,
     rotate_left,
     rowmotion_orbits,
+    shifted_staircase,
     verify_csp,
 )
+from minuscule.ideals import _ideal_masks
 from minuscule.qpoly import eval_at_root, plane_partition_gf
 from minuscule.orbits import load_table, packaged_table, promotion_orbits, save_table
 
@@ -281,8 +284,6 @@ def test_low_height_sieving_on_other_minuscule_families():
     # Height <= 2 sieving is a theorem for every minuscule family; the
     # rectangles and staircases have very different orbit tables, so this
     # exercises the whole pipeline on independent structure.
-    from minuscule import shifted_staircase
-
     for shape in (rectangle(2, 3), rectangle(3, 3), rectangle(2, 4), shifted_staircase(3), shifted_staircase(4)):
         table = build_gapless_table(shape)
         for k in (0, 1, 2):
@@ -341,6 +342,79 @@ def test_tree_ideal_and_dual_filter_propeller():
         assert max_tree_ideal(pp) == frozenset(range(p + 1))
         assert max_dual_tree_filter(pp) == frozenset(range(p - 1, 2 * p))
         assert frame(pp) == frozenset(range(2 * p))
+
+
+def _frame_by_listing(poset):
+    # The definition itself: list every ideal, keep the tree ideals (each
+    # member has at most one lower cover) and the complements that are
+    # dual-tree filters (each member has at most one upper cover), and take
+    # the unions.
+    ideal, dual = 0, 0
+    full = (1 << poset.n) - 1
+    for mask in _ideal_masks(poset):
+        members = [x for x in range(poset.n) if (mask >> x) & 1]
+        if all(len(poset.lower[x]) <= 1 for x in members):
+            ideal |= mask
+        if all(len(poset.upper[x]) <= 1 for x in range(poset.n) if not (mask >> x) & 1):
+            dual |= full ^ mask
+    as_set = lambda mask: frozenset(x for x in range(poset.n) if (mask >> x) & 1)
+    return as_set(ideal), as_set(dual)
+
+
+# Every built-in family with at most 5,000 ideals (a x b rectangles have
+# binomial(a + b, a), shifted staircases 2^s), and a chain indexed top down.
+_SMALL_POSETS = (
+    [cayley_moufang(), freudenthal(), Poset(4, [(3, 2), (2, 1), (1, 0)])]
+    + [propeller(p) for p in range(3, 9)]
+    + [rectangle(a, b) for a in range(1, 8) for b in range(a, 13) if comb(a + b, a) <= 5000]
+    + [shifted_staircase(s) for s in range(1, 13)]
+)
+
+
+@pytest.mark.parametrize("poset", _SMALL_POSETS, ids=lambda poset: poset.family or "chain-4-top-down")
+def test_frame_read_from_covers_matches_ideal_listing(poset):
+    tree_ideal, dual_filter = _frame_by_listing(poset)
+    assert max_tree_ideal(poset) == tree_ideal
+    assert max_dual_tree_filter(poset) == dual_filter
+    assert frame(poset) == tree_ideal | dual_filter
+
+
+def test_frame_lists_no_ideals(monkeypatch):
+    # rectangle(8, 8) has 12,870 ideals; its frame is the boundary, read from the covers.
+    from minuscule import ideals, orbits
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the frame must not list ideals")
+
+    monkeypatch.setattr(ideals, "_ideal_masks", refuse)
+    monkeypatch.setattr(orbits, "_ideal_masks", refuse, raising=False)
+    boundary = frozenset(8 * r + c for r in range(8) for c in range(8) if r in (0, 7) or c in (0, 7))
+    assert len(boundary) == 28
+    assert frame(rectangle(8, 8)) == boundary
+
+
+def test_verify_csp_reads_one_orbit_summary(monkeypatch):
+    # One promotion_orbits summary serves the order, the fixed counts and the
+    # largest-orbit witness, which is still walked once.
+    from minuscule import orbits
+
+    calls = Counter()
+
+    def spy(name):
+        real = getattr(orbits, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(orbits, name, wrapped)
+
+    spy("promotion_orbits")
+    spy("_largest_orbit_witness")
+    for k, holds in ((2, True), (5, False)):
+        calls.clear()
+        assert verify_csp(freudenthal(), k, table=packaged_table(freudenthal())).holds == holds
+        assert calls == {"promotion_orbits": 1, "_largest_orbit_witness": 1}
 
 
 def test_frame_of_exceptional_shapes(pf_table, cm_table):

@@ -145,8 +145,9 @@ def test_parse_poset_spec():
     assert parse_poset_spec("propeller-4") == propeller(4)
     assert parse_poset_spec("rectangle-2x3") == rectangle(2, 3)
     assert parse_poset_spec("shifted-staircase-3") == shifted_staircase(3)
-    with pytest.raises(ParameterError):
-        parse_poset_spec("dodecahedron")
+    for bad in ("dodecahedron", "rectangle-3", "rectangle-2x3x4", "freudenthal-2", "propeller-x", "propeller-2"):
+        with pytest.raises(ParameterError):
+            parse_poset_spec(bad)
 
 
 def test_build_minuscule_poset_dispatch():

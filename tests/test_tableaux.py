@@ -346,3 +346,14 @@ def test_promotion_census_walk_is_bounded(monkeypatch):
     monkeypatch.setattr(tableaux, "promotion", lambda t: sink)
     with pytest.raises(RuntimeError, match="within"):
         promotion_census(shape, 8)
+
+
+def test_ideal_graph_walks_a_linear_extension():
+    # A 4-chain indexed top down: index order is no linear extension, yet the
+    # fewest steps from each ideal to the full one is its complement's size.
+    chain = Poset(4, [(3, 2), (2, 1), (1, 0)])
+    graph = _IdealGraph(chain)
+    assert graph.min_steps[graph.start] == 4
+    assert graph.min_steps == graph.comp_sizes
+    assert graph.class_sizes() == {4: 1}
+    assert [tuple(c) for c in graph.class_chains(4)] == [tuple(graph.index[m] for m in (0, 8, 12, 14, 15))]
