@@ -11,7 +11,6 @@ chunk of them at once, one bit of an integer per ideal.
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import mul
 
 from .errors import ParameterError, StateCapExceeded, state_cap
@@ -51,47 +50,18 @@ class OrderIdeal:
         return bin(self.mask).count("1")
 
 
-def _chunk_tables(masks: list[int]) -> list[list[int]]:
-    # Table j maps a byte b to the union of masks[8j + i] over the set bits i of b.
-    tables = []
-    for j in range(0, len(masks), 8):
-        table = [0]
-        for mask in masks[j:j + 8]:
-            table += [t | mask for t in table]
-        tables.append(table)
-    return tables
-
-
-@lru_cache(maxsize=8)
-def _rowmotion_step(poset: Poset):
-    """Rowmotion on ideal masks, as a function built once per poset and memoised.
-
-    With C the complement of the ideal, min C = C & ~up(C) and the image is
-    down(min C); up (the upper covers) and down (the down-closures) are
-    unions over set bits, so each is one table lookup per byte of the mask.
-    """
-    n = poset.n
-    width = (n + 7) // 8
-    full = (1 << n) - 1
-    up_tables = _chunk_tables([sum(1 << y for y in poset.upper[x]) for x in range(n)])
-    down_tables = _chunk_tables(list(poset.down_masks))
-
-    def step(mask: int) -> int:
-        comp = full ^ mask
-        up = 0
-        for table, byte in zip(up_tables, comp.to_bytes(width, "little")):
-            up |= table[byte]
-        out = 0
-        for table, byte in zip(down_tables, (comp & ~up).to_bytes(width, "little")):
-            out |= table[byte]
-        return out
-
-    return step
-
-
 def rowmotion(ideal: OrderIdeal) -> OrderIdeal:
-    """Down-closure of the minimal elements of the complement; a bijection on ideals."""
-    return OrderIdeal(ideal.poset, _rowmotion_step(ideal.poset)(ideal.mask))
+    """Down-closure of the minimal elements of the complement; a bijection on ideals.
+
+    An element is minimal in the complement when the ideal holds its lower
+    covers but not its whole down-set; the image is the union of those down-sets.
+    """
+    mask = ideal.mask
+    image = 0
+    for lower, down in zip(ideal.poset.lower_masks, ideal.poset.down_masks):
+        if lower & mask == lower and down & mask != down:
+            image |= down
+    return OrderIdeal(ideal.poset, image)
 
 
 def _ideal_masks(poset: Poset, cap: int | None = None) -> Iterator[int]:

@@ -21,7 +21,7 @@ from pathlib import Path
 from .errors import ParameterError, StateCapExceeded, UnsupportedPosetError, read_json, state_cap
 from .ideals import OrbitSummary, _orbit, rowmotion_orbits
 from .poset import Poset
-from .qpoly import RootOfUnityValue, eval_at_root, plane_partition_gf, q_binomial_at_root
+from .qpoly import RootOfUnityValue, _divisors, _mobius, eval_at_root, plane_partition_gf, q_binomial_at_root
 from .tableaux import IncreasingTableau, _IdealGraph, inflate, promotion, rotate_left
 
 _TABLE_SCHEMA = "minuscule.gapless-table/1"
@@ -247,26 +247,6 @@ def promote_pair(gapless: IncreasingTableau, v: tuple[int, ...]):
     if v and v[0] == 1:
         return promotion(gapless), rotate_left(v)
     return gapless, rotate_left(v)
-
-
-def _divisors(n: int) -> list[int]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
-
-
-def _mobius(n: int) -> int:
-    mu = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            mu = -mu
-        p += 1
-    if n > 1:
-        mu = -mu
-    return mu
 
 
 def exact_period_vector_count(m: int, n: int, e: int) -> int:

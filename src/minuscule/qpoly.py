@@ -143,11 +143,31 @@ def q_int(a: int) -> QPolynomial:
     return QPolynomial([1] * a)
 
 
+def _q_quotient(numer, denom) -> QPolynomial:
+    """prod (1 - q^a) over a in numer, divided by prod (1 - q^b) over b in denom.
+
+    Each numerator factor is multiplied in by one shift-and-subtract, then
+    each denominator factor is divided out by the recurrence
+    c[i] += c[i - b].  When the whole denominator divides the numerator, so
+    does every partial one, so every partial quotient is a polynomial; a
+    division whose top b coefficients are not all zero is not exact and raises.
+    """
+    coeffs = [1]
+    for a in numer:
+        pad = [0] * a
+        coeffs = [x - y for x, y in zip(coeffs + pad, pad + coeffs)]
+    for b in denom:
+        for i in range(b, len(coeffs)):
+            coeffs[i] += coeffs[i - b]
+        if any(coeffs[-b:]):
+            raise ExactnessError(f"the q-product does not divide exactly by 1 - q^{b}")
+        del coeffs[-b:]
+    return QPolynomial(coeffs)
+
+
 def q_factorial(a: int) -> QPolynomial:
-    out = QPolynomial.one()
-    for i in range(1, a + 1):
-        out = out * q_int(i)
-    return out
+    """[a]_q! = prod (1 - q^i) / (1 - q)^a over 1 <= i <= a."""
+    return _q_quotient(range(1, a + 1), [1] * a)
 
 
 def q_binomial(i: int, j: int) -> QPolynomial:
@@ -157,26 +177,43 @@ def q_binomial(i: int, j: int) -> QPolynomial:
     if j > i:
         return QPolynomial.zero()
     j = min(j, i - j)
-    num = QPolynomial.one()
-    for a in range(i - j + 1, i + 1):
-        num = num * q_int(a)
-    return num.exact_div(q_factorial(j))
+    return _q_quotient(range(i - j + 1, i + 1), range(1, j + 1))
+
+
+def _divisors(n: int) -> list[int]:
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def _mobius(n: int) -> int:
+    mu = 1
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    if n > 1:
+        mu = -mu
+    return mu
 
 
 _CYCLOTOMIC_CACHE: dict[int, QPolynomial] = {}
 
 
 def cyclotomic(n: int) -> QPolynomial:
-    """n-th cyclotomic polynomial, by exact division of q^n - 1 by the lower ones."""
+    """n-th cyclotomic polynomial: q - 1 for n = 1, else prod (1 - q^d)^mu(n/d) over d | n."""
     if n < 1:
         raise ParameterError("cyclotomic index must be >= 1")
     cached = _CYCLOTOMIC_CACHE.get(n)
     if cached is not None:
         return cached
-    poly = QPolynomial.monomial(n) - QPolynomial.one()
-    for d in range(1, n):
-        if n % d == 0:
-            poly = poly.exact_div(cyclotomic(d))
+    if n == 1:
+        poly = QPolynomial((-1, 1))
+    else:
+        mu = {d: _mobius(n // d) for d in _divisors(n)}
+        poly = _q_quotient([d for d in mu if mu[d] == 1], [d for d in mu if mu[d] == -1])
     _CYCLOTOMIC_CACHE[n] = poly
     return poly
 
@@ -266,26 +303,12 @@ def plane_partition_gf(poset: Poset, k: int) -> QPolynomial:
     """Generating function counting plane partitions of height at most k by size.
 
     Uses the hook-style product over element heights h_x = rank(x) + 1:
-    prod (1 - q^(h_x + k)) / prod (1 - q^(h_x)).  Only the built-in minuscule
-    families are accepted.  Each numerator factor is multiplied in by one
-    shift-and-subtract, then each denominator factor is divided out by the
-    recurrence c[i] += c[i - h]; every partial denominator divides the full
-    one, so every partial quotient is a polynomial; a division whose top h
-    coefficients are not all zero is not exact and raises.
+    prod (1 - q^(h_x + k)) / prod (1 - q^(h_x)), as one exact quotient.
+    Only the built-in minuscule families are accepted.
     """
     if poset.family is None:
         raise UnsupportedPosetError("the product formula is only asserted for built-in minuscule posets")
     if k < 0:
         raise ParameterError("height bound must be nonnegative")
     heights = [r + 1 for r in poset.rank]
-    coeffs = [1]
-    for h in heights:
-        pad = [0] * (h + k)
-        coeffs = [a - b for a, b in zip(coeffs + pad, pad + coeffs)]
-    for h in heights:
-        for i in range(h, len(coeffs)):
-            coeffs[i] += coeffs[i - h]
-        if any(coeffs[-h:]):
-            raise ExactnessError(f"the product formula does not divide exactly by 1 - q^{h}")
-        del coeffs[-h:]
-    return QPolynomial(coeffs)
+    return _q_quotient([h + k for h in heights], heights)

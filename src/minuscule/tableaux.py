@@ -66,8 +66,8 @@ class IncreasingTableau:
     def is_gapless(self) -> bool:
         return set(self.labels) == set(range(1, self.m + 1))
 
-    def relabel(self, labels, m: int | None = None) -> "IncreasingTableau":
-        return IncreasingTableau(self.shape, labels, self.m if m is None else m, validate=False)
+    def relabel(self, labels) -> "IncreasingTableau":
+        return IncreasingTableau(self.shape, labels, self.m, validate=False)
 
     def __eq__(self, other):
         return (

@@ -181,25 +181,6 @@ def test_multichain_listing_is_the_product_ideals(monkeypatch):
         assert sorted(listed) == sorted(ideals._ideal_masks(chain_product(P, k)))
 
 
-def test_rowmotion_step_is_built_once_per_poset(monkeypatch):
-    # Repeated single rowmotion calls on one product reuse its byte-chunk tables.
-    from minuscule import ideals
-
-    built = []
-    real = ideals._chunk_tables
-
-    def spy(masks):
-        built.append(len(masks))
-        return real(masks)
-
-    monkeypatch.setattr(ideals, "_chunk_tables", spy)
-    ideals._rowmotion_step.cache_clear()
-    P = chain_product(propeller(3), 9)
-    ideal = OrderIdeal(P, 0)
-    assert rowmotion(ideal) == rowmotion(ideal)
-    assert built == [P.n, P.n]  # one upper-cover table and one down-closure table
-
-
 def test_rowmotion_orbit_example_2x2():
     summary = rowmotion_orbits(rectangle(2, 2), 1)
     assert summary.total_states == 6

@@ -40,7 +40,7 @@ from minuscule import (
     verify_csp,
 )
 from minuscule.ideals import _ideal_masks
-from minuscule.qpoly import eval_at_root, plane_partition_gf
+from minuscule.qpoly import eval_at_root, is_zero_at_primitive_root, plane_partition_gf
 from minuscule.orbits import load_table, packaged_table, promotion_orbits, save_table
 
 
@@ -332,6 +332,22 @@ def test_verify_csp_failure_detail(pf_table):
     assert not verdict.holds
     first = verdict.records[0]
     assert first.d == 1 and first.fixed_count == 0 and not first.match
+
+
+def test_sieving_fails_at_the_engine_ceiling():
+    # Freudenthal k = 5, 6, 7 at the ceiling verify_csp uses, m = k + rk + 1 (criterion 6
+    # evaluates at 3(k + 18)): no plane partition is fixed by the action, and gf vanishes
+    # neither at the action's order nor at 3m, so the d = 1 value is not an integer.
+    pf = freudenthal()
+    table = packaged_table(pf)
+    for k in (5, 6, 7):
+        verdict = verify_csp(pf, k, table=table)
+        gf = plane_partition_gf(pf, k)
+        assert verdict.m == k + pf.rk + 1
+        (d1,) = [r for r in verdict.records if r.d == 1]
+        assert d1.fixed_count == 0 and not d1.match
+        assert not is_zero_at_primitive_root(gf, verdict.order)
+        assert not is_zero_at_primitive_root(gf, 3 * verdict.m)
 
 
 def test_tree_ideal_and_dual_filter_propeller():

@@ -62,6 +62,44 @@ def test_q_binomial_brute_force_weight_oracle():
         assert q_binomial(i, j) == oracle
 
 
+def dense_q_factorial(a):
+    out = QPolynomial.one()
+    for i in range(1, a + 1):
+        out = out * q_int(i)
+    return out
+
+
+def test_q_factorial_matches_dense_product():
+    # The definition: a product of q-integers, with dense multiplication.
+    for a in range(16):
+        assert q_factorial(a) == dense_q_factorial(a), a
+
+
+def test_q_binomial_matches_dense_quotient():
+    # The definition: [i]_q ... [i-j+1]_q over [j]_q!, by dense multiplication and division.
+    for i in range(25):
+        for j in range(i + 3):
+            want = QPolynomial.zero()
+            if j <= i:
+                num = QPolynomial.one()
+                for a in range(i - j + 1, i + 1):
+                    num = num * q_int(a)
+                want = num.exact_div(dense_q_factorial(j))
+            assert q_binomial(i, j) == want, (i, j)
+
+
+def test_cyclotomic_matches_dense_division():
+    # The definition: q^n - 1 divided by the cyclotomics of the proper divisors of n.
+    dense = {}
+    for n in range(1, 121):
+        poly = QPolynomial.monomial(n) - QPolynomial.one()
+        for d in range(1, n):
+            if n % d == 0:
+                poly = poly.exact_div(dense[d])
+        dense[n] = poly
+        assert cyclotomic(n) == poly, n
+
+
 def test_cyclotomic_small():
     assert cyclotomic(1).coeffs == (-1, 1)
     assert cyclotomic(2).coeffs == (1, 1)
@@ -171,7 +209,8 @@ def test_gf_shape_invariants():
 
 
 def test_gf_propeller_closed_form():
-    # Independent route: ratio of q-factorials and q-integers.
+    # A second route: ratio of q-factorials and q-integers.  q_factorial shares its
+    # quotient with plane_partition_gf; the dense product oracle below is independent.
     for p in (3, 4, 5):
         for k in range(7):
             m = k + 2 * p - 1
