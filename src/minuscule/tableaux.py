@@ -15,15 +15,21 @@ i = 1..m-1, each new I_i feeding the next step.  The step is decided by the
 same singleton-component rule as k_bender_knuth and memoised per shape by
 ideal masks; a shape has few distinct triples (262 on the 27-element
 exceptional shape), so the sweep is a table lookup per position.  General
-promotion deflates, sweeps (when label 1 is present) and inflates with the
-rotated content vector.  The orbit-table build stores each chain as bytes
-of indices into the shape's sorted ideal masks, enumerated as paths in the
-(small) ideal graph, which is how the large shapes stay tractable.
+promotion, when label 1 is present, makes the same sweep in one pass over
+the present labels only: I_i is the union of the boxes with the i smallest
+labels, and each settled antichain (new I_i minus new I_(i-1)) is written
+straight out with the label just below the (i+1)-th present one, which is
+deflation, sweep and inflation by the rotated content vector in one go;
+without label 1, every label drops by one.  The orbit-table build stores
+each chain as bytes of indices into the shape's sorted ideal masks,
+enumerated as paths in the (small) ideal graph, which is how the large
+shapes stay tractable.
 """
 
 from collections import Counter
 from collections.abc import Iterator
 from functools import lru_cache
+from operator import index, itemgetter
 
 from .errors import ParameterError, StateCapExceeded, state_cap
 from .ideals import _ideal_masks, _orbit
@@ -42,8 +48,8 @@ class IncreasingTableau:
 
     def __init__(self, shape: Poset, labels, m: int, validate: bool = True):
         self.shape = shape
-        self.labels = tuple(map(int, labels))
-        self.m = int(m)
+        self.labels = tuple(map(_integer, labels))
+        self.m = _integer(m)
         if validate:
             self._validate()
 
@@ -67,7 +73,8 @@ class IncreasingTableau:
         return set(self.labels) == set(range(1, self.m + 1))
 
     def relabel(self, labels) -> "IncreasingTableau":
-        return IncreasingTableau(self.shape, labels, self.m, validate=False)
+        """Same shape and ceiling with new labels, taken as given: no conversion, no checks."""
+        return _trusted(self.shape, tuple(labels), self.m)
 
     def __eq__(self, other):
         return (
@@ -115,6 +122,23 @@ class IncreasingTableau:
             labels.extend(values)
         shape = poset_from_shape(ShapeDiagram(rows))
         return cls(shape, labels, max(labels) if m is None else m)
+
+
+def _integer(value) -> int:
+    # An exact integer or an error: floats are refused, never truncated.
+    try:
+        return index(value)
+    except TypeError:
+        raise ParameterError(f"expected an integer, got {value!r}") from None
+
+
+def _trusted(shape: Poset, labels: tuple[int, ...], m: int) -> IncreasingTableau:
+    # A tableau from labels this module built itself: no conversion, no validation.
+    tableau = object.__new__(IncreasingTableau)
+    tableau.shape = shape
+    tableau.labels = labels
+    tableau.m = m
+    return tableau
 
 
 def _swap_sets(labels, i: int, neighbors) -> tuple[list[int], list[int]]:
@@ -181,38 +205,42 @@ def _swap_step(shape: Poset, lo: int, mid: int, hi: int) -> int:
 def promotion(tableau: IncreasingTableau) -> IncreasingTableau:
     """K-promotion: rho_(m-1) o ... o rho_1; a bijection on tableaux with ceiling m.
 
-    Computed through deflation: the ideal chain of the deflated tableau is
-    swept left to right when label 1 is present, and the result is inflated
-    with the rotated content vector (the promote_pair identity).
+    Computed through deflation without building it: when label 1 is
+    present, the ideal chain of the present labels is swept left to right
+    in one pass, and each settled antichain takes the label just below the
+    next present one (the promote_pair identity); otherwise every label
+    drops by one.
     """
     labels = tableau.labels
-    if not labels:
-        return tableau
-    by_value: dict[int, int] = {}
-    for x, v in enumerate(labels):
-        by_value[v] = by_value.get(v, 0) | (1 << x)
-    present = sorted(by_value)
-    if present[0] != 1:
-        return tableau.relabel([v - 1 for v in labels])
-    chain = [0]
-    for v in present:
-        chain.append(chain[-1] | by_value[v])
-    memo = _step_memo(tableau.shape)
+    shape, m = tableau.shape, tableau.m
+    if 1 not in labels:
+        return _trusted(shape, tuple([v - 1 for v in labels]), m)
+    by_value = [0] * (m + 1)
+    bit = 1
+    for v in labels:
+        by_value[v] |= bit
+        bit <<= 1
+    memo = _step_memo(shape)
+    out = [m] * len(labels)  # the boxes that settle last
+    # prev is the new I_(i-1), cur the old I_i; v runs over the present labels above 1.
     prev = 0
-    for i in range(1, len(chain) - 1):
-        key = (prev, chain[i], chain[i + 1])
-        prev = memo.get(key)
-        if prev is None:
-            prev = _swap_step(tableau.shape, *key)
-        chain[i] = prev
-    out = [0] * len(labels)
-    for value, lo, hi in zip(present[1:] + [tableau.m + 1], chain, chain[1:]):
-        added = hi ^ lo
-        while added:
-            low = added & -added
-            out[low.bit_length() - 1] = value - 1
-            added ^= low
-    return tableau.relabel(out)
+    cur = by_value[1]
+    for v in range(2, m + 1):
+        added = by_value[v]
+        if not added:
+            continue
+        nxt = cur | added
+        new = memo.get((prev, cur, nxt))
+        if new is None:
+            new = _swap_step(shape, prev, cur, nxt)
+        settled = new ^ prev
+        while settled:
+            low = settled & -settled
+            out[low.bit_length() - 1] = v - 1
+            settled ^= low
+        prev = new
+        cur = nxt
+    return _trusted(shape, tuple(out), m)
 
 
 def content_vector(tableau: IncreasingTableau) -> tuple[int, ...]:
@@ -240,9 +268,7 @@ def deflate(tableau: IncreasingTableau) -> IncreasingTableau:
     """Compress the label set to 1..m_t; the result is gapless and deflation is idempotent."""
     present = sorted(set(tableau.labels))
     rank_of = {v: i + 1 for i, v in enumerate(present)}
-    return IncreasingTableau(
-        tableau.shape, [rank_of[v] for v in tableau.labels], len(present), validate=False
-    )
+    return _trusted(tableau.shape, tuple([rank_of[v] for v in tableau.labels]), len(present))
 
 
 def inflate(gapless: IncreasingTableau, v: tuple[int, ...]) -> IncreasingTableau:
@@ -254,9 +280,7 @@ def inflate(gapless: IncreasingTableau, v: tuple[int, ...]) -> IncreasingTableau
             f"content vector has {sum(v)} ones but the tableau ceiling is {gapless.m}"
         )
     positions = [pos for pos, bit in enumerate(v, start=1) if bit]
-    return IncreasingTableau(
-        gapless.shape, [positions[val - 1] for val in gapless.labels], len(v), validate=False
-    )
+    return _trusted(gapless.shape, tuple([positions[val - 1] for val in gapless.labels]), len(v))
 
 
 def _up_heights(shape: Poset) -> list[int]:
@@ -269,37 +293,51 @@ def _up_heights(shape: Poset) -> list[int]:
 
 def enumerate_increasing(shape: Poset, m: int, cap: int | None = None) -> Iterator[IncreasingTableau]:
     """All increasing tableaux with ceiling m, by backtracking along a linear extension."""
+    m = _integer(m)
     if m < 0:
         raise ParameterError("ceiling must be nonnegative")
     cap = state_cap(cap)
     n = shape.n
     if n == 0:
-        yield IncreasingTableau(shape, (), m, validate=False)
+        yield _trusted(shape, (), m)
         return
     topo = shape.topo
-    lower = [shape.lower[x] for x in topo]
+    # Labels and lower covers by position along topo; position[x] is where x sits.
+    position = [0] * n
+    for i, x in enumerate(topo):
+        position[x] = i
+    lower = [tuple(position[a] for a in shape.lower[x]) for x in topo]
+    # The label tuple by element; itemgetter of one index gives no tuple.
+    by_element = itemgetter(*position) if n > 1 else lambda vals: (vals[0],)
     headroom = _up_heights(shape)
     top = [m - headroom[x] for x in topo]
-    labels = [0] * n
+    vals = [0] * n
+    last = n - 1
     count = 0
-    # An explicit position i, not recursion: labels[topo[i]] is the label on
-    # trial there (0 before the first), and a position out of labels steps back.
+    # An explicit position i, not recursion: vals[i] is the label on trial at
+    # topo[i] (0 before the first), and a position out of labels steps back.
     i = 0
     while i >= 0:
-        x = topo[i]
-        v = labels[x] + 1 if labels[x] else max((labels[a] for a in lower[i]), default=0) + 1
+        v = vals[i]
+        if v:
+            v += 1
+        else:
+            v = 1
+            for a in lower[i]:
+                if vals[a] >= v:
+                    v = vals[a] + 1
         if v > top[i]:
-            labels[x] = 0
+            vals[i] = 0
             i -= 1
             continue
-        labels[x] = v
-        if i < n - 1:
+        vals[i] = v
+        if i < last:
             i += 1
             continue
         count += 1
         if count > cap:
             raise StateCapExceeded("too many increasing tableaux", cap)
-        yield IncreasingTableau(shape, labels, m, validate=False)
+        yield _trusted(shape, by_element(vals), m)
 
 
 class _IdealGraph:
@@ -422,7 +460,7 @@ def enumerate_gapless(shape: Poset, cap: int | None = None) -> Iterator[Increasi
     """All gapless tableaux of a shape, for every ceiling from rk+1 to the element count."""
     cap = state_cap(cap)
     if shape.n == 0:
-        yield IncreasingTableau(shape, (), 0, validate=False)
+        yield _trusted(shape, (), 0)
         return
     graph = _IdealGraph(shape, cap)
     sizes = graph.class_sizes()
@@ -430,7 +468,7 @@ def enumerate_gapless(shape: Poset, cap: int | None = None) -> Iterator[Increasi
         raise StateCapExceeded("too many gapless tableaux", cap)
     for m in range(shape.rk + 1, shape.n + 1):
         for chain in graph.class_chains(m):
-            yield IncreasingTableau(shape, graph.labels(chain), m, validate=False)
+            yield _trusted(shape, tuple(graph.labels(chain)), m)
 
 
 def promotion_census(shape: Poset, m: int) -> Counter:

@@ -1,7 +1,11 @@
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -284,3 +288,17 @@ def test_usage_errors_are_bad_input(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main([argv[0], "--help"])
     assert exc.value.code == 0
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
+def test_demo_runs_clean(demo):
+    # Each demo in a fresh interpreter against this checkout's sources.
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0 and done.stderr == "", done.stderr
+    assert done.stdout

@@ -16,9 +16,11 @@ from minuscule import (
     deflate,
     enumerate_gapless,
     enumerate_increasing,
+    freudenthal,
     inflate,
     k_bender_knuth,
     parse_poset_spec,
+    plane_partition_gf,
     poset_from_shape,
     promotion,
     promotion_census,
@@ -50,6 +52,24 @@ def test_validation():
     with pytest.raises(ParameterError):
         IncreasingTableau(P, (1, 2, 2, 9), 3)  # label above ceiling
     IncreasingTableau(P, (1, 1, 2, 3), 3, validate=False)  # caller's risk
+
+
+def test_validation_rejects_non_integers():
+    # Labels and ceiling are converted with operator.index: nothing is truncated.
+    P = propeller(3)
+    with pytest.raises(ParameterError):
+        IncreasingTableau(P, [1.9, 2.5, 3.5, 4.5, 5.5, 6.5], 9)
+    with pytest.raises(ParameterError):
+        IncreasingTableau(P, [1, 2, 3, 4, 5, 6], 9.7)
+    with pytest.raises(ParameterError):
+        IncreasingTableau(P, "123456", 9)
+    with pytest.raises(ParameterError):
+        IncreasingTableau(P, [1.0, 2, 3, 4, 5, 6], 9, validate=False)
+    with pytest.raises(ParameterError):
+        next(enumerate_increasing(P, 9.0))
+    T = IncreasingTableau(P, bytes([1, 2, 3, 4, 5, 6]), 9)  # byte labels, as graph.labels gives
+    assert T.labels == (1, 2, 3, 4, 5, 6) and all(type(v) is int for v in T.labels)
+    assert IncreasingTableau.from_text(T.to_text(), m=9) == T
 
 
 def test_kbk_fixture_swaps():
@@ -200,6 +220,19 @@ def test_enumerate_increasing_counts():
     assert sum(1 for _ in enumerate_increasing(grid, 7)) == plane_partition_gf(grid, 3)(1)
 
 
+def test_enumerate_increasing_order_and_count():
+    # Strictly increasing in the lexicographic order of labels read along
+    # topo, as many as plane partitions of height m - rk - 1, and none at a
+    # ceiling of rk or less.
+    for spec, m in (("cayley-moufang", 14), ("freudenthal", 19), ("rectangle-3x4", 10), ("propeller-4", 12)):
+        shape = parse_poset_spec(spec)
+        keys = [tuple(t.labels[x] for x in shape.topo) for t in enumerate_increasing(shape, m)]
+        assert all(a < b for a, b in zip(keys, keys[1:])), spec
+        assert len(keys) == plane_partition_gf(shape, m - shape.rk - 1)(1), spec
+        for low in range(shape.rk + 1):
+            assert next(enumerate_increasing(shape, low), None) is None, (spec, low)
+
+
 def test_label_set_evolution_under_partial_sweeps():
     # Applying rho_{i_r} .. rho_{i_{r+1}-1} replaces label i_r with i_{r+1}-1
     # and leaves the rest of the label set unchanged.
@@ -309,6 +342,17 @@ def test_transducer_matches_kbk_oracle():
                 assert graph.labels(graph.promote(chain)) == bytes(expected.labels)
     for T in all_increasing(cayley_moufang(), 13):
         assert promotion(T) == by_kbk(T)
+    # Every Freudenthal tableau at m=19, with and without label 1; the images
+    # come from the unvalidated constructor, so check them as the validating one would.
+    without_one = 0
+    for T in all_increasing(freudenthal(), 19):
+        without_one += 1 not in T.labels
+        image = promotion(T)
+        assert image == by_kbk(T)
+        assert all(type(v) is int for v in image.labels)
+        assert image.shape is T.shape
+        assert hash(image) == hash(IncreasingTableau(T.shape, image.labels, T.m))
+    assert 0 < without_one < 1463
     # A 9-element antichain has 512 ideals, too many for byte chains.
     wide = Poset(9, [])
     graph = _IdealGraph(wide)
