@@ -28,16 +28,6 @@ class OrderIdeal:
         if self.mask < 0 or self.mask >> self.poset.n:
             raise ParameterError("ideal mask out of range for the poset")
 
-    @classmethod
-    def from_members(cls, poset: Poset, members) -> "OrderIdeal":
-        mask = 0
-        for x in members:
-            mask |= 1 << x
-        ideal = cls(poset, mask)
-        if not ideal.is_down_closed():
-            raise ParameterError("subset is not down-closed")
-        return ideal
-
     def members(self) -> list[int]:
         return [x for x in range(self.poset.n) if (self.mask >> x) & 1]
 

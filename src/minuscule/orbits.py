@@ -29,6 +29,11 @@ _TABLE_SCHEMA = "minuscule.gapless-table/1"
 # verify_csp recounts rowmotion orbits when P x k has at most this many ideals.
 _PSI_CHECK_CAP = 20_000
 
+# Builds of fewer gapless tableaux than this run in one process whatever the
+# worker count: below it a 2-process pool saved at most about a third with
+# both CPUs idle, and little or nothing with one CPU busy (BENCH_11.json).
+_POOL_MIN_CHAINS = 25_000
+
 
 @dataclass(frozen=True)
 class GaplessOrbitRow:
@@ -101,13 +106,16 @@ def _partition_class(graph: _IdealGraph, m: int) -> dict:
         orbit = _orbit(c0, promote, len(chains))
         seen.update(orbit)
         tau = len(orbit)
-        keys = [key(c) for c in orbit]
+        shift = m % tau
         entry = counts.get(tau)
+        # Keys are read only for a period's first orbit (the row's rep) and
+        # where the m-fold promotion moves the orbit (the stable elements).
+        if entry is None or shift:
+            keys = [key(c) for c in orbit]
         if entry is None:
             counts[tau] = [1, min(keys)]
         else:
             entry[0] += 1
-        shift = m % tau
         if shift:
             # Labels of the two tableaux differ exactly in the nonzero bytes of the xor.
             for s in range(tau):
@@ -127,19 +135,22 @@ def _partition_class(graph: _IdealGraph, m: int) -> dict:
 def build_gapless_table(poset: Poset, workers: int = 1, cap: int | None = None) -> GaplessOrbitTable:
     """Enumerate every gapless tableau of the shape and partition each ceiling into orbits.
 
-    With workers > 1 the ceilings are distributed over processes; the result
-    is identical to the single-process one (asserted by tests).
+    With workers > 1 the ceilings are distributed over processes, unless the
+    shape has fewer than _POOL_MIN_CHAINS gapless tableaux: such a build runs
+    in one process whatever the worker count.  The result is identical either
+    way (asserted by tests).
     """
     cap = state_cap(cap)
     if poset.n == 0:
         raise ParameterError("the empty shape has no orbit table")
     graph = _IdealGraph(poset, cap)
     sizes = graph.class_sizes()
-    if sum(sizes.values()) > cap:
+    chains = sum(sizes.values())
+    if chains > cap:
         raise StateCapExceeded("too many gapless tableaux", cap)
     order = sorted(sizes, key=lambda m: (-sizes[m], m))
     results: dict[int, dict] = {}
-    if workers <= 1:
+    if workers <= 1 or chains < _POOL_MIN_CHAINS:
         for m in order:
             results[m] = _partition_class(graph, m)
     else:

@@ -10,6 +10,7 @@ from minuscule import (
     IncreasingTableau,
     ParameterError,
     Poset,
+    ShapeDiagram,
     StateCapExceeded,
     build_gapless_table,
     cayley_moufang,
@@ -28,6 +29,7 @@ from minuscule import (
     load_or_build_table,
     max_dual_tree_filter,
     max_tree_ideal,
+    poset_from_shape,
     promote_pair,
     promotion,
     promotion_census,
@@ -505,10 +507,80 @@ def test_pool_is_clamped_to_the_ceiling_count(monkeypatch):
     shape = propeller(3)
     single = build_gapless_table(shape, workers=1)
     monkeypatch.setattr(orbits, "ProcessPoolExecutor", RecordingPool)
+    # Three chains are far below the in-process cut-off; lift it to reach the pool.
+    monkeypatch.setattr(orbits, "_POOL_MIN_CHAINS", 0)
     wide = build_gapless_table(shape, workers=8)
     ceilings = {row.m_t for row in single.rows}
     assert sizes == [len(ceilings)] and len(ceilings) < 8
     assert (wide.rows, wide.stable, wide.total) == (single.rows, single.stable, single.total)
+
+
+def test_small_builds_start_no_pool(monkeypatch):
+    from minuscule import orbits
+
+    # On a 2-CPU machine with one CPU busy, a pool gained little or nothing on
+    # rectangle-2x8 (20,793 chains); on rectangle-3x5 (126,289) it wins.
+    assert 20_793 < orbits._POOL_MIN_CHAINS < 126_289
+
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a build below the cut-off started a process pool")
+
+    monkeypatch.setattr(orbits, "ProcessPoolExecutor", NoPool)
+    for shape in (cayley_moufang(), propeller(3), rectangle(3, 4)):
+        single = build_gapless_table(shape, workers=1)
+        dual = build_gapless_table(shape, workers=2)
+        assert (dual.rows, dual.stable, dual.total) == (single.rows, single.stable, single.total)
+
+
+def _eager_partition(graph, m):
+    """Rows and stable elements of one ceiling, reading the key of every chain."""
+    from minuscule.ideals import _orbit
+
+    chains = graph.class_chains(m)
+    seen = set()
+    rows = {}
+    moved = 0
+    for c0 in chains:
+        if c0 in seen:
+            continue
+        orbit = _orbit(c0, graph.promote, len(chains))
+        seen.update(orbit)
+        keys = [graph.key(c) for c in orbit]
+        tau = len(orbit)
+        count, rep = rows.get(tau, (0, min(keys)))
+        rows[tau] = (count + 1, rep)
+        for s in range(tau):
+            moved |= keys[s] ^ keys[(s + m) % tau]
+    n = graph.shape.n
+    labels = moved.to_bytes(n, "big")
+    return (
+        [(tau, count, tuple(rep.to_bytes(n, "big"))) for tau, (count, rep) in sorted(rows.items())],
+        [x for x in range(n) if not labels[x]],
+    )
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["cayley-moufang", "propeller-3", "propeller-4", "propeller-5", "propeller-6",
+     "rectangle-3x4", "rectangle-2x6", "shifted-staircase-5", "staircase-321"],
+)
+def test_partition_reads_keys_lazily_like_an_eager_oracle(spec):
+    from minuscule import parse_poset_spec
+    from minuscule.orbits import _partition_class
+    from minuscule.tableaux import _IdealGraph
+
+    # Every orbit of the minuscule shapes here has a period dividing its
+    # ceiling; the Young diagram (3, 2, 1) has orbits that m-fold promotion
+    # moves after the first of their period, so it reaches the stable-set keys.
+    if spec == "staircase-321":
+        shape = poset_from_shape(ShapeDiagram([(0, 3), (0, 2), (0, 1)]))
+    else:
+        shape = parse_poset_spec(spec)
+    graph = _IdealGraph(shape)
+    for m in graph.class_sizes():
+        res = _partition_class(graph, m)
+        assert (res["rows"], res["stable"]) == _eager_partition(graph, m)
 
 
 def test_failed_cache_write_leaves_no_table(tmp_path, monkeypatch):
