@@ -27,6 +27,8 @@ class OrderIdeal:
     def __post_init__(self):
         if self.mask < 0 or self.mask >> self.poset.n:
             raise ParameterError("ideal mask out of range for the poset")
+        if not self.is_down_closed():
+            raise ParameterError(f"mask {self.mask:#b} is not down-closed in the poset")
 
     def members(self) -> list[int]:
         return [x for x in range(self.poset.n) if (self.mask >> x) & 1]
@@ -40,6 +42,14 @@ class OrderIdeal:
         return bin(self.mask).count("1")
 
 
+def _trusted_ideal(poset: Poset, mask: int) -> OrderIdeal:
+    # An ideal this module built down-closed itself: no checks.
+    ideal = object.__new__(OrderIdeal)
+    object.__setattr__(ideal, "poset", poset)
+    object.__setattr__(ideal, "mask", mask)
+    return ideal
+
+
 def rowmotion(ideal: OrderIdeal) -> OrderIdeal:
     """Down-closure of the minimal elements of the complement; a bijection on ideals.
 
@@ -51,7 +61,7 @@ def rowmotion(ideal: OrderIdeal) -> OrderIdeal:
     for lower, down in zip(ideal.poset.lower_masks, ideal.poset.down_masks):
         if lower & mask == lower and down & mask != down:
             image |= down
-    return OrderIdeal(ideal.poset, image)
+    return _trusted_ideal(ideal.poset, image)
 
 
 def _ideal_masks(poset: Poset, cap: int | None = None) -> Iterator[int]:
@@ -80,7 +90,7 @@ def _ideal_masks(poset: Poset, cap: int | None = None) -> Iterator[int]:
 def enumerate_ideals(poset: Poset, cap: int | None = None) -> Iterator[OrderIdeal]:
     """All order ideals, each exactly once, in a deterministic order."""
     for mask in _ideal_masks(poset, cap):
-        yield OrderIdeal(poset, mask)
+        yield _trusted_ideal(poset, mask)
 
 
 @dataclass(frozen=True)
@@ -442,4 +452,4 @@ def plane_partition_to_ideal(pp: PlanePartition) -> OrderIdeal:
     for x, h in enumerate(pp.heights):
         for i in range(h):
             mask |= 1 << (x * pp.k + i)
-    return OrderIdeal(product, mask)
+    return _trusted_ideal(product, mask)

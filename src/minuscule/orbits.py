@@ -31,8 +31,8 @@ _PSI_CHECK_CAP = 20_000
 
 # Builds of fewer gapless tableaux than this run in one process whatever the
 # worker count: below it a 2-process pool saved at most about a third with
-# both CPUs idle, and little or nothing with one CPU busy (BENCH_11.json).
-_POOL_MIN_CHAINS = 25_000
+# both CPUs idle, and nothing with one CPU busy (BENCH_12.json).
+_POOL_MIN_CHAINS = 40_000
 
 
 @dataclass(frozen=True)
@@ -87,31 +87,47 @@ def _table_from_dict(data: dict, poset: Poset) -> GaplessOrbitTable:
 
 
 def _partition_class(graph: _IdealGraph, m: int) -> dict:
-    """Split one ceiling's gapless tableaux into promotion orbits, walked on ideal chains.
+    """Split one ceiling's gapless tableaux into promotion orbits, the cycles of a permutation.
 
-    Also accumulates, per element, whether the m-fold promotion fixes the
-    entry at that element for every tableau of the class (orbit position
-    shifts by m mod period, so this is a pairwise comparison inside each
-    stored orbit).  Each row's representative is the orbit's least label array.
+    The chains and their promotion images come from one grouped listing
+    (_IdealGraph.class_promotions).  Sorted, the chains are in class_chains
+    order; promotion is then a permutation of their positions, and its
+    cycles are walked from each unseen position in ascending order.  An
+    image that is not a chain of the class raises, and so does a walk that
+    does not close (two chains with one image).  Also accumulates, per
+    element, whether the m-fold promotion fixes the entry at that element
+    for every tableau of the class (orbit position shifts by m mod period,
+    so this is a pairwise comparison inside each stored orbit).  Each row's
+    representative is the least label array of the first orbit of its period.
     """
-    chains = graph.class_chains(m)
-    promote = graph.promote
+    listed, images = graph.class_promotions(m)
+    chains = sorted(listed)
+    size = len(chains)
+    index = {chain: i for i, chain in enumerate(chains)}
+    perm = [0] * size
+    try:
+        for i, j in zip(map(index.__getitem__, listed), map(index.__getitem__, images)):
+            perm[i] = j
+    except KeyError:
+        raise RuntimeError(f"a promotion image is not a chain of ceiling {m}") from None
+    del listed, images, index  # only the sorted chains and perm are read from here on
     key = graph.key
-    seen = set()
+    seen = bytearray(size)
     counts: dict[int, list] = {}
     moved = 0
-    for c0 in chains:
-        if c0 in seen:
+    for i in range(size):
+        if seen[i]:
             continue
-        orbit = _orbit(c0, promote, len(chains))
-        seen.update(orbit)
+        orbit = _orbit(i, perm.__getitem__, size)
+        for j in orbit:
+            seen[j] = 1
         tau = len(orbit)
         shift = m % tau
         entry = counts.get(tau)
         # Keys are read only for a period's first orbit (the row's rep) and
         # where the m-fold promotion moves the orbit (the stable elements).
         if entry is None or shift:
-            keys = [key(c) for c in orbit]
+            keys = [key(chains[j]) for j in orbit]
         if entry is None:
             counts[tau] = [1, min(keys)]
         else:
@@ -124,7 +140,7 @@ def _partition_class(graph: _IdealGraph, m: int) -> dict:
     moved_bytes = moved.to_bytes(n, "big")
     return {
         "m_t": m,
-        "size": len(chains),
+        "size": size,
         "rows": [
             (tau, cnt, tuple(rep.to_bytes(n, "big"))) for tau, (cnt, rep) in sorted(counts.items())
         ],

@@ -66,7 +66,7 @@ class Poset:
     __slots__ = (
         "n", "covers", "labels", "family", "shape", "product_of",
         "lower", "upper", "neighbors", "rank", "topo",
-        "lower_masks", "down_masks", "_hash",
+        "lower_masks", "down_masks", "_hash", "_digest",
     )
 
     def __init__(self, n: int, covers, labels=None, family=None, shape=None, product_of=None):
@@ -113,6 +113,7 @@ class Poset:
         self.lower_masks = tuple(lower_masks)
         self.down_masks = tuple(down_masks)
         self._hash = hash((n, covers))
+        self._digest = None
 
     def _toposort(self) -> tuple[int, ...]:
         indeg = [len(v) for v in self.lower]
@@ -173,7 +174,10 @@ class Poset:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
     def digest(self) -> str:
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()
+        """sha256 of the canonical JSON, computed once per poset (it keys every table lookup)."""
+        if self._digest is None:
+            self._digest = hashlib.sha256(self.canonical_json().encode()).hexdigest()
+        return self._digest
 
 
 def poset_from_shape(shape: ShapeDiagram, family: str | None = None) -> Poset:

@@ -23,7 +23,10 @@ deflation, sweep and inflation by the rotated content vector in one go;
 without label 1, every label drops by one.  The orbit-table build stores
 each chain as bytes of indices into the shape's sorted ideal masks,
 enumerated as paths in the (small) ideal graph, which is how the large
-shapes stay tractable.
+shapes stay tractable.  It makes the sweep while it lists the chains: the
+prefixes of one length that share the sweep state (new I_(L-2), I_(L-1))
+share their successors and, for each, the next image ideal, so one step
+lookup extends a whole group of chains and their images at once.
 """
 
 from collections import Counter
@@ -340,6 +343,17 @@ def enumerate_increasing(shape: Poset, m: int, cap: int | None = None) -> Iterat
         yield _trusted(shape, by_element(vals), m)
 
 
+# Lists longer than this grow in place, one slice of this length at a time.
+_SLICE = 4096
+
+
+def _append_in_place(items: list, unit) -> list:
+    """Append unit to every item, a slice at a time, so the old items are freed as the new ones are made."""
+    for lo in range(0, len(items), _SLICE):
+        items[lo : lo + _SLICE] = [item + unit for item in items[lo : lo + _SLICE]]
+    return items
+
+
 class _IdealGraph:
     """All ideals of a shape with the antichain-step successor relation.
 
@@ -390,8 +404,8 @@ class _IdealGraph:
         self.comp = [
             sum(1 << 8 * (n - 1 - x) for x in range(n) if not (mask >> x) & 1) for mask in masks
         ]
-        # Step table of the sweep: _steps[I_(i-1)][I_i * len(masks) + I_(i+1)] = new I_i.
-        self._steps: list[dict[int, int]] = [{} for _ in masks]
+        # Step table of the sweep: (I_(i-1), I_i, I_(i+1)) -> new I_i, as ideal indices.
+        self._steps: dict[tuple[int, int, int], int] = {}
 
     def class_sizes(self) -> dict[int, int]:
         """Number of gapless tableaux per ceiling, by path counting."""
@@ -409,26 +423,86 @@ class _IdealGraph:
             paths = nxt
         return sizes
 
+    def _admissible(self, nodes, remaining: int) -> dict[int, list[int]]:
+        """The successors of each node from which the full ideal is reachable in exactly remaining steps."""
+        min_steps, comp_sizes = self.min_steps, self.comp_sizes
+        return {
+            node: [nxt for nxt in self.succ[node] if min_steps[nxt] <= remaining <= comp_sizes[nxt]]
+            for node in nodes
+        }
+
     def class_chains(self, target: int) -> list:
         """All chains of gapless tableaux with ceiling target, in a fixed search order.
 
         Prefixes are extended one level at a time, each in successor order,
-        which lists the chains in depth-first order; a successor is kept
-        only if the full ideal is still reachable in exactly the steps left.
+        which lists the chains in depth-first order, that is in ascending
+        (lexicographic) order of the chains themselves.
         """
         units = [self.pack((i,)) for i in range(len(self.masks))]
         level = [units[self.start]]
         for depth in range(target):
-            remaining = target - depth - 1
             admissible = {
-                node: [
-                    units[nxt] for nxt in self.succ[node]
-                    if self.min_steps[nxt] <= remaining <= self.comp_sizes[nxt]
-                ]
-                for node in {prefix[-1] for prefix in level}
+                node: [units[nxt] for nxt in succ]
+                for node, succ in self._admissible({p[-1] for p in level}, target - depth - 1).items()
             }
             level = [prefix + unit for prefix in level for unit in admissible[prefix[-1]]]
         return level
+
+    def class_promotions(self, target: int) -> tuple[list, list]:
+        """All chains of ceiling target and their K-promotion images, as two aligned lists.
+
+        The sweep is made while the chains are listed.  A prefix I_0..I_(L-1)
+        carries its image prefix new I_0..new I_(L-2), and the prefixes of one
+        level are grouped by their sweep state (new I_(L-2), I_(L-1)): every
+        prefix of a group has the same admissible successors and, for each,
+        the same next image ideal new I_(L-1) = step(new I_(L-2), I_(L-1), I_L).
+        So each (group, successor) pair costs one step lookup and two list
+        comprehensions.  The lists come out in group order, not in
+        class_chains order; sorting the chains gives that.
+        """
+        units = [self.pack((i,)) for i in range(len(self.masks))]
+        start, end, empty = self.start, units[self.full], self.pack(())
+        # (new I_(L-2), I_(L-1)) -> (prefixes, image prefixes); I_0 = 0 is its own image.
+        groups = {(start, start): ([units[start]], [empty])}
+        for depth in range(target):
+            remaining = target - depth - 1
+            admissible = self._admissible({last for _, last in groups}, remaining)
+            tail = end if remaining == 0 else empty  # I_m = P is its own image
+            grown: dict[tuple[int, int], tuple[list, list]] = {}
+            while groups:  # popped, so each level is freed as the next one grows
+                (prev, last), (prefixes, images) = groups.popitem()
+                successors = admissible[last]
+                for nxt in successors:
+                    new = self._step(prev, last, nxt) if depth else start
+                    unit, image_unit = units[nxt], units[new] + tail
+                    if nxt != successors[-1] or len(prefixes) <= _SLICE:
+                        extended = [prefix + unit for prefix in prefixes]
+                        promoted = [image + image_unit for image in images]
+                    else:  # a large group's last successor reuses its lists
+                        extended = _append_in_place(prefixes, unit)
+                        promoted = _append_in_place(images, image_unit)
+                    entry = grown.get((new, nxt))
+                    if entry is None:
+                        grown[new, nxt] = (extended, promoted)
+                    else:
+                        entry[0].extend(extended)
+                        entry[1].extend(promoted)
+            groups = grown
+        chains: list = []
+        images: list = []
+        for prefixes, promoted in groups.values():
+            chains += prefixes
+            images += promoted
+        return chains, images
+
+    def _step(self, lo: int, mid: int, hi: int) -> int:
+        """The ideal (an index) the swap leaves in place of mid between lo and hi; memoised."""
+        new = self._steps.get((lo, mid, hi))
+        if new is None:
+            masks = self.masks
+            new = self.index[_swap_step(self.shape, masks[lo], masks[mid], masks[hi])]
+            self._steps[lo, mid, hi] = new
+        return new
 
     def key(self, chain) -> int:
         """The chain's label array as a big-endian integer (orders like the label bytes)."""
@@ -438,19 +512,11 @@ class _IdealGraph:
         return self.key(chain).to_bytes(self.shape.n, "big")
 
     def promote(self, chain):
-        """K-promotion of a chain: one left-to-right sweep through the step table."""
-        steps = self._steps
-        size = len(self.masks)
+        """K-promotion of one chain: a left-to-right sweep through the step table."""
         prev = chain[0]
         out = [prev]
         for cur, nxt in zip(chain[1:], chain[2:]):
-            row = steps[prev]
-            try:
-                prev = row[cur * size + nxt]
-            except KeyError:
-                masks = self.masks
-                new = _swap_step(self.shape, masks[prev], masks[cur], masks[nxt])
-                prev = row[cur * size + nxt] = self.index[new]
+            prev = self._step(prev, cur, nxt)
             out.append(prev)
         out.append(chain[-1])
         return self.pack(out)

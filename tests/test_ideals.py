@@ -69,6 +69,20 @@ def test_rowmotion_extremes():
     assert rowmotion(full).mask == 0
 
 
+def test_ideal_mask_must_be_down_closed():
+    # In rectangle(2, 2) element 3 is the top, so {3} alone is no ideal; an
+    # action stepped on it would return an ideal without complaint.
+    P = rectangle(2, 2)
+    with pytest.raises(ParameterError, match="down-closed"):
+        OrderIdeal(P, 0b1000)
+    with pytest.raises(ParameterError, match="down-closed"):
+        OrderIdeal(P, 0b0110)
+    assert OrderIdeal(P, 0b0111).members() == [0, 1, 2]
+    # The library's own ideals are down-closed without the check.
+    for ideal in enumerate_ideals(chain_product(P, 2)):
+        assert ideal.is_down_closed() and rowmotion(ideal).is_down_closed()
+
+
 def test_rowmotion_is_bijection():
     for P in (rectangle(2, 2), propeller(3), chain_product(rectangle(2, 2), 2)):
         masks = [i.mask for i in enumerate_ideals(P)]

@@ -622,10 +622,24 @@ def test_orbit_walks_are_bounded(monkeypatch):
 
     shape = propeller(3)
     table = build_gapless_table(shape)
-    class_chains = _IdealGraph.class_chains
+    class_promotions = _IdealGraph.class_promotions
+
+    def onto_first(self, m):
+        # Every chain of the ceiling promoted onto its first chain.
+        chains, _ = class_promotions(self, m)
+        return chains, [min(chains)] * len(chains)
+
+    def off_the_class(self, m):
+        # The last image one ideal short, so no chain of the ceiling.
+        chains, images = class_promotions(self, m)
+        return chains, images[:-1] + [images[-1][:-1]]
+
     with monkeypatch.context() as patched:
-        patched.setattr(_IdealGraph, "promote", lambda self, c: class_chains(self, len(c) - 1)[0])
+        patched.setattr(_IdealGraph, "class_promotions", onto_first)
         with pytest.raises(RuntimeError, match="within"):
+            build_gapless_table(shape)
+        patched.setattr(_IdealGraph, "class_promotions", off_the_class)
+        with pytest.raises(RuntimeError, match="not a chain of ceiling"):
             build_gapless_table(shape)
     witness = promotion_order(shape, 8, table=table).witness
     sink = next(t for t in enumerate_increasing(shape, 8) if t != witness)

@@ -134,6 +134,22 @@ def test_serialization_stable_and_diffable(tmp_path):
     assert load_poset(str(path)) == cm1
 
 
+def test_digest_is_computed_once_and_unchanged(monkeypatch):
+    import hashlib
+    import pickle
+
+    from minuscule import poset as poset_module
+
+    P = freudenthal()
+    expected = hashlib.sha256(P.canonical_json().encode()).hexdigest()
+    assert P.digest() == expected
+    # Later calls read the stored value; a pickled copy (as a pool worker
+    # receives it) carries it along.
+    monkeypatch.setattr(poset_module.hashlib, "sha256", None)
+    assert P.digest() == expected
+    assert pickle.loads(pickle.dumps(P)).digest() == expected
+
+
 def test_load_poset_shape_form(tmp_path):
     path = tmp_path / "shape.json"
     path.write_text(json.dumps({"shape": {"rows": [[0, 5], [3, 5]]}}))
