@@ -343,17 +343,6 @@ def enumerate_increasing(shape: Poset, m: int, cap: int | None = None) -> Iterat
         yield _trusted(shape, by_element(vals), m)
 
 
-# Lists longer than this grow in place, one slice of this length at a time.
-_SLICE = 4096
-
-
-def _append_in_place(items: list, unit) -> list:
-    """Append unit to every item, a slice at a time, so the old items are freed as the new ones are made."""
-    for lo in range(0, len(items), _SLICE):
-        items[lo : lo + _SLICE] = [item + unit for item in items[lo : lo + _SLICE]]
-    return items
-
-
 class _IdealGraph:
     """All ideals of a shape with the antichain-step successor relation.
 
@@ -475,12 +464,8 @@ class _IdealGraph:
                 for nxt in successors:
                     new = self._step(prev, last, nxt) if depth else start
                     unit, image_unit = units[nxt], units[new] + tail
-                    if nxt != successors[-1] or len(prefixes) <= _SLICE:
-                        extended = [prefix + unit for prefix in prefixes]
-                        promoted = [image + image_unit for image in images]
-                    else:  # a large group's last successor reuses its lists
-                        extended = _append_in_place(prefixes, unit)
-                        promoted = _append_in_place(images, image_unit)
+                    extended = [prefix + unit for prefix in prefixes]
+                    promoted = [image + image_unit for image in images]
                     entry = grown.get((new, nxt))
                     if entry is None:
                         grown[new, nxt] = (extended, promoted)

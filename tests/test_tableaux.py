@@ -363,15 +363,10 @@ def test_transducer_matches_kbk_oracle():
             assert graph.labels(graph.promote(chain)) == bytes(by_kbk(T).labels)
 
 
-@pytest.mark.parametrize("slice_length", [4096, 3])
-def test_grouped_listing_matches_chains_and_sweep(monkeypatch, slice_length):
+def test_grouped_listing_matches_chains_and_sweep():
     # The listing that carries each chain's promotion image lists exactly the
     # chains of class_chains (which come in ascending order), and each image
-    # is the one-chain sweep of promote.  With short slices, the lists that
-    # grow in place (only long ones do by default) are reached here too.
-    from minuscule import tableaux
-
-    monkeypatch.setattr(tableaux, "_SLICE", slice_length)
+    # is the one-chain sweep of promote.
     shapes = [parse_poset_spec(s) for s in ("rectangle-3x4", "shifted-staircase-5", "cayley-moufang")]
     shapes.append(poset_from_shape(ShapeDiagram([(0, 3), (0, 2), (0, 1)])))
     ceilings = [list(_IdealGraph(shape).class_sizes()) for shape in shapes]
