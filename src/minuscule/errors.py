@@ -2,6 +2,7 @@
 
 import json
 import os
+from operator import index
 
 DEFAULT_STATE_CAP = 10**7
 _CAP_ENV = "MINUSCULE_STATE_CAP"
@@ -25,6 +26,14 @@ class StateCapExceeded(RuntimeError):
 
 class ExactnessError(ArithmeticError):
     """An exact polynomial division left a nonzero remainder."""
+
+
+def _integer(value) -> int:
+    # An exact integer or an error: floats are refused, never truncated.
+    try:
+        return index(value)
+    except TypeError:
+        raise ParameterError(f"expected an integer, got {value!r}") from None
 
 
 def state_cap(override: int | None = None) -> int:

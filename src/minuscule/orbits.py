@@ -89,31 +89,27 @@ def _table_from_dict(data: dict, poset: Poset) -> GaplessOrbitTable:
 def _partition_class(graph: _IdealGraph, m: int) -> dict:
     """Split one ceiling's gapless tableaux into promotion orbits, the cycles of a permutation.
 
-    The chains and their promotion images come from one grouped listing
-    (_IdealGraph.class_promotions).  Sorted, the chains are in class_chains
-    order; promotion is then a permutation of their positions, and its
-    cycles are walked from each unseen position in ascending order.  An
-    image that is not a chain of the class raises, and so does a walk that
-    does not close (two chains with one image).  Also accumulates, per
-    element, whether the m-fold promotion fixes the entry at that element
-    for every tableau of the class (orbit position shifts by m mod period,
-    so this is a pairwise comparison inside each stored orbit).  Each row's
-    representative is the least label array of the first orbit of its period.
+    The label keys of the tableaux and of their promotion images come from
+    one grouped listing (_IdealGraph.class_promotions).  Promotion is then a
+    permutation of the listing positions, and its cycles are walked from
+    each unseen position in ascending order.  An image that is not a
+    tableau of the class raises, and so does a walk that does not close
+    (two tableaux with one image).  Also accumulates, per element, whether
+    the m-fold promotion fixes the entry at that element for every tableau
+    of the class (orbit position shifts by m mod period, so this is a
+    pairwise comparison inside each orbit).  Each row's representative is
+    the least label array among the tableaux of its period.
     """
-    listed, images = graph.class_promotions(m)
-    chains = sorted(listed)
-    size = len(chains)
-    index = {chain: i for i, chain in enumerate(chains)}
-    perm = [0] * size
+    keys, images = graph.class_promotions(m)
+    size = len(keys)
+    index = {key: i for i, key in enumerate(keys)}
     try:
-        for i, j in zip(map(index.__getitem__, listed), map(index.__getitem__, images)):
-            perm[i] = j
+        perm = list(map(index.__getitem__, images))
     except KeyError:
         raise RuntimeError(f"a promotion image is not a chain of ceiling {m}") from None
-    del listed, images, index  # only the sorted chains and perm are read from here on
-    key = graph.key
+    del images, index  # only the keys and perm are read from here on
     seen = bytearray(size)
-    counts: dict[int, list] = {}
+    counts: dict[int, tuple[int, int]] = {}
     moved = 0
     for i in range(size):
         if seen[i]:
@@ -122,20 +118,15 @@ def _partition_class(graph: _IdealGraph, m: int) -> dict:
         for j in orbit:
             seen[j] = 1
         tau = len(orbit)
+        orbit_keys = [keys[j] for j in orbit]
+        least = min(orbit_keys)
+        count, rep = counts.get(tau, (0, least))
+        counts[tau] = (count + 1, min(rep, least))
         shift = m % tau
-        entry = counts.get(tau)
-        # Keys are read only for a period's first orbit (the row's rep) and
-        # where the m-fold promotion moves the orbit (the stable elements).
-        if entry is None or shift:
-            keys = [key(chains[j]) for j in orbit]
-        if entry is None:
-            counts[tau] = [1, min(keys)]
-        else:
-            entry[0] += 1
         if shift:
             # Labels of the two tableaux differ exactly in the nonzero bytes of the xor.
             for s in range(tau):
-                moved |= keys[s] ^ keys[(s + shift) % tau]
+                moved |= orbit_keys[s] ^ orbit_keys[(s + shift) % tau]
     n = graph.shape.n
     moved_bytes = moved.to_bytes(n, "big")
     return {

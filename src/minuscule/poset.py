@@ -12,7 +12,7 @@ import hashlib
 import json
 from pathlib import Path
 
-from .errors import ParameterError, read_json
+from .errors import ParameterError, _integer, read_json
 
 # Diagrams of the two exceptional posets, rows bottom-to-top.
 _CAYLEY_MOUFANG_ROWS = ((0, 5), (2, 3), (3, 3), (3, 5))
@@ -28,7 +28,7 @@ class ShapeDiagram:
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        rows = tuple((int(o), int(l)) for o, l in rows)
+        rows = tuple((_integer(o), _integer(l)) for o, l in rows)
         if not rows:
             raise ParameterError("a shape needs at least one row")
         for off, length in rows:
@@ -70,10 +70,10 @@ class Poset:
     )
 
     def __init__(self, n: int, covers, labels=None, family=None, shape=None, product_of=None):
-        n = int(n)
+        n = _integer(n)
         if n < 0:
             raise ParameterError("element count must be nonnegative")
-        covers = tuple(sorted((int(a), int(b)) for a, b in covers))
+        covers = tuple(sorted((_integer(a), _integer(b)) for a, b in covers))
         for a, b in covers:
             if not (0 <= a < n and 0 <= b < n) or a == b:
                 raise ParameterError(f"cover ({a}, {b}) out of range for {n} elements")

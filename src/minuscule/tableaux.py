@@ -20,21 +20,22 @@ the present labels only: I_i is the union of the boxes with the i smallest
 labels, and each settled antichain (new I_i minus new I_(i-1)) is written
 straight out with the label just below the (i+1)-th present one, which is
 deflation, sweep and inflation by the rotated content vector in one go;
-without label 1, every label drops by one.  The orbit-table build stores
-each chain as bytes of indices into the shape's sorted ideal masks,
-enumerated as paths in the (small) ideal graph, which is how the large
-shapes stay tractable.  It makes the sweep while it lists the chains: the
-prefixes of one length that share the sweep state (new I_(L-2), I_(L-1))
-share their successors and, for each, the next image ideal, so one step
-lookup extends a whole group of chains and their images at once.
+without label 1, every label drops by one.  The orbit-table build lists
+the chains as paths in the (small) ideal graph, which is how the large
+shapes stay tractable, and keeps each tableau only as its label key, the
+label array read as one integer.  It makes the sweep while it lists the
+chains: the prefixes of one length that share the sweep state
+(new I_(L-2), I_(L-1)) share their successors and, for each, the next
+image ideal, so one step lookup extends the keys of a whole group of
+chains and of their images at once.
 """
 
 from collections import Counter
 from collections.abc import Iterator
 from functools import lru_cache
-from operator import index, itemgetter
+from operator import itemgetter
 
-from .errors import ParameterError, StateCapExceeded, state_cap
+from .errors import ParameterError, StateCapExceeded, _integer, state_cap
 from .ideals import _ideal_masks, _orbit
 from .poset import Poset, ShapeDiagram, poset_from_shape
 
@@ -125,14 +126,6 @@ class IncreasingTableau:
             labels.extend(values)
         shape = poset_from_shape(ShapeDiagram(rows))
         return cls(shape, labels, max(labels) if m is None else m)
-
-
-def _integer(value) -> int:
-    # An exact integer or an error: floats are refused, never truncated.
-    try:
-        return index(value)
-    except TypeError:
-        raise ParameterError(f"expected an integer, got {value!r}") from None
 
 
 def _trusted(shape: Poset, labels: tuple[int, ...], m: int) -> IncreasingTableau:
@@ -349,16 +342,21 @@ class _IdealGraph:
     Gapless tableaux with ceiling m correspond to length-m paths from the
     empty ideal to the full one, where each step adds a nonempty subset of
     the minimal elements of the complement, and the label of a box is the
-    index of the step that added it.  A path is stored as a chain: the
-    node indices I_0, ..., I_m into the sorted ideal masks, as bytes (a
-    tuple when there are more than 256 ideals).
+    index of the step that added it.  The graph hands out each tableau as
+    its label key: the label array as a big-endian integer, one byte per
+    element, element 0 first, so keys order like label arrays.  The key of
+    a path is the sum of comp over its ideals, since a box labelled l lies
+    outside exactly I_0, ..., I_(l-1).  One byte per label caps the shape
+    at 255 elements.
     """
 
     def __init__(self, shape: Poset, cap: int | None = None):
+        n = shape.n
+        if n > 255:
+            raise ParameterError(f"gapless tableaux need a shape of at most 255 elements, got {n}")
         self.shape = shape
         masks = sorted(_ideal_masks(shape, cap))
         index = {mask: i for i, mask in enumerate(masks)}
-        n = shape.n
         lower_masks = shape.lower_masks
         lower = shape.lower
         succ = []
@@ -387,9 +385,8 @@ class _IdealGraph:
         self.comp_sizes = comp_sizes
         self.start = index[0]
         self.full = index[(1 << n) - 1]
-        self.pack = bytes if len(masks) <= 256 else tuple
         # Big-endian packed complement indicators: summed over a chain they
-        # give its label array, one byte per element, element 0 first.
+        # give its label key.
         self.comp = [
             sum(1 << 8 * (n - 1 - x) for x in range(n) if not (mask >> x) & 1) for mask in masks
         ]
@@ -420,52 +417,33 @@ class _IdealGraph:
             for node in nodes
         }
 
-    def class_chains(self, target: int) -> list:
-        """All chains of gapless tableaux with ceiling target, in a fixed search order.
-
-        Prefixes are extended one level at a time, each in successor order,
-        which lists the chains in depth-first order, that is in ascending
-        (lexicographic) order of the chains themselves.
-        """
-        units = [self.pack((i,)) for i in range(len(self.masks))]
-        level = [units[self.start]]
-        for depth in range(target):
-            admissible = {
-                node: [units[nxt] for nxt in succ]
-                for node, succ in self._admissible({p[-1] for p in level}, target - depth - 1).items()
-            }
-            level = [prefix + unit for prefix in level for unit in admissible[prefix[-1]]]
-        return level
-
-    def class_promotions(self, target: int) -> tuple[list, list]:
-        """All chains of ceiling target and their K-promotion images, as two aligned lists.
+    def class_promotions(self, target: int) -> tuple[list[int], list[int]]:
+        """Label keys of the gapless tableaux of ceiling target and of their K-promotion images, aligned.
 
         The sweep is made while the chains are listed.  A prefix I_0..I_(L-1)
-        carries its image prefix new I_0..new I_(L-2), and the prefixes of one
-        level are grouped by their sweep state (new I_(L-2), I_(L-1)): every
-        prefix of a group has the same admissible successors and, for each,
-        the same next image ideal new I_(L-1) = step(new I_(L-2), I_(L-1), I_L).
-        So each (group, successor) pair costs one step lookup and two list
-        comprehensions.  The lists come out in group order, not in
-        class_chains order; sorting the chains gives that.
+        carries the partial keys of itself and of its image prefix
+        new I_0..new I_(L-2), and the prefixes of one level are grouped by
+        their sweep state (new I_(L-2), I_(L-1)): every prefix of a group has
+        the same admissible successors and, for each, the same next image
+        ideal new I_(L-1) = step(new I_(L-2), I_(L-1), I_L).  So each
+        (group, successor) pair costs one step lookup and two list
+        comprehensions, adding comp[I_L] to the keys and comp[new I_(L-1)]
+        to the image keys.  I_m = P is its own image and adds nothing.  The
+        lists come out in group order.
         """
-        units = [self.pack((i,)) for i in range(len(self.masks))]
-        start, end, empty = self.start, units[self.full], self.pack(())
-        # (new I_(L-2), I_(L-1)) -> (prefixes, image prefixes); I_0 = 0 is its own image.
-        groups = {(start, start): ([units[start]], [empty])}
+        comp, start = self.comp, self.start
+        # (new I_(L-2), I_(L-1)) -> (keys, image keys); the first step adds new I_0 = I_0.
+        groups = {(start, start): ([comp[start]], [0])}
         for depth in range(target):
-            remaining = target - depth - 1
-            admissible = self._admissible({last for _, last in groups}, remaining)
-            tail = end if remaining == 0 else empty  # I_m = P is its own image
-            grown: dict[tuple[int, int], tuple[list, list]] = {}
+            admissible = self._admissible({last for _, last in groups}, target - depth - 1)
+            grown: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
             while groups:  # popped, so each level is freed as the next one grows
-                (prev, last), (prefixes, images) = groups.popitem()
-                successors = admissible[last]
-                for nxt in successors:
+                (prev, last), (keys, images) = groups.popitem()
+                for nxt in admissible[last]:
                     new = self._step(prev, last, nxt) if depth else start
-                    unit, image_unit = units[nxt], units[new] + tail
-                    extended = [prefix + unit for prefix in prefixes]
-                    promoted = [image + image_unit for image in images]
+                    add, image_add = comp[nxt], comp[new]
+                    extended = [key + add for key in keys]
+                    promoted = [image + image_add for image in images]
                     entry = grown.get((new, nxt))
                     if entry is None:
                         grown[new, nxt] = (extended, promoted)
@@ -473,12 +451,12 @@ class _IdealGraph:
                         entry[0].extend(extended)
                         entry[1].extend(promoted)
             groups = grown
-        chains: list = []
-        images: list = []
-        for prefixes, promoted in groups.values():
-            chains += prefixes
+        keys: list[int] = []
+        images: list[int] = []
+        for extended, promoted in groups.values():
+            keys += extended
             images += promoted
-        return chains, images
+        return keys, images
 
     def _step(self, lo: int, mid: int, hi: int) -> int:
         """The ideal (an index) the swap leaves in place of mid between lo and hi; memoised."""
@@ -489,37 +467,24 @@ class _IdealGraph:
             self._steps[lo, mid, hi] = new
         return new
 
-    def key(self, chain) -> int:
-        """The chain's label array as a big-endian integer (orders like the label bytes)."""
-        return sum(map(self.comp.__getitem__, chain))
-
-    def labels(self, chain) -> bytes:
-        return self.key(chain).to_bytes(self.shape.n, "big")
-
-    def promote(self, chain):
-        """K-promotion of one chain: a left-to-right sweep through the step table."""
-        prev = chain[0]
-        out = [prev]
-        for cur, nxt in zip(chain[1:], chain[2:]):
-            prev = self._step(prev, cur, nxt)
-            out.append(prev)
-        out.append(chain[-1])
-        return self.pack(out)
-
 
 def enumerate_gapless(shape: Poset, cap: int | None = None) -> Iterator[IncreasingTableau]:
-    """All gapless tableaux of a shape, for every ceiling from rk+1 to the element count."""
+    """All gapless tableaux of a shape, for every ceiling from rk+1 to the element count.
+
+    Within a ceiling, the tableaux come in ascending order of their label arrays.
+    """
     cap = state_cap(cap)
-    if shape.n == 0:
+    n = shape.n
+    if n == 0:
         yield _trusted(shape, (), 0)
         return
     graph = _IdealGraph(shape, cap)
     sizes = graph.class_sizes()
     if sum(sizes.values()) > cap:
         raise StateCapExceeded("too many gapless tableaux", cap)
-    for m in range(shape.rk + 1, shape.n + 1):
-        for chain in graph.class_chains(m):
-            yield _trusted(shape, tuple(graph.labels(chain)), m)
+    for m in range(shape.rk + 1, n + 1):
+        for key in sorted(graph.class_promotions(m)[0]):
+            yield _trusted(shape, tuple(key.to_bytes(n, "big")), m)
 
 
 def promotion_census(shape: Poset, m: int) -> Counter:

@@ -109,6 +109,9 @@ def test_bad_input_exit_code(capsys):
     assert code == 3 and "error" in err
     code, _, err = run(capsys, "period", "--poset", "cayley-moufang", "--m", "5")
     assert code == 3
+    # Labels are packed one byte per element, so the table build refuses 256 elements.
+    code, out, err = run(capsys, "gapless-table", "--poset", "rectangle-1x256", "--fresh")
+    assert code == 3 and out == "" and "at most 255 elements" in err
 
 
 def test_resource_cap_exit_code(capsys):
@@ -220,10 +223,15 @@ def test_bad_cache_file_is_bad_input(tmp_path, capsys, content):
         ("poset.json", "5"),
         ("poset.json", '{"shape": {"rows": [[0, "x"]]}}'),
         ("poset.json", '{"n": 3, "covers": [[0, 1, 2]]}'),
+        ("poset.json", '{"n": 2.9, "covers": [[0, 1.7]]}'),
+        ("poset.json", '{"shape": {"rows": [[0.4, 2.9]]}}'),
         ("poset.json", "[" * 100_000 + "]" * 100_000),
         ("table_propeller_3.json", '{"rows": '),
     ],
-    ids=["poset-not-json", "poset-number", "poset-bad-row", "poset-bad-cover", "poset-too-deep", "golden-not-json"],
+    ids=[
+        "poset-not-json", "poset-number", "poset-bad-row", "poset-bad-cover", "poset-float-cover",
+        "poset-float-row", "poset-too-deep", "golden-not-json",
+    ],
 )
 def test_malformed_input_file_is_bad_input(tmp_path, capsys, name, content):
     # Every JSON input goes through one reader: a malformed file exits 3 naming it, with nothing on stdout.

@@ -470,6 +470,15 @@ def test_shipped_tables_are_named_by_digest():
         assert name == f"gapless-{digest}.json"
 
 
+def test_shipped_tables_equal_a_fresh_build(tmp_path, cm_table, pf_table):
+    # The packaged tables are save_table of a fresh build, byte for byte, reps included.
+    shipped = resources.files("minuscule").joinpath("data/cache")
+    for table in (cm_table, pf_table):
+        name = f"gapless-{table.poset.digest()}.json"
+        save_table(table, tmp_path / name)
+        assert (tmp_path / name).read_bytes() == shipped.joinpath(name).read_bytes()
+
+
 def test_load_or_build_uses_cache_dir(tmp_path):
     shape = propeller(5)
     table = load_or_build_table(shape, cache_dir=tmp_path)
@@ -533,30 +542,31 @@ def test_small_builds_start_no_pool(monkeypatch):
         assert (dual.rows, dual.stable, dual.total) == (single.rows, single.stable, single.total)
 
 
-def _eager_partition(graph, m):
-    """Rows and stable elements of one ceiling, reading the key of every chain."""
+def _eager_partition(tableaux, m):
+    """Rows and stable elements of one ceiling's gapless tableaux, walking each orbit with public promotion().
+
+    A row's representative is the least label array among the tableaux of its period.
+    """
     from minuscule.ideals import _orbit
 
-    chains = graph.class_chains(m)
+    n = tableaux[0].shape.n
     seen = set()
     rows = {}
-    moved = 0
-    for c0 in chains:
-        if c0 in seen:
+    moved = set()
+    for T in tableaux:
+        if T in seen:
             continue
-        orbit = _orbit(c0, graph.promote, len(chains))
+        orbit = _orbit(T, promotion, len(tableaux))
         seen.update(orbit)
-        keys = [graph.key(c) for c in orbit]
         tau = len(orbit)
-        count, rep = rows.get(tau, (0, min(keys)))
-        rows[tau] = (count + 1, rep)
-        for s in range(tau):
-            moved |= keys[s] ^ keys[(s + m) % tau]
-    n = graph.shape.n
-    labels = moved.to_bytes(n, "big")
+        count, rep = rows.get(tau, (0, T.labels))
+        rows[tau] = (count + 1, min(rep, *(t.labels for t in orbit)))
+        for s, t in enumerate(orbit):
+            u = orbit[(s + m) % tau]
+            moved.update(x for x in range(n) if t.labels[x] != u.labels[x])
     return (
-        [(tau, count, tuple(rep.to_bytes(n, "big"))) for tau, (count, rep) in sorted(rows.items())],
-        [x for x in range(n) if not labels[x]],
+        [(tau, count, rep) for tau, (count, rep) in sorted(rows.items())],
+        [x for x in range(n) if x not in moved],
     )
 
 
@@ -572,15 +582,19 @@ def test_partition_reads_keys_lazily_like_an_eager_oracle(spec):
 
     # Every orbit of the minuscule shapes here has a period dividing its
     # ceiling; the Young diagram (3, 2, 1) has orbits that m-fold promotion
-    # moves after the first of their period, so it reaches the stable-set keys.
+    # moves, so it reaches the stable-set xor.
     if spec == "staircase-321":
         shape = poset_from_shape(ShapeDiagram([(0, 3), (0, 2), (0, 1)]))
     else:
         shape = parse_poset_spec(spec)
+    by_ceiling = {}
+    for T in enumerate_gapless(shape):
+        by_ceiling.setdefault(T.m, []).append(T)
     graph = _IdealGraph(shape)
-    for m in graph.class_sizes():
+    assert sorted(by_ceiling) == sorted(graph.class_sizes())
+    for m, tableaux in by_ceiling.items():
         res = _partition_class(graph, m)
-        assert (res["rows"], res["stable"]) == _eager_partition(graph, m)
+        assert (res["rows"], res["stable"]) == _eager_partition(tableaux, m)
 
 
 def test_failed_cache_write_leaves_no_table(tmp_path, monkeypatch):
@@ -624,18 +638,18 @@ def test_orbit_walks_are_bounded(monkeypatch):
     table = build_gapless_table(shape)
     class_promotions = _IdealGraph.class_promotions
 
-    def onto_first(self, m):
-        # Every chain of the ceiling promoted onto its first chain.
-        chains, _ = class_promotions(self, m)
-        return chains, [min(chains)] * len(chains)
+    def onto_least(self, m):
+        # Every tableau of the ceiling promoted onto its least one.
+        keys, _ = class_promotions(self, m)
+        return keys, [min(keys)] * len(keys)
 
     def off_the_class(self, m):
-        # The last image one ideal short, so no chain of the ceiling.
-        chains, images = class_promotions(self, m)
-        return chains, images[:-1] + [images[-1][:-1]]
+        # The last image replaced by a key that is no tableau of the ceiling.
+        keys, images = class_promotions(self, m)
+        return keys, images[:-1] + [0]
 
     with monkeypatch.context() as patched:
-        patched.setattr(_IdealGraph, "class_promotions", onto_first)
+        patched.setattr(_IdealGraph, "class_promotions", onto_least)
         with pytest.raises(RuntimeError, match="within"):
             build_gapless_table(shape)
         patched.setattr(_IdealGraph, "class_promotions", off_the_class)

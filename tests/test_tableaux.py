@@ -11,6 +11,7 @@ from minuscule import (
     Poset,
     ShapeDiagram,
     StateCapExceeded,
+    build_gapless_table,
     cayley_moufang,
     content_vector,
     deflate,
@@ -327,19 +328,35 @@ def by_kbk(T):
     return T
 
 
+def listing(graph, m):
+    """The grouped listing of ceiling m as (tableau, image labels) pairs.
+
+    The listed label keys must be class_sizes()[m] distinct keys, each the
+    label array of a valid gapless tableau (built by the validating constructor).
+    """
+    n = graph.shape.n
+    keys, images = graph.class_promotions(m)
+    assert len(set(keys)) == len(keys) == len(images) == graph.class_sizes()[m]
+    pairs = []
+    for key, image in zip(keys, images):
+        T = IncreasingTableau(graph.shape, key.to_bytes(n, "big"), m)
+        assert T.is_gapless
+        pairs.append((T, tuple(image.to_bytes(n, "big"))))
+    return pairs
+
+
 def test_transducer_matches_kbk_oracle():
-    # Every gapless tableau: the chain sweep of the table build and the
-    # general promotion both equal the oracle; gappy tableaux go through
-    # deflation and inflation.
+    # Every gapless tableau: the sweep of the table build and the general
+    # promotion both equal the oracle; gappy tableaux go through deflation
+    # and inflation.
     for spec in ("rectangle-3x4", "shifted-staircase-5", "cayley-moufang"):
         shape = parse_poset_spec(spec)
         graph = _IdealGraph(shape)
         for m in graph.class_sizes():
-            for chain in graph.class_chains(m):
-                T = IncreasingTableau(shape, graph.labels(chain), m)
+            for T, image in listing(graph, m):
                 expected = by_kbk(T)
                 assert promotion(T) == expected
-                assert graph.labels(graph.promote(chain)) == bytes(expected.labels)
+                assert image == expected.labels
     for T in all_increasing(cayley_moufang(), 13):
         assert promotion(T) == by_kbk(T)
     # Every Freudenthal tableau at m=19, with and without label 1; the images
@@ -353,33 +370,51 @@ def test_transducer_matches_kbk_oracle():
         assert image.shape is T.shape
         assert hash(image) == hash(IncreasingTableau(T.shape, image.labels, T.m))
     assert 0 < without_one < 1463
-    # A 9-element antichain has 512 ideals, too many for byte chains.
+    # A 9-element antichain has 512 ideals, more than one byte indexes.
     wide = Poset(9, [])
     graph = _IdealGraph(wide)
     for m in (1, 2):
-        for chain in graph.class_chains(m):
-            assert isinstance(chain, tuple)
-            T = IncreasingTableau(wide, graph.labels(chain), m)
-            assert graph.labels(graph.promote(chain)) == bytes(by_kbk(T).labels)
+        for T, image in listing(graph, m):
+            assert image == by_kbk(T).labels
 
 
 def test_grouped_listing_matches_chains_and_sweep():
-    # The listing that carries each chain's promotion image lists exactly the
-    # chains of class_chains (which come in ascending order), and each image
-    # is the one-chain sweep of promote.
+    # The listing that carries each tableau's promotion image lists every
+    # gapless tableau of the ceiling once, and each image is the public
+    # promotion of its tableau.
+    staircase = poset_from_shape(ShapeDiagram([(0, 3), (0, 2), (0, 1)]))
     shapes = [parse_poset_spec(s) for s in ("rectangle-3x4", "shifted-staircase-5", "cayley-moufang")]
-    shapes.append(poset_from_shape(ShapeDiagram([(0, 3), (0, 2), (0, 1)])))
+    shapes.append(staircase)
     ceilings = [list(_IdealGraph(shape).class_sizes()) for shape in shapes]
-    # A 9-element antichain has 512 ideals, so its chains are tuples.
+    # A 9-element antichain has 512 ideals.
     shapes.append(Poset(9, []))
     ceilings.append([1, 2])
     for shape, ms in zip(shapes, ceilings):
         graph = _IdealGraph(shape)
         for m in ms:
-            chains, images = graph.class_promotions(m)
-            assert sorted(chains) == graph.class_chains(m)
-            assert images == [graph.promote(chain) for chain in chains]
-            assert all(type(c) is graph.pack for c in chains + images)
+            for T, image in listing(graph, m):
+                assert image == promotion(T).labels
+    # Independent oracle for the listed tableaux: filter the full enumeration
+    # for surjective labelings.
+    for shape in (propeller(3), rectangle(2, 3), staircase):
+        graph = _IdealGraph(shape)
+        for m in graph.class_sizes():
+            via_listing = sorted(T.labels for T, _ in listing(graph, m))
+            via_filter = sorted(t.labels for t in enumerate_increasing(shape, m) if t.m_t == m)
+            assert via_listing == via_filter
+
+
+def test_labels_fit_one_byte_up_to_255_elements():
+    # A label key holds one byte per element, and a label can reach the
+    # element count: 255 elements fit, 256 are refused before any listing.
+    (chain,) = enumerate_gapless(rectangle(1, 255))
+    assert chain.labels == tuple(range(1, 256))
+    assert promotion(chain) == chain
+    for shape in (rectangle(1, 256), Poset(300, [])):
+        with pytest.raises(ParameterError, match="at most 255 elements"):
+            list(enumerate_gapless(shape))
+        with pytest.raises(ParameterError, match="at most 255 elements"):
+            build_gapless_table(shape)
 
 
 def test_promotion_never_enumerates_ideals(monkeypatch):
@@ -419,4 +454,6 @@ def test_ideal_graph_walks_a_linear_extension():
     assert graph.min_steps[graph.start] == 4
     assert graph.min_steps == graph.comp_sizes
     assert graph.class_sizes() == {4: 1}
-    assert [tuple(c) for c in graph.class_chains(4)] == [tuple(graph.index[m] for m in (0, 8, 12, 14, 15))]
+    # Its one tableau labels the elements 4, 3, 2, 1 and is its own promotion.
+    ((T, image),) = listing(graph, 4)
+    assert T.labels == image == (4, 3, 2, 1)
