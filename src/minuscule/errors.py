@@ -29,11 +29,13 @@ class ExactnessError(ArithmeticError):
 
 
 def _integer(value) -> int:
-    # An exact integer or an error: floats are refused, never truncated.
+    # An exact integer or an error: floats and booleans are refused, never converted.
     try:
-        return index(value)
+        if not isinstance(value, bool):
+            return index(value)
     except TypeError:
-        raise ParameterError(f"expected an integer, got {value!r}") from None
+        pass
+    raise ParameterError(f"expected an integer, got {value!r}")
 
 
 def state_cap(override: int | None = None) -> int:
