@@ -112,6 +112,16 @@ class OrbitSummary:
 
         return lcm(*(size for size, _ in self.orbit_sizes)) if self.orbit_sizes else 1
 
+    @classmethod
+    def from_states(cls, states: Counter) -> "OrbitSummary":
+        """The summary of states[size] states in orbits of each size; a count that is not
+        a whole number of orbits raises."""
+        for size, count in states.items():
+            if count % size:
+                raise RuntimeError(f"{count} states of period {size} do not split into orbits")
+        orbit_sizes = tuple((size, count // size) for size, count in sorted(states.items()))
+        return cls(orbit_sizes, sum(states.values()))
+
 
 def _orbit(start, step, bound: int) -> list:
     """The orbit of start under step; a walk that has not closed after bound steps raises."""
@@ -123,6 +133,24 @@ def _orbit(start, step, bound: int) -> list:
         orbit.append(current)
         current = step(current)
     return orbit
+
+
+def _cycles(image: dict) -> Iterator[list]:
+    """The cycles of a permutation given as a map from each key to its image, popped off the map.
+
+    Each cycle lists its keys in walk order.  Every step pops a key, so a
+    walk that meets an image no longer in the map (one outside the keys, or
+    one that two keys share) raises instead of running on.  No key is None.
+    """
+    while image:
+        start, current = image.popitem()
+        cycle = [start]
+        while current != start:
+            cycle.append(current)
+            current = image.pop(current, None)
+            if current is None:
+                raise RuntimeError(f"a walk did not close within {len(cycle)} steps: not a permutation")
+        yield cycle
 
 
 # Lanes per sweep; the bytes of multichain tails listed ahead of the sweep; and
@@ -401,10 +429,7 @@ def rowmotion_orbits(poset: Poset, k: int, cap: int | None = None) -> OrbitSumma
         stragglers = _sweep(step, *_mask_columns(stragglers, poset.n * k), states, total)
     if listed != total:
         raise RuntimeError(f"listed {listed} ideals of {poset!r} x {k}, but counted {total}")
-    for size, count in states.items():
-        if count % size:
-            raise RuntimeError(f"{count} ideals of rowmotion period {size} do not split into orbits")
-    return OrbitSummary(tuple((size, count // size) for size, count in sorted(states.items())), total)
+    return OrbitSummary.from_states(states)
 
 
 @dataclass(frozen=True)

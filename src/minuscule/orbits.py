@@ -19,10 +19,10 @@ from math import comb, gcd
 from pathlib import Path
 
 from .errors import ParameterError, StateCapExceeded, UnsupportedPosetError, read_json, state_cap
-from .ideals import OrbitSummary, _orbit, rowmotion_orbits
+from .ideals import OrbitSummary, _cycles, _orbit, rowmotion_orbits
 from .poset import Poset
 from .qpoly import RootOfUnityValue, _divisors, _mobius, eval_at_root, plane_partition_gf, q_binomial_at_root
-from .tableaux import IncreasingTableau, _IdealGraph, inflate, promotion, rotate_left
+from .tableaux import IncreasingTableau, _check_binary, _IdealGraph, inflate, promotion, rotate_left
 
 _TABLE_SCHEMA = "minuscule.gapless-table/1"
 
@@ -90,43 +90,36 @@ def _partition_class(graph: _IdealGraph, m: int) -> dict:
     """Split one ceiling's gapless tableaux into promotion orbits, the cycles of a permutation.
 
     The label keys of the tableaux and of their promotion images come from
-    one grouped listing (_IdealGraph.class_promotions).  Promotion is then a
-    permutation of the listing positions, and its cycles are walked from
-    each unseen position in ascending order.  An image that is not a
-    tableau of the class raises, and so does a walk that does not close
-    (two tableaux with one image).  Also accumulates, per element, whether
-    the m-fold promotion fixes the entry at that element for every tableau
-    of the class (orbit position shifts by m mod period, so this is a
-    pairwise comparison inside each orbit).  Each row's representative is
-    the least label array among the tableaux of its period.
+    one grouped listing (_IdealGraph.class_promotions), and one key-to-image
+    dict is popped into its cycles (ideals._cycles).  A promotion that is not
+    a permutation of the keys raises: the walk fails, and only then are the
+    images compared with the keys, to tell an image that is no tableau of
+    the class from one that two tableaux share.  Also accumulates, per
+    element, whether the m-fold promotion fixes the entry at that element
+    for every tableau of the class (orbit position shifts by m mod period,
+    so this is a pairwise comparison inside each orbit).  Each row's
+    representative is the least label array among the tableaux of its period.
     """
     keys, images = graph.class_promotions(m)
-    size = len(keys)
-    index = {key: i for i, key in enumerate(keys)}
-    try:
-        perm = list(map(index.__getitem__, images))
-    except KeyError:
-        raise RuntimeError(f"a promotion image is not a chain of ceiling {m}") from None
-    del images, index  # only the keys and perm are read from here on
-    seen = bytearray(size)
+    promote = dict(zip(keys, images))
+    size = len(promote)
     counts: dict[int, tuple[int, int]] = {}
     moved = 0
-    for i in range(size):
-        if seen[i]:
-            continue
-        orbit = _orbit(i, perm.__getitem__, size)
-        for j in orbit:
-            seen[j] = 1
-        tau = len(orbit)
-        orbit_keys = [keys[j] for j in orbit]
-        least = min(orbit_keys)
-        count, rep = counts.get(tau, (0, least))
-        counts[tau] = (count + 1, min(rep, least))
-        shift = m % tau
-        if shift:
-            # Labels of the two tableaux differ exactly in the nonzero bytes of the xor.
-            for s in range(tau):
-                moved |= orbit_keys[s] ^ orbit_keys[(s + shift) % tau]
+    try:
+        for orbit in _cycles(promote):
+            tau = len(orbit)
+            least = min(orbit)
+            count, rep = counts.get(tau, (0, least))
+            counts[tau] = (count + 1, min(rep, least))
+            shift = m % tau
+            if shift:
+                # Labels of the two tableaux differ exactly in the nonzero bytes of the xor.
+                for s in range(tau):
+                    moved |= orbit[s] ^ orbit[(s + shift) % tau]
+    except RuntimeError:
+        if not set(images) <= set(keys):
+            raise RuntimeError(f"a promotion image is not a chain of ceiling {m}") from None
+        raise
     n = graph.shape.n
     moved_bytes = moved.to_bytes(n, "big")
     return {
@@ -260,6 +253,7 @@ def promote_pair(gapless: IncreasingTableau, v: tuple[int, ...]):
     """Promotion transported through deflation: promote the gapless part iff v starts with 1, rotate v."""
     if not gapless.is_gapless:
         raise ParameterError("pair promotion needs a gapless tableau")
+    _check_binary(v)
     if sum(v) != gapless.m:
         raise ParameterError("content vector weight must equal the gapless ceiling")
     if v and v[0] == 1:
@@ -301,12 +295,7 @@ def promotion_orbits(table: GaplessOrbitTable, m: int) -> OrbitSummary:
     states: Counter = Counter()
     for row, _, vectors, h in _inflation_classes(table, m):
         states[h] += row.period * row.orbits * vectors
-    for h, count in states.items():
-        if count % h:
-            raise RuntimeError(f"{count} tableaux of promotion period {h} do not split into orbits")
-    return OrbitSummary(
-        tuple((h, count // h) for h, count in sorted(states.items())), sum(states.values())
-    )
+    return OrbitSummary.from_states(states)
 
 
 def count_fixed(table: GaplessOrbitTable, m: int, j: int) -> int:
@@ -397,10 +386,10 @@ def promotion_order(
     exact content periods; the order is their lcm.  The witness's orbit is
     walked to confirm its size.
     """
-    if table is None:
-        table = load_or_build_table(poset, cache_dir=cache_dir, workers=workers)
     if m < poset.rk + 1:
         raise ParameterError(f"no tableaux of this shape with ceiling {m}")
+    if table is None:
+        table = load_or_build_table(poset, cache_dir=cache_dir, workers=workers)
     promo = promotion_orbits(table, m)
     max_orbit, witness = _largest_orbit_witness(poset, table, m, promo)
     return PeriodReport(m, promo.order(), max_orbit, witness)

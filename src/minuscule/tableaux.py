@@ -23,11 +23,12 @@ deflation, sweep and inflation by the rotated content vector in one go;
 without label 1, every label drops by one.  The orbit-table build lists
 the chains as paths in the (small) ideal graph, which is how the large
 shapes stay tractable, and keeps each tableau only as its label key, the
-label array read as one integer.  It makes the sweep while it lists the
-chains: the prefixes of one length that share the sweep state
-(new I_(L-2), I_(L-1)) share their successors and, for each, the next
-image ideal, so one step lookup extends the keys of a whole group of
-chains and of their images at once.
+label array read as one integer.  The graph, like the step memo, is keyed
+by ideal mask.  The build makes the sweep while it lists the chains: the
+prefixes of one length that share the sweep state, the mask pair
+(new I_(L-2), I_(L-1)), share their successors and, for each, the next
+image ideal, so one lookup in the memo promotion() reads extends the keys
+of a whole group of chains and of their images at once.
 """
 
 from collections import Counter
@@ -36,7 +37,7 @@ from functools import lru_cache
 from operator import itemgetter
 
 from .errors import ParameterError, StateCapExceeded, _integer, state_cap
-from .ideals import _ideal_masks, _orbit
+from .ideals import _cycles, _ideal_masks
 from .poset import Poset, ShapeDiagram, poset_from_shape
 
 
@@ -75,10 +76,6 @@ class IncreasingTableau:
     @property
     def is_gapless(self) -> bool:
         return set(self.labels) == set(range(1, self.m + 1))
-
-    def relabel(self, labels) -> "IncreasingTableau":
-        """Same shape and ceiling with new labels, taken as given: no conversion, no checks."""
-        return _trusted(self.shape, tuple(labels), self.m)
 
     def __eq__(self, other):
         return (
@@ -164,7 +161,7 @@ def k_bender_knuth(tableau: IncreasingTableau, i: int) -> IncreasingTableau:
         labels[x] = i + 1
     for y in dn:
         labels[y] = i
-    return tableau.relabel(labels)
+    return _trusted(tableau.shape, tuple(labels), tableau.m)
 
 
 @lru_cache(maxsize=8)
@@ -176,25 +173,21 @@ def _swap_step(shape: Poset, lo: int, mid: int, hi: int) -> int:
     """The ideal rho_i leaves between lo = I_(i-1) and hi = I_(i+1) in place of mid = I_i.
 
     rho_i only moves boxes labelled i or i+1, that is the boxes of hi - lo,
-    so the new I_i is a function of the three masks; entries are memoised
-    per shape.
+    so the new I_i is a function of the three masks.  The result is stored
+    in the shape's step memo, which callers read first.
     """
-    memo = _step_memo(shape)
-    key = (lo, mid, hi)
-    new = memo.get(key)
-    if new is None:
-        # Label the boxes 0 (in lo), 1 (in mid - lo), 2 (in hi - mid), 3 (outside hi).
-        labels = [
-            0 if (lo >> x) & 1 else 1 if (mid >> x) & 1 else 2 if (hi >> x) & 1 else 3
-            for x in range(shape.n)
-        ]
-        up, dn = _swap_sets(labels, 1, shape.neighbors)
-        new = mid
-        for x in up:
-            new &= ~(1 << x)
-        for y in dn:
-            new |= 1 << y
-        memo[key] = new
+    # Label the boxes 0 (in lo), 1 (in mid - lo), 2 (in hi - mid), 3 (outside hi).
+    labels = [
+        0 if (lo >> x) & 1 else 1 if (mid >> x) & 1 else 2 if (hi >> x) & 1 else 3
+        for x in range(shape.n)
+    ]
+    up, dn = _swap_sets(labels, 1, shape.neighbors)
+    new = mid
+    for x in up:
+        new &= ~(1 << x)
+    for y in dn:
+        new |= 1 << y
+    _step_memo(shape)[lo, mid, hi] = new
     return new
 
 
@@ -249,8 +242,15 @@ def rotate_left(v: tuple[int, ...]) -> tuple[int, ...]:
     return v[1:] + v[:1] if v else v
 
 
+def _check_binary(v) -> None:
+    # A content vector marks which labels occur, so any entry but 0 or 1 is refused.
+    if not all(bit in (0, 1) for bit in v):
+        raise ParameterError(f"content vector entries must be 0 or 1, got {tuple(v)}")
+
+
 def vector_inflation(v: tuple[int, ...], k: int) -> int:
     """Position (1-based) of the k-th one in a binary vector."""
+    _check_binary(v)
     count = 0
     for pos, bit in enumerate(v, start=1):
         if bit:
@@ -271,6 +271,7 @@ def inflate(gapless: IncreasingTableau, v: tuple[int, ...]) -> IncreasingTableau
     """Spread a gapless tableau's labels onto the positions of the ones of v."""
     if not gapless.is_gapless:
         raise ParameterError("inflation needs a gapless tableau")
+    _check_binary(v)
     if sum(v) != gapless.m:
         raise ParameterError(
             f"content vector has {sum(v)} ones but the tableau ceiling is {gapless.m}"
@@ -337,7 +338,7 @@ def enumerate_increasing(shape: Poset, m: int, cap: int | None = None) -> Iterat
 
 
 class _IdealGraph:
-    """All ideals of a shape with the antichain-step successor relation.
+    """All ideals of a shape with the antichain-step successor relation, keyed by ideal mask.
 
     Gapless tableaux with ceiling m correspond to length-m paths from the
     empty ideal to the full one, where each step adds a nonempty subset of
@@ -347,7 +348,9 @@ class _IdealGraph:
     element, element 0 first, so keys order like label arrays.  The key of
     a path is the sum of comp over its ideals, since a box labelled l lies
     outside exactly I_0, ..., I_(l-1).  One byte per label caps the shape
-    at 255 elements.
+    at 255 elements.  succ, min_steps, comp_sizes and comp map each ideal
+    mask to its successor masks, the fewest and the most steps from it to
+    the full ideal, and its term of a key.
     """
 
     def __init__(self, shape: Poset, cap: int | None = None):
@@ -355,67 +358,44 @@ class _IdealGraph:
         if n > 255:
             raise ParameterError(f"gapless tableaux need a shape of at most 255 elements, got {n}")
         self.shape = shape
-        masks = sorted(_ideal_masks(shape, cap))
-        index = {mask: i for i, mask in enumerate(masks)}
         lower_masks = shape.lower_masks
         lower = shape.lower
-        succ = []
-        min_steps = []
-        comp_sizes = []
-        for mask in masks:
+        self.succ, self.min_steps, self.comp_sizes, self.comp = {}, {}, {}, {}
+        for mask in _ideal_masks(shape, cap):
             # Targets by doubling over the minimal elements of the complement, in
             # index order: position s adds the t-th of them for each set bit t of s.
             targets = [mask]
             for x in range(n):
                 if not (mask >> x) & 1 and mask & lower_masks[x] == lower_masks[x]:
                     targets += [t | 1 << x for t in targets]
-            succ.append(tuple(index[t] for t in targets[1:]))
+            self.succ[mask] = tuple(targets[1:])
             # Longest chain of the complement, along a linear extension; members
             # of the ideal keep 0, so they never lengthen a chain.
             longest = [0] * n
             for x in shape.topo:
                 if not (mask >> x) & 1:
                     longest[x] = 1 + max((longest[a] for a in lower[x]), default=0)
-            min_steps.append(max(longest))
-            comp_sizes.append(n - bin(mask).count("1"))
-        self.masks = masks
-        self.index = index
-        self.succ = succ
-        self.min_steps = min_steps
-        self.comp_sizes = comp_sizes
-        self.start = index[0]
-        self.full = index[(1 << n) - 1]
-        # Big-endian packed complement indicators: summed over a chain they
-        # give its label key.
-        self.comp = [
-            sum(1 << 8 * (n - 1 - x) for x in range(n) if not (mask >> x) & 1) for mask in masks
-        ]
-        # Step table of the sweep: (I_(i-1), I_i, I_(i+1)) -> new I_i, as ideal indices.
-        self._steps: dict[tuple[int, int, int], int] = {}
+            self.min_steps[mask] = max(longest)
+            self.comp_sizes[mask] = n - bin(mask).count("1")
+            # Big-endian packed complement indicators: summed over a chain
+            # they give its label key.
+            self.comp[mask] = sum(1 << 8 * (n - 1 - x) for x in range(n) if not (mask >> x) & 1)
 
     def class_sizes(self) -> dict[int, int]:
         """Number of gapless tableaux per ceiling, by path counting."""
         n = self.shape.n
-        paths = {self.start: 1}
+        full = (1 << n) - 1
+        paths = {0: 1}
         sizes = {}
         for depth in range(1, n + 1):
             nxt: dict[int, int] = {}
             for node, ways in paths.items():
                 for target in self.succ[node]:
                     nxt[target] = nxt.get(target, 0) + ways
-            if self.full in nxt:
-                sizes[depth] = nxt[self.full]
-            nxt.pop(self.full, None)
+            if full in nxt:
+                sizes[depth] = nxt.pop(full)
             paths = nxt
         return sizes
-
-    def _admissible(self, nodes, remaining: int) -> dict[int, list[int]]:
-        """The successors of each node from which the full ideal is reachable in exactly remaining steps."""
-        min_steps, comp_sizes = self.min_steps, self.comp_sizes
-        return {
-            node: [nxt for nxt in self.succ[node] if min_steps[nxt] <= remaining <= comp_sizes[nxt]]
-            for node in nodes
-        }
 
     def class_promotions(self, target: int) -> tuple[list[int], list[int]]:
         """Label keys of the gapless tableaux of ceiling target and of their K-promotion images, aligned.
@@ -423,24 +403,34 @@ class _IdealGraph:
         The sweep is made while the chains are listed.  A prefix I_0..I_(L-1)
         carries the partial keys of itself and of its image prefix
         new I_0..new I_(L-2), and the prefixes of one level are grouped by
-        their sweep state (new I_(L-2), I_(L-1)): every prefix of a group has
-        the same admissible successors and, for each, the same next image
-        ideal new I_(L-1) = step(new I_(L-2), I_(L-1), I_L).  So each
-        (group, successor) pair costs one step lookup and two list
-        comprehensions, adding comp[I_L] to the keys and comp[new I_(L-1)]
-        to the image keys.  I_m = P is its own image and adds nothing.  The
-        lists come out in group order.
+        their sweep state, the mask pair (new I_(L-2), I_(L-1)): every prefix
+        of a group has the same successors I_L from which the full ideal is
+        reachable in the steps left and, for each, the same next image ideal
+        new I_(L-1) = step(new I_(L-2), I_(L-1), I_L), read from the shape's
+        step memo (the one promotion() reads).  So each (group, successor)
+        pair costs one step lookup and two list comprehensions, adding
+        comp[I_L] to the keys and comp[new I_(L-1)] to the image keys.
+        I_m = P is its own image and adds nothing.  The lists come out in
+        group order.
         """
-        comp, start = self.comp, self.start
+        shape, succ, comp = self.shape, self.succ, self.comp
+        min_steps, comp_sizes = self.min_steps, self.comp_sizes
+        memo = _step_memo(shape)
         # (new I_(L-2), I_(L-1)) -> (keys, image keys); the first step adds new I_0 = I_0.
-        groups = {(start, start): ([comp[start]], [0])}
+        groups = {(0, 0): ([comp[0]], [0])}
         for depth in range(target):
-            admissible = self._admissible({last for _, last in groups}, target - depth - 1)
+            remaining = target - depth - 1
+            admissible = {
+                last: [nxt for nxt in succ[last] if min_steps[nxt] <= remaining <= comp_sizes[nxt]]
+                for last in {last for _, last in groups}
+            }
             grown: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
             while groups:  # popped, so each level is freed as the next one grows
                 (prev, last), (keys, images) = groups.popitem()
                 for nxt in admissible[last]:
-                    new = self._step(prev, last, nxt) if depth else start
+                    new = memo.get((prev, last, nxt)) if depth else 0
+                    if new is None:
+                        new = _swap_step(shape, prev, last, nxt)
                     add, image_add = comp[nxt], comp[new]
                     extended = [key + add for key in keys]
                     promoted = [image + image_add for image in images]
@@ -457,15 +447,6 @@ class _IdealGraph:
             keys += extended
             images += promoted
         return keys, images
-
-    def _step(self, lo: int, mid: int, hi: int) -> int:
-        """The ideal (an index) the swap leaves in place of mid between lo and hi; memoised."""
-        new = self._steps.get((lo, mid, hi))
-        if new is None:
-            masks = self.masks
-            new = self.index[_swap_step(self.shape, masks[lo], masks[mid], masks[hi])]
-            self._steps[lo, mid, hi] = new
-        return new
 
 
 def enumerate_gapless(shape: Poset, cap: int | None = None) -> Iterator[IncreasingTableau]:
@@ -490,15 +471,8 @@ def enumerate_gapless(shape: Poset, cap: int | None = None) -> Iterator[Increasi
 def promotion_census(shape: Poset, m: int) -> Counter:
     """Orbit sizes of promotion on all ceiling-m tableaux, by walking every orbit.
 
-    A walk longer than the number of tableaux raises.
+    The orbits are the cycles of one tableau-to-image map, popped off it; a
+    promotion that is not a permutation of the tableaux raises.
     """
-    tableaux = list(enumerate_increasing(shape, m))
-    seen = set()
-    sizes = Counter()
-    for T in tableaux:
-        if T in seen:
-            continue
-        orbit = _orbit(T, promotion, len(tableaux))
-        seen.update(orbit)
-        sizes[len(orbit)] += 1
-    return sizes
+    image = {T: promotion(T) for T in enumerate_increasing(shape, m)}
+    return Counter(len(orbit) for orbit in _cycles(image))

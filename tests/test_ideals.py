@@ -141,6 +141,31 @@ def test_rowmotion_orbit_walk_is_bounded(monkeypatch):
         rowmotion_orbits(propeller(3), 1)
 
 
+def test_cycle_walker_pops_a_permutation_into_its_cycles():
+    from minuscule.ideals import _cycles
+
+    perm = {1: 2, 2: 3, 3: 1, 4: 4, 5: 6, 6: 5}
+    image = dict(perm)
+    cycles = list(_cycles(image))
+    assert image == {}
+    assert sorted(sorted(c) for c in cycles) == [[1, 2, 3], [4], [5, 6]]
+    for c in cycles:  # keys in walk order
+        assert [perm[a] for a in c] == c[1:] + c[:1]
+    # Repeated images and images outside the keys.
+    for bad in ({1: 2, 2: 3, 3: 2}, {1: 2, 2: 1, 3: 1}, {1: 2, 2: 9}, {1: 9}):
+        with pytest.raises(RuntimeError, match="within"):
+            list(_cycles(bad))
+
+
+def test_orbit_summary_from_state_counts():
+    from minuscule.ideals import OrbitSummary
+
+    summary = OrbitSummary.from_states(Counter({4: 8, 1: 3}))
+    assert summary.orbit_sizes == ((1, 3), (4, 2)) and summary.total_states == 11
+    with pytest.raises(RuntimeError, match="do not split into orbits"):
+        OrbitSummary.from_states(Counter({4: 6}))
+
+
 def test_rowmotion_orbits_checks_the_cap_before_listing(monkeypatch):
     # freudenthal x 7 has 144,538,624 ideals: the count alone must refuse it.
     from minuscule import ideals

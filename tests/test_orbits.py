@@ -243,6 +243,20 @@ def test_promotion_order_reports(cm_table):
         promotion_order(cayley_moufang(), 10, table=cm_table)
 
 
+def test_promotion_order_checks_the_ceiling_before_any_table(monkeypatch, capsys):
+    from minuscule import orbits
+    from minuscule.cli import main
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("looked up a table for an impossible ceiling")
+
+    monkeypatch.setattr(orbits, "load_or_build_table", refuse)
+    with pytest.raises(ParameterError, match="ceiling 2"):
+        promotion_order(rectangle(4, 4), 2)
+    assert main(["period", "--poset", "rectangle-4x4", "--m", "2"]) == 3
+    assert "ceiling 2" in capsys.readouterr().err
+
+
 def test_promotion_order_matches_brute_force():
     for p, ms in ((3, range(5, 10)), (4, range(7, 10))):
         shape = propeller(p)

@@ -151,6 +151,20 @@ def test_vector_inflation():
         vector_inflation(v, 6)
 
 
+def test_content_vectors_must_be_binary():
+    from minuscule import promote_pair
+
+    T = next(enumerate_gapless(propeller(3)))
+    assert T.m == 5
+    for v in ((2, 1, 1, 1, 0), (1, 1, 1, 1, 1, -1, 1)):
+        with pytest.raises(ParameterError, match="0 or 1"):
+            inflate(T, v)
+        with pytest.raises(ParameterError, match="0 or 1"):
+            promote_pair(T, v)
+        with pytest.raises(ParameterError, match="0 or 1"):
+            vector_inflation(v, 1)
+
+
 def test_inflate_example():
     S = load_fixture("deflation_output.txt")
     v = (1, 1, 0, 1, 1, 1, 0)
@@ -435,6 +449,24 @@ def test_promotion_never_enumerates_ideals(monkeypatch):
         assert promotion(gappy) == by_kbk(gappy) != gappy
 
 
+def test_table_build_and_promotion_share_one_step_memo(monkeypatch):
+    # Once a build has filled the shape's step memo, neither the listing nor
+    # promotion() computes a step again.
+    from minuscule import tableaux
+
+    shape = parse_poset_spec("shifted-staircase-5")
+    build_gapless_table(shape)
+
+    def refuse(*args):
+        raise AssertionError("a step missed the memo")
+
+    monkeypatch.setattr(tableaux, "_swap_step", refuse)
+    graph = _IdealGraph(shape)
+    for m in graph.class_sizes():
+        for T, image in listing(graph, m):
+            assert promotion(T).labels == image
+
+
 def test_promotion_census_walk_is_bounded(monkeypatch):
     # A promotion onto one tableau must fail the census, not hang it.
     from minuscule import tableaux
@@ -451,7 +483,7 @@ def test_ideal_graph_walks_a_linear_extension():
     # fewest steps from each ideal to the full one is its complement's size.
     chain = Poset(4, [(3, 2), (2, 1), (1, 0)])
     graph = _IdealGraph(chain)
-    assert graph.min_steps[graph.start] == 4
+    assert graph.min_steps[0] == 4
     assert graph.min_steps == graph.comp_sizes
     assert graph.class_sizes() == {4: 1}
     # Its one tableau labels the elements 4, 3, 2, 1 and is its own promotion.
