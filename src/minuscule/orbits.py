@@ -12,6 +12,7 @@ import multiprocessing
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import partial
 from importlib import resources
@@ -19,7 +20,7 @@ from math import comb, gcd
 from pathlib import Path
 
 from .errors import ParameterError, StateCapExceeded, UnsupportedPosetError, read_json, state_cap
-from .ideals import OrbitSummary, _cycles, _orbit, rowmotion_orbits
+from .ideals import OrbitSummary, _orbit, rowmotion_orbits
 from .poset import Poset
 from .qpoly import RootOfUnityValue, _divisors, _mobius, eval_at_root, plane_partition_gf, q_binomial_at_root
 from .tableaux import IncreasingTableau, _check_binary, _IdealGraph, inflate, promotion, rotate_left
@@ -86,59 +87,14 @@ def _table_from_dict(data: dict, poset: Poset) -> GaplessOrbitTable:
     return table
 
 
-def _partition_class(graph: _IdealGraph, m: int) -> dict:
-    """Split one ceiling's gapless tableaux into promotion orbits, the cycles of a permutation.
-
-    The label keys of the tableaux and of their promotion images come from
-    one grouped listing (_IdealGraph.class_promotions), and one key-to-image
-    dict is popped into its cycles (ideals._cycles).  A promotion that is not
-    a permutation of the keys raises: the walk fails, and only then are the
-    images compared with the keys, to tell an image that is no tableau of
-    the class from one that two tableaux share.  Also accumulates, per
-    element, whether the m-fold promotion fixes the entry at that element
-    for every tableau of the class (orbit position shifts by m mod period,
-    so this is a pairwise comparison inside each orbit).  Each row's
-    representative is the least label array among the tableaux of its period.
-    """
-    keys, images = graph.class_promotions(m)
-    promote = dict(zip(keys, images))
-    size = len(promote)
-    counts: dict[int, tuple[int, int]] = {}
-    moved = 0
-    try:
-        for orbit in _cycles(promote):
-            tau = len(orbit)
-            least = min(orbit)
-            count, rep = counts.get(tau, (0, least))
-            counts[tau] = (count + 1, min(rep, least))
-            shift = m % tau
-            if shift:
-                # Labels of the two tableaux differ exactly in the nonzero bytes of the xor.
-                for s in range(tau):
-                    moved |= orbit[s] ^ orbit[(s + shift) % tau]
-    except RuntimeError:
-        if not set(images) <= set(keys):
-            raise RuntimeError(f"a promotion image is not a chain of ceiling {m}") from None
-        raise
-    n = graph.shape.n
-    moved_bytes = moved.to_bytes(n, "big")
-    return {
-        "m_t": m,
-        "size": size,
-        "rows": [
-            (tau, cnt, tuple(rep.to_bytes(n, "big"))) for tau, (cnt, rep) in sorted(counts.items())
-        ],
-        "stable": [x for x in range(n) if not moved_bytes[x]],
-    }
-
-
 def build_gapless_table(poset: Poset, workers: int = 1, cap: int | None = None) -> GaplessOrbitTable:
     """Enumerate every gapless tableau of the shape and partition each ceiling into orbits.
 
     With workers > 1 the ceilings are distributed over processes, unless the
     shape has fewer than _POOL_MIN_CHAINS gapless tableaux: such a build runs
-    in one process whatever the worker count.  The result is identical either
-    way (asserted by tests).
+    in one process whatever the worker count.  Either way the ceilings go
+    through one loop, largest first, so the result is identical (asserted by
+    tests).
     """
     cap = state_cap(cap)
     if poset.n == 0:
@@ -149,31 +105,25 @@ def build_gapless_table(poset: Poset, workers: int = 1, cap: int | None = None) 
     if chains > cap:
         raise StateCapExceeded("too many gapless tableaux", cap)
     order = sorted(sizes, key=lambda m: (-sizes[m], m))
-    results: dict[int, dict] = {}
-    if workers <= 1 or chains < _POOL_MIN_CHAINS:
-        for m in order:
-            results[m] = _partition_class(graph, m)
-    else:
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:
-            ctx = multiprocessing.get_context()
-        with ProcessPoolExecutor(max_workers=min(workers, len(order)), mp_context=ctx) as pool:
-            for m, res in zip(order, pool.map(partial(_partition_class, graph), order)):
-                results[m] = res
     rows = []
-    stable = set(range(poset.n))
-    total = 0
-    for m in sorted(results):
-        res = results[m]
-        if res["size"] != sizes[m]:
-            raise RuntimeError(
-                f"enumeration mismatch at ceiling {m}: {res['size']} found, {sizes[m]} counted"
-            )
-        total += res["size"]
-        stable &= set(res["stable"])
-        rows.extend(GaplessOrbitRow(m, tau, cnt, rep) for tau, cnt, rep in res["rows"])
-    return GaplessOrbitTable(poset, tuple(rows), tuple(sorted(stable)), total)
+    moved = 0
+    with ExitStack() as stack:
+        mapper = map
+        if workers > 1 and chains >= _POOL_MIN_CHAINS:
+            try:
+                ctx = multiprocessing.get_context("fork")
+            except ValueError:
+                ctx = multiprocessing.get_context()
+            pool = ProcessPoolExecutor(max_workers=min(workers, len(order)), mp_context=ctx)
+            mapper = stack.enter_context(pool).map
+        for m, (size, class_rows, class_moved) in zip(order, mapper(graph.class_orbits, order)):
+            if size != sizes[m]:
+                raise RuntimeError(f"enumeration mismatch at ceiling {m}: {size} found, {sizes[m]} counted")
+            moved |= class_moved
+            rows.extend(GaplessOrbitRow(m, tau, count, rep) for tau, count, rep in class_rows)
+    rows.sort(key=lambda row: row.m_t)  # stable: each ceiling keeps its rows by period
+    stable = tuple(x for x in range(poset.n) if not (moved >> x) & 1)
+    return GaplessOrbitTable(poset, tuple(rows), stable, chains)
 
 
 def save_table(table: GaplessOrbitTable, path: str | Path) -> None:
@@ -236,6 +186,17 @@ def load_or_build_table(
     return table
 
 
+def _table_for(
+    poset: Poset, table: GaplessOrbitTable | None, cache_dir: str | Path | None, workers: int
+) -> GaplessOrbitTable:
+    """The given table, refused unless it is the poset's own; without one, the looked-up table."""
+    if table is None:
+        return load_or_build_table(poset, cache_dir=cache_dir, workers=workers)
+    if table.poset != poset:
+        raise ParameterError("the given table belongs to a different poset")
+    return table
+
+
 def inflated_period(m: int, m_t: int, tau: int, ell: int) -> int:
     """Promotion period of an inflated tableau: ceiling m, gapless data (m_t, tau), content period ell."""
     if m < 1 or m_t < 1 or tau < 1 or ell < 1:
@@ -265,8 +226,8 @@ def exact_period_vector_count(m: int, n: int, e: int) -> int:
     """Number of binary vectors of length m with n ones and exact rotation period e."""
     if m < 1 or not 0 <= n <= m:
         raise ParameterError("need 0 <= n <= m with m positive")
-    if m % e:
-        raise ParameterError(f"exact period {e} must divide the length {m}")
+    if e < 1 or m % e:
+        raise ParameterError(f"exact period {e} must be a positive divisor of the length {m}")
 
     def at_most(ep: int) -> int:
         if (n * ep) % m:
@@ -388,8 +349,7 @@ def promotion_order(
     """
     if m < poset.rk + 1:
         raise ParameterError(f"no tableaux of this shape with ceiling {m}")
-    if table is None:
-        table = load_or_build_table(poset, cache_dir=cache_dir, workers=workers)
+    table = _table_for(poset, table, cache_dir, workers)
     promo = promotion_orbits(table, m)
     max_orbit, witness = _largest_orbit_witness(poset, table, m, promo)
     return PeriodReport(m, promo.order(), max_orbit, witness)
@@ -454,8 +414,7 @@ def verify_csp(
         raise ParameterError("height bound must be nonnegative")
     if poset.family is None:
         raise UnsupportedPosetError("sieving verdicts need the product generating function, so a built-in family")
-    if table is None:
-        table = load_or_build_table(poset, cache_dir=cache_dir, workers=workers)
+    table = _table_for(poset, table, cache_dir, workers)
     m = k + poset.rk + 1
     promo = promotion_orbits(table, m)
     _largest_orbit_witness(poset, table, m, promo)
@@ -476,7 +435,7 @@ def verify_csp(
         value = RootOfUnityValue(order, d, order // g, residues[g])
         records.append(CspRecord(d, fixed, value, value.equals_int(fixed)))
     return CspVerdict(
-        poset.family or "custom", k, m, order, tuple(records),
+        poset.family, k, m, order, tuple(records),
         all(r.match for r in records), recounted,
     )
 
@@ -517,8 +476,7 @@ def frame_check(
 ) -> FrameReport:
     """Compare the structural frame with the set of elements fixed by m-fold promotion
     across every gapless tableau (accumulated during table construction)."""
-    if table is None:
-        table = load_or_build_table(poset, cache_dir=cache_dir, workers=workers)
+    table = _table_for(poset, table, cache_dir, workers)
     frame_els = tuple(sorted(frame(poset)))
     stable_els = table.stable
     return FrameReport(frame_els, stable_els, frame_els == stable_els)

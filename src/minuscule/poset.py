@@ -64,12 +64,12 @@ class Poset:
     """
 
     __slots__ = (
-        "n", "covers", "labels", "family", "shape", "product_of",
+        "n", "covers", "family", "shape", "product_of",
         "lower", "upper", "neighbors", "rank", "topo",
         "lower_masks", "down_masks", "_hash", "_digest",
     )
 
-    def __init__(self, n: int, covers, labels=None, family=None, shape=None, product_of=None):
+    def __init__(self, n: int, covers, family=None, shape=None, product_of=None):
         n = _integer(n)
         if n < 0:
             raise ParameterError("element count must be nonnegative")
@@ -81,7 +81,6 @@ class Poset:
             raise ParameterError("duplicate cover relation")
         self.n = n
         self.covers = covers
-        self.labels = tuple(labels) if labels is not None else None
         self.family = family
         self.shape = shape
         self.product_of = product_of
@@ -191,7 +190,7 @@ def poset_from_shape(shape: ShapeDiagram, family: str | None = None) -> Poset:
         if (r + 1, c) in index:
             covers.append((i, index[(r + 1, c)]))
     _check_connected(len(boxes), covers)
-    return Poset(len(boxes), covers, labels=boxes, family=family, shape=shape)
+    return Poset(len(boxes), covers, family=family, shape=shape)
 
 
 def _check_connected(n: int, covers) -> None:
@@ -281,10 +280,7 @@ def chain_product(poset: Poset, k: int) -> Poset:
                 covers.append((x * k + i, x * k + i + 1))
             for y in poset.upper[x]:
                 covers.append((x * k + i, y * k + i))
-    labels = None
-    if poset.labels is not None:
-        labels = [(poset.labels[x], i) for x in range(n) for i in range(k)]
-    return Poset(n * k, covers, labels=labels, product_of=(poset, k))
+    return Poset(n * k, covers, product_of=(poset, k))
 
 
 def rank_vector(poset: Poset) -> tuple[int, ...]:

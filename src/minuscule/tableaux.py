@@ -28,7 +28,13 @@ by ideal mask.  The build makes the sweep while it lists the chains: the
 prefixes of one length that share the sweep state, the mask pair
 (new I_(L-2), I_(L-1)), share their successors and, for each, the next
 image ideal, so one lookup in the memo promotion() reads extends the keys
-of a whole group of chains and of their images at once.
+of a whole group of chains and of their images at once.  One table, the
+number of paths of each length from each ideal to the full one, both
+prunes the listing to prefixes that can still finish and counts the
+tableaux of each ceiling.  The orbit partition lives with the listing:
+the graph pops each ceiling's key-to-image map into cycles and hands out
+rows of label tuples and a mask of the elements the m-fold promotion
+moves, so no label key leaves this module.
 """
 
 from collections import Counter
@@ -343,14 +349,16 @@ class _IdealGraph:
     Gapless tableaux with ceiling m correspond to length-m paths from the
     empty ideal to the full one, where each step adds a nonempty subset of
     the minimal elements of the complement, and the label of a box is the
-    index of the step that added it.  The graph hands out each tableau as
-    its label key: the label array as a big-endian integer, one byte per
+    index of the step that added it.  The graph lists each tableau as its
+    label key: the label array as a big-endian integer, one byte per
     element, element 0 first, so keys order like label arrays.  The key of
     a path is the sum of comp over its ideals, since a box labelled l lies
     outside exactly I_0, ..., I_(l-1).  One byte per label caps the shape
-    at 255 elements.  succ, min_steps, comp_sizes and comp map each ideal
-    mask to its successor masks, the fewest and the most steps from it to
-    the full ideal, and its term of a key.
+    at 255 elements.  Keys never leave the graph: class_orbits hands out
+    label tuples and element masks.  succ and comp map each ideal mask to
+    its successor masks and its term of a key, and paths[mask][r] is the
+    number of r-step paths from it to the full ideal (a step count that
+    cannot reach it has no entry).
     """
 
     def __init__(self, shape: Poset, cap: int | None = None):
@@ -359,9 +367,11 @@ class _IdealGraph:
             raise ParameterError(f"gapless tableaux need a shape of at most 255 elements, got {n}")
         self.shape = shape
         lower_masks = shape.lower_masks
-        lower = shape.lower
-        self.succ, self.min_steps, self.comp_sizes, self.comp = {}, {}, {}, {}
-        for mask in _ideal_masks(shape, cap):
+        full = (1 << n) - 1
+        self.succ, self.comp, self.paths = {}, {}, {}
+        # Every successor is a strict superset, so with supersets first each
+        # path count is made from finished ones.
+        for mask in sorted(_ideal_masks(shape, cap), key=int.bit_count, reverse=True):
             # Targets by doubling over the minimal elements of the complement, in
             # index order: position s adds the t-th of them for each set bit t of s.
             targets = [mask]
@@ -369,33 +379,18 @@ class _IdealGraph:
                 if not (mask >> x) & 1 and mask & lower_masks[x] == lower_masks[x]:
                     targets += [t | 1 << x for t in targets]
             self.succ[mask] = tuple(targets[1:])
-            # Longest chain of the complement, along a linear extension; members
-            # of the ideal keep 0, so they never lengthen a chain.
-            longest = [0] * n
-            for x in shape.topo:
-                if not (mask >> x) & 1:
-                    longest[x] = 1 + max((longest[a] for a in lower[x]), default=0)
-            self.min_steps[mask] = max(longest)
-            self.comp_sizes[mask] = n - bin(mask).count("1")
             # Big-endian packed complement indicators: summed over a chain
             # they give its label key.
             self.comp[mask] = sum(1 << 8 * (n - 1 - x) for x in range(n) if not (mask >> x) & 1)
+            counts = {0: 1} if mask == full else {}
+            for nxt in self.succ[mask]:
+                for r, ways in self.paths[nxt].items():
+                    counts[r + 1] = counts.get(r + 1, 0) + ways
+            self.paths[mask] = counts
 
     def class_sizes(self) -> dict[int, int]:
-        """Number of gapless tableaux per ceiling, by path counting."""
-        n = self.shape.n
-        full = (1 << n) - 1
-        paths = {0: 1}
-        sizes = {}
-        for depth in range(1, n + 1):
-            nxt: dict[int, int] = {}
-            for node, ways in paths.items():
-                for target in self.succ[node]:
-                    nxt[target] = nxt.get(target, 0) + ways
-            if full in nxt:
-                sizes[depth] = nxt.pop(full)
-            paths = nxt
-        return sizes
+        """Number of gapless tableaux per ceiling, in ascending order: the paths from the empty ideal."""
+        return {m: ways for m, ways in sorted(self.paths[0].items()) if m}
 
     def class_promotions(self, target: int) -> tuple[list[int], list[int]]:
         """Label keys of the gapless tableaux of ceiling target and of their K-promotion images, aligned.
@@ -413,15 +408,14 @@ class _IdealGraph:
         I_m = P is its own image and adds nothing.  The lists come out in
         group order.
         """
-        shape, succ, comp = self.shape, self.succ, self.comp
-        min_steps, comp_sizes = self.min_steps, self.comp_sizes
+        shape, succ, comp, paths = self.shape, self.succ, self.comp, self.paths
         memo = _step_memo(shape)
         # (new I_(L-2), I_(L-1)) -> (keys, image keys); the first step adds new I_0 = I_0.
         groups = {(0, 0): ([comp[0]], [0])}
         for depth in range(target):
             remaining = target - depth - 1
             admissible = {
-                last: [nxt for nxt in succ[last] if min_steps[nxt] <= remaining <= comp_sizes[nxt]]
+                last: [nxt for nxt in succ[last] if remaining in paths[nxt]]
                 for last in {last for _, last in groups}
             }
             grown: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
@@ -447,6 +441,45 @@ class _IdealGraph:
             keys += extended
             images += promoted
         return keys, images
+
+    def class_orbits(self, m: int) -> tuple[int, list[tuple[int, int, tuple[int, ...]]], int]:
+        """The gapless tableaux of ceiling m split into promotion orbits: (size, rows, moved).
+
+        The orbits are the cycles of the key-to-image map of the listing
+        (class_promotions), popped off it (ideals._cycles).  A promotion that
+        is not a permutation of the keys raises: the walk fails, and only
+        then are the images compared with the keys, to tell an image that is
+        no tableau of the class from one that two tableaux share.  rows holds
+        (period, orbit count, representative labels) by ascending period; a
+        representative is the least label array among the tableaux of its
+        period.  moved is the mask of the elements whose entry the m-fold
+        promotion changes on some tableau: orbit position shifts by m mod the
+        period, so this is a pairwise comparison inside each orbit.
+        """
+        keys, images = self.class_promotions(m)
+        promote = dict(zip(keys, images))
+        size = len(promote)
+        counts: dict[int, tuple[int, int]] = {}
+        moved = 0
+        try:
+            for orbit in _cycles(promote):
+                tau = len(orbit)
+                least = min(orbit)
+                count, rep = counts.get(tau, (0, least))
+                counts[tau] = (count + 1, min(rep, least))
+                shift = m % tau
+                if shift:
+                    # Labels of the two tableaux differ exactly in the nonzero bytes of the xor.
+                    for s in range(tau):
+                        moved |= orbit[s] ^ orbit[(s + shift) % tau]
+        except RuntimeError:
+            if not set(images) <= set(keys):
+                raise RuntimeError(f"a promotion image is not a chain of ceiling {m}") from None
+            raise
+        n = self.shape.n
+        rows = [(tau, count, tuple(rep.to_bytes(n, "big"))) for tau, (count, rep) in sorted(counts.items())]
+        moved_bytes = moved.to_bytes(n, "big")
+        return size, rows, sum(1 << x for x in range(n) if moved_bytes[x])
 
 
 def enumerate_gapless(shape: Poset, cap: int | None = None) -> Iterator[IncreasingTableau]:

@@ -187,6 +187,12 @@ def test_exact_period_vector_count():
         assert total == comb(m, n)
 
 
+def test_exact_period_must_be_positive():
+    for e in (0, -1, -2, -6):
+        with pytest.raises(ParameterError, match="positive divisor"):
+            exact_period_vector_count(6, 3, e)
+
+
 def test_count_fixed_against_census_small():
     for shape, table in ((propeller(3), build_gapless_table(propeller(3))),):
         for m in range(5, 10):
@@ -591,7 +597,6 @@ def _eager_partition(tableaux, m):
 )
 def test_partition_reads_keys_lazily_like_an_eager_oracle(spec):
     from minuscule import parse_poset_spec
-    from minuscule.orbits import _partition_class
     from minuscule.tableaux import _IdealGraph
 
     # Every orbit of the minuscule shapes here has a period dividing its
@@ -607,8 +612,10 @@ def test_partition_reads_keys_lazily_like_an_eager_oracle(spec):
     graph = _IdealGraph(shape)
     assert sorted(by_ceiling) == sorted(graph.class_sizes())
     for m, tableaux in by_ceiling.items():
-        res = _partition_class(graph, m)
-        assert (res["rows"], res["stable"]) == _eager_partition(tableaux, m)
+        size, rows, moved = graph.class_orbits(m)
+        stable = [x for x in range(shape.n) if not (moved >> x) & 1]
+        assert size == len(tableaux)
+        assert (rows, stable) == _eager_partition(tableaux, m)
 
 
 def test_failed_cache_write_leaves_no_table(tmp_path, monkeypatch):
@@ -674,3 +681,20 @@ def test_orbit_walks_are_bounded(monkeypatch):
     monkeypatch.setattr(orbits, "promotion", lambda t: sink)
     with pytest.raises(RuntimeError, match="within"):
         promotion_order(shape, 8, table=table)
+
+
+def test_a_table_of_another_poset_is_refused():
+    # A table answers only for its own poset: another one's table is bad input,
+    # not a wrong period, a stable set outside the shape or a label error.
+    from minuscule.orbits import packaged_table
+
+    cm, pf = cayley_moufang(), freudenthal()
+    cm_table, pf_table = packaged_table(cm), packaged_table(pf)
+    with pytest.raises(ParameterError, match="different poset"):
+        promotion_order(cm, 12, table=pf_table)
+    with pytest.raises(ParameterError, match="different poset"):
+        frame_check(cm, table=pf_table)
+    with pytest.raises(ParameterError, match="different poset"):
+        verify_csp(rectangle(4, 4), 6, table=cm_table)
+    report = promotion_order(cm, 12, table=cm_table)
+    assert (report.period, report.max_orbit) == (12, 12)

@@ -479,13 +479,55 @@ def test_promotion_census_walk_is_bounded(monkeypatch):
 
 
 def test_ideal_graph_walks_a_linear_extension():
-    # A 4-chain indexed top down: index order is no linear extension, yet the
-    # fewest steps from each ideal to the full one is its complement's size.
+    # A 4-chain indexed top down: index order is no linear extension, yet each
+    # ideal reaches the full one by one path, of as many steps as its complement has elements.
     chain = Poset(4, [(3, 2), (2, 1), (1, 0)])
     graph = _IdealGraph(chain)
-    assert graph.min_steps[0] == 4
-    assert graph.min_steps == graph.comp_sizes
+    assert graph.paths == {mask: {4 - mask.bit_count(): 1} for mask in (0, 0b1000, 0b1100, 0b1110, 0b1111)}
     assert graph.class_sizes() == {4: 1}
     # Its one tableau labels the elements 4, 3, 2, 1 and is its own promotion.
     ((T, image),) = listing(graph, 4)
     assert T.labels == image == (4, 3, 2, 1)
+
+
+def _surjections(c, r):
+    # Ways to label c antichain elements by r steps, each step used: inclusion-exclusion.
+    return sum((-1) ** j * comb(r, j) * (r - j) ** c for j in range(r + 1))
+
+
+@pytest.mark.parametrize("spec", ["chain-4-top-down", "antichain-9", "cayley-moufang", "rectangle-3x4"])
+def test_path_counts_span_the_complements_chain_to_its_size(spec):
+    # From an ideal, the full ideal is reached in r steps exactly for r from
+    # the longest chain of the complement (one step per element of it) up to
+    # the complement's size (one element per step).  Chains and ideals come
+    # from the covers alone here.
+    shape = {
+        "chain-4-top-down": Poset(4, [(3, 2), (2, 1), (1, 0)]),
+        "antichain-9": Poset(9, []),
+    }.get(spec) or parse_poset_spec(spec)
+    n = shape.n
+    graph = _IdealGraph(shape)
+    ideals = [
+        mask for mask in range(1 << n)
+        if all((mask >> a) & 1 for a, b in shape.covers if (mask >> b) & 1)
+    ]
+    assert sorted(graph.paths) == ideals
+    height = {}  # longest chain upward from each element, counted in elements
+    for x in sorted(range(n), key=lambda x: -shape.rank[x]):
+        height[x] = 1 + max((height[b] for a, b in shape.covers if a == x), default=0)
+    for mask in ideals:
+        rest = [x for x in range(n) if not (mask >> x) & 1]
+        longest = max((height[x] for x in rest), default=0)
+        assert sorted(graph.paths[mask]) == list(range(longest, len(rest) + 1))
+        if not shape.covers:
+            assert graph.paths[mask] == {r: _surjections(len(rest), r) for r in graph.paths[mask]}
+    sizes = graph.class_sizes()
+    assert 0 not in sizes and list(sizes) == sorted(sizes)
+    # The empty shape's one path has no steps, and 0 is no ceiling.
+    empty = _IdealGraph(Poset(0, []))
+    assert empty.paths == {0: {0: 1}} and empty.class_sizes() == {}
+    if spec == "antichain-9":
+        # 7,087,261 tableaux: the surjection counts above stand in for the listing.
+        assert sum(sizes.values()) == 7_087_261
+    else:
+        assert sizes == Counter(T.m for T in enumerate_gapless(shape))
