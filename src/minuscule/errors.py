@@ -41,6 +41,7 @@ def _integer(value) -> int:
 def state_cap(override: int | None = None) -> int:
     """Effective state cap: explicit override, else the environment, else the default."""
     if override is not None:
+        override = _integer(override)
         if override < 1:
             raise ParameterError("state cap must be positive")
         return override

@@ -4,16 +4,16 @@ An ideal of a poset on n elements is a down-closed subset stored as an
 n-bit integer mask.  Rowmotion sends an ideal to the down-closure of the
 minimal elements of its complement; on the ideals of P x k this is the
 action whose orbit structure the rest of the package studies.  The orbit
-census lists those ideals as multichains of ideals of P and steps a whole
-chunk of them at once, one bit of an integer per ideal.
+census counts those ideals as multichains of ideals of P in one table,
+lists them from it, and steps a whole chunk of them at once, one bit of an
+integer per ideal.
 """
 
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
-from operator import mul
 
-from .errors import ParameterError, StateCapExceeded, state_cap
+from .errors import ParameterError, StateCapExceeded, _integer, state_cap
 from .poset import Poset, chain_product
 
 
@@ -183,101 +183,107 @@ def _sub_ideals(poset: Poset, masks: list[int], cap: int) -> list[set[int]]:
     return subs
 
 
-def _multichain_counts(poset: Poset, k: int, cap: int) -> tuple[list[int], dict, list[int]]:
+def _multichain_counts(poset: Poset, k: int, cap: int) -> tuple[list[int], dict, list[list[int]]]:
     """The ideals of poset (sorted masks), the sub-ideal lists the listing follows, and
-    tops[L], the number of multichains of L ideals, for L <= k, by a dynamic program.
+    below[L][a], the number of multichains of L ideals inside ideal a, for L < k (L = 0
+    alone when k = 0), by a dynamic program; sum(below[-1]) is the number of ideals of poset x k.
 
     Raises StateCapExceeded when poset x k has more than cap ideals, before any is listed.
     """
     masks = sorted(_ideal_masks(poset, cap)) if k else [0]
     top = len(masks) - 1
     subs = dict(enumerate(_sub_ideals(poset, masks, cap))) if k > 1 else {top: range(len(masks))}
-    # counts[a]: the multichains of one level fewer inside ideal a.
-    counts = [1] * len(masks)
-    tops = [1]
-    for level in range(1, k + 1):
-        tops.append(sum(counts))
-        if level < k:
-            counts = [sum(map(counts.__getitem__, subs[a])) for a in range(len(masks))]
-    if tops[k] > cap:
+    below = [[1] * len(masks)]
+    while len(below) < k:
+        counts = below[-1]
+        below.append([sum(map(counts.__getitem__, subs[a])) for a in range(len(masks))])
+    if sum(below[-1]) > cap:
         raise StateCapExceeded("too many order ideals", cap)
-    return masks, subs, tops
+    return masks, subs, below
 
 
-def _multichain_chunks(masks: list[int], subs: dict, tops: list[int], k: int, width: int):
+def _multichain_chunks(masks: list[int], subs: dict, below: list[list[int]], k: int, width: int):
     """Stream the multichains I_1 ⊇ ... ⊇ I_k of ideals of P, that is the ideals of P x k.
 
-    masks are the ideals of P, sorted, so the last is P itself; subs[a] lists
-    the indices of the ideals inside ideal a, for every a that can be
-    followed by another level; tops[L] counts the multichains of L ideals.
-    Yields (lanes, planes) chunks of at most _CHUNK multichains, where
-    planes[i * width + p] holds byte p of I_(i+1) for each multichain.
+    masks are the ideals of P, sorted, so the first is the empty ideal and the
+    last is P itself; subs[a] lists the indices of the ideals inside ideal a,
+    for every a that can be followed by another level; below is the count
+    table of _multichain_counts.  Yields (lanes, planes) chunks of at most
+    _CHUNK multichains, where planes[i * width + p] holds byte p of I_(i+1)
+    for each multichain.
 
     The last `depth` levels come from tails listed once per ideal, and the
-    levels above them from a depth-first walk that copies one tail per
-    step.  Of the depths whose tails fit in _TAIL_BYTES, the one with the
-    fewest byte-string operations is used: deep tails cost about
-    depth^2 / 2 joins per ideal, a shallow walk k per step.
+    levels above them from a depth-first walk that writes each level once per
+    node, as one run as long as the multichains below it, and stops at the
+    empty ideal: a plane is zero-padded up to its next run and at each chunk
+    cut.  Of the depths whose tails fit in _TAIL_BYTES, the one with the
+    fewest byte-string operations is used: tails cost about depth^2 / 2 joins
+    per ideal, the walk one run per node and depth copies per leaf.
     """
     top = len(masks) - 1
-    # cells[p][a]: byte p of ideal a.
+    # cells[p][a]: byte p of ideal a; tops[L]: the multichains of L ideals.
     cells = [[m.to_bytes(width, "little")[p:p + 1] for m in masks] for p in range(width)]
+    tops = [1, *map(sum, below)]
 
     def operations(d: int) -> int:
-        return len(masks) * d * (d - 1) // 2 + (len(masks) if d < k else 1) * d + tops[k - d] * k
+        # A walk of w levels has tops[w] + tops[w-1] - 1 nodes; tops[w] - tops[w-1] leaves copy a tail.
+        w = k - d
+        return len(masks) * d * (d + 1) // 2 + tops[w] + tops[w - 1] + (tops[w] - tops[w - 1]) * d
 
-    depth = min(k, 1)
-    for d in range(depth + 1, k + 1):
-        if tops[min(d + 1, k)] * d * width > _TAIL_BYTES:
+    depth = 0
+    for d in range(1, k):
+        if tops[d + 1] * d * width > _TAIL_BYTES:
             break
         if operations(d) < operations(depth):
             depth = d
-    prefix_levels = k - depth
-    # The tail inside ideal a: counts[a] multichains, whose plane j is tail[j][a].
-    counts = dict.fromkeys(range(len(masks)), 1)
+    levels = k - depth
+    # tail[j][a]: plane j of the below[depth][a] multichains inside ideal a; the empty
+    # ideal's single one is all zero.
     tail = []
+    nonempty = range(1, len(masks))
     for level in range(1, depth + 1):
-        ends = subs if level < depth or prefix_levels else (top,)
+        counts = below[level - 1]
         tail = [
-            {a: b"".join(map(mul, map(cell.__getitem__, subs[a]), map(counts.__getitem__, subs[a]))) for a in ends}
-            for cell in cells
-        ] + [{a: b"".join(map(plane.__getitem__, subs[a])) for a in ends} for plane in tail]
-        counts = {a: sum(map(counts.__getitem__, subs[a])) for a in ends}
+            {0: b"\0"} | {a: b"".join([cell[c] * counts[c] for c in subs[a]]) for a in nonempty} for cell in cells
+        ] + [{0: b"\0"} | {a: b"".join(map(plane.__getitem__, subs[a])) for a in nonempty} for plane in tail]
 
     planes = [bytearray() for _ in range(k * width)]
+    # rows[i]: the planes of walk level i, and rows[levels] the tail's; a row's planes share one length.
+    rows = [planes[i * width:(i + 1) * width] for i in range(levels)] + [planes[levels * width:]]
     lanes = 0
-    prefix = []
-    stack = [iter(subs[top])] if prefix_levels else []
-    while True:
-        if len(prefix) == prefix_levels:
-            end = prefix[-1] if prefix else top
-            count = counts[end]
-            for i, b in enumerate(prefix):
-                for p, cell in enumerate(cells):
-                    planes[i * width + p] += cell[b] * count
-            for j, plane in enumerate(tail, prefix_levels * width):
-                planes[j] += plane[end]
-            lanes += count
-            while lanes >= _CHUNK:
-                yield _CHUNK, [bytes(plane[:_CHUNK]) for plane in planes]
-                for plane in planes:
-                    del plane[:_CHUNK]
-                lanes -= _CHUNK
-            if not prefix:
-                break
-            prefix.pop()
-        for b in stack[-1]:
-            prefix.append(b)
-            if len(prefix) < prefix_levels:
-                stack.append(iter(subs[b]))
-            break
-        else:
+
+    def pad(row: list[bytearray]) -> None:
+        # Zeros up to lanes, where the walk stopped at the empty ideal since the row's last run.
+        if row and len(row[0]) < lanes:
+            for plane in row:
+                plane += bytes(lanes - len(plane))
+
+    stack = [iter(subs[top])]
+    while stack:
+        b = next(stack[-1], None)
+        if b is None:
             stack.pop()
-            if not stack:
-                break
-            prefix.pop()
+            continue
+        level = len(stack) - 1
+        count = below[k - 1 - level][b]
+        pad(rows[level])
+        for plane, cell in zip(rows[level], cells):
+            plane += cell[b] * count
+        if b and level + 1 < levels:
+            stack.append(iter(subs[b]))
+            continue
+        if b:
+            pad(rows[levels])
+            for plane, run in zip(rows[levels], tail):
+                plane += run[b]
+        lanes += count
+        while lanes >= _CHUNK:
+            yield _CHUNK, [bytes(plane[:_CHUNK]).ljust(_CHUNK, b"\0") for plane in planes]
+            for plane in planes:
+                del plane[:_CHUNK]
+            lanes -= _CHUNK
     if lanes:
-        yield lanes, [bytes(plane) for plane in planes]
+        yield lanes, [bytes(plane).ljust(lanes, b"\0") for plane in planes]
 
 
 def _transpose_bytes(xs: list[int], masks) -> None:
@@ -407,22 +413,23 @@ def rowmotion_orbits(poset: Poset, k: int, cap: int | None = None) -> OrbitSumma
 
     The ideals are counted first (multichains of ideals of poset, by a
     dynamic program), so an over-cap census fails before listing any.  They
-    are then listed in chunks and swept bit-parallel: at step j, the lanes
-    back at their start for the first time lie in orbits of size j.  Reads
-    only the covers of poset and its ideal masks; a sweep longer than the
-    ideal count raises.
+    are then listed in chunks from the same count table and swept
+    bit-parallel: at step j, the lanes back at their start for the first
+    time lie in orbits of size j.  Reads only the covers of poset and its
+    ideal masks; a sweep longer than the ideal count raises.
     """
     cap = state_cap(cap)
+    k = _integer(k)
     if k < 0:
         raise ParameterError("chain length must be nonnegative")
-    masks, subs, tops = _multichain_counts(poset, k, cap)
-    total = tops[k]
+    masks, subs, below = _multichain_counts(poset, k, cap)
+    total = sum(below[-1])
     step = _sweep_step(poset, k)
     width = (poset.n + 7) // 8
     states = Counter()
     listed = 0
     stragglers = []
-    for lanes, planes in _multichain_chunks(masks, subs, tops, k, width):
+    for lanes, planes in _multichain_chunks(masks, subs, below, k, width):
         listed += lanes
         stragglers += _sweep(step, *_bit_columns(lanes, planes, poset.n, k, width), states, total)
     while stragglers:

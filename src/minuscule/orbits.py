@@ -19,7 +19,7 @@ from importlib import resources
 from math import comb, gcd
 from pathlib import Path
 
-from .errors import ParameterError, StateCapExceeded, UnsupportedPosetError, read_json, state_cap
+from .errors import ParameterError, UnsupportedPosetError, _integer, read_json, state_cap
 from .ideals import OrbitSummary, _orbit, rowmotion_orbits
 from .poset import Poset
 from .qpoly import RootOfUnityValue, _divisors, _mobius, eval_at_root, plane_partition_gf, q_binomial_at_root
@@ -102,8 +102,6 @@ def build_gapless_table(poset: Poset, workers: int = 1, cap: int | None = None) 
     graph = _IdealGraph(poset, cap)
     sizes = graph.class_sizes()
     chains = sum(sizes.values())
-    if chains > cap:
-        raise StateCapExceeded("too many gapless tableaux", cap)
     order = sorted(sizes, key=lambda m: (-sizes[m], m))
     rows = []
     moved = 0
@@ -347,6 +345,7 @@ def promotion_order(
     exact content periods; the order is their lcm.  The witness's orbit is
     walked to confirm its size.
     """
+    m = _integer(m)
     if m < poset.rk + 1:
         raise ParameterError(f"no tableaux of this shape with ceiling {m}")
     table = _table_for(poset, table, cache_dir, workers)
@@ -410,6 +409,7 @@ def verify_csp(
     orbit multiset is recounted by brute force and must equal the tableau side's;
     a disagreement is an engine bug, not a sieving failure, and raises.
     """
+    k = _integer(k)
     if k < 0:
         raise ParameterError("height bound must be nonnegative")
     if poset.family is None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
 
-from .errors import ExactnessError, ParameterError, UnsupportedPosetError
+from .errors import ExactnessError, ParameterError, UnsupportedPosetError, _integer
 from .poset import Poset
 
 
@@ -308,6 +308,7 @@ def plane_partition_gf(poset: Poset, k: int) -> QPolynomial:
     """
     if poset.family is None:
         raise UnsupportedPosetError("the product formula is only asserted for built-in minuscule posets")
+    k = _integer(k)
     if k < 0:
         raise ParameterError("height bound must be nonnegative")
     heights = [r + 1 for r in poset.rank]

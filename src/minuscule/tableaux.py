@@ -358,10 +358,12 @@ class _IdealGraph:
     label tuples and element masks.  succ and comp map each ideal mask to
     its successor masks and its term of a key, and paths[mask][r] is the
     number of r-step paths from it to the full ideal (a step count that
-    cannot reach it has no entry).
+    cannot reach it has no entry).  A shape with more than cap gapless
+    tableaux raises StateCapExceeded before any is listed.
     """
 
     def __init__(self, shape: Poset, cap: int | None = None):
+        cap = state_cap(cap)
         n = shape.n
         if n > 255:
             raise ParameterError(f"gapless tableaux need a shape of at most 255 elements, got {n}")
@@ -387,6 +389,8 @@ class _IdealGraph:
                 for r, ways in self.paths[nxt].items():
                     counts[r + 1] = counts.get(r + 1, 0) + ways
             self.paths[mask] = counts
+        if sum(self.class_sizes().values()) > cap:
+            raise StateCapExceeded("too many gapless tableaux", cap)
 
     def class_sizes(self) -> dict[int, int]:
         """Number of gapless tableaux per ceiling, in ascending order: the paths from the empty ideal."""
@@ -493,9 +497,6 @@ def enumerate_gapless(shape: Poset, cap: int | None = None) -> Iterator[Increasi
         yield _trusted(shape, (), 0)
         return
     graph = _IdealGraph(shape, cap)
-    sizes = graph.class_sizes()
-    if sum(sizes.values()) > cap:
-        raise StateCapExceeded("too many gapless tableaux", cap)
     for m in range(shape.rk + 1, n + 1):
         for key in sorted(graph.class_promotions(m)[0]):
             yield _trusted(shape, tuple(key.to_bytes(n, "big")), m)

@@ -199,13 +199,17 @@ def test_multichain_listing_is_the_product_ideals(monkeypatch):
     from minuscule import ideals
 
     monkeypatch.setattr(ideals, "_CHUNK", 7)
-    cases = ((rectangle(2, 2), 0), (propeller(3), 1), (rectangle(3, 3), 2), (cayley_moufang(), 3), (rectangle(1, 1), 9))
+    # rectangle(1, 2) x 12: walks that stop at the empty ideal inside a chunk, zero-padded.
+    cases = (
+        (rectangle(2, 2), 0), (propeller(3), 1), (rectangle(3, 3), 2), (cayley_moufang(), 3), (rectangle(1, 1), 9),
+        (rectangle(1, 2), 12),
+    )
     for budget, (P, k) in itertools.product((0, 300, ideals._TAIL_BYTES), cases):
         monkeypatch.setattr(ideals, "_TAIL_BYTES", budget)
-        masks, subs, tops = ideals._multichain_counts(P, k, 10**6)
+        masks, subs, below = ideals._multichain_counts(P, k, 10**6)
         width = (P.n + 7) // 8
         listed = []
-        for lanes, planes in ideals._multichain_chunks(masks, subs, tops, k, width):
+        for lanes, planes in ideals._multichain_chunks(masks, subs, below, k, width):
             assert lanes <= 7 and all(len(plane) == lanes for plane in planes)
             chunk = []
             for j in range(lanes):
@@ -218,6 +222,32 @@ def test_multichain_listing_is_the_product_ideals(monkeypatch):
             assert sorted(ideals._lane_masks(*ideals._bit_columns(lanes, planes, P.n, k, width))) == sorted(chunk)
             listed += chunk
         assert sorted(listed) == sorted(ideals._ideal_masks(chain_product(P, k)))
+
+
+def test_multichain_walk_stops_at_the_empty_ideal(monkeypatch):
+    # With no tails, the walk over rectangle(1, 1) x 50 follows only the full ideal,
+    # once per level: it never iterates the empty ideal's sub-ideals.
+    from minuscule import ideals
+
+    class Counted(list):
+        # The sub-ideal list of ideal a, counting how often it is iterated.
+        def __init__(self, a, inside):
+            super().__init__(sorted(inside))
+            self.a = a
+
+        def __iter__(self):
+            iterated[self.a] += 1
+            return super().__iter__()
+
+    monkeypatch.setattr(ideals, "_TAIL_BYTES", 0)
+    k = 50
+    masks, subs, below = ideals._multichain_counts(rectangle(1, 1), k, 10**6)
+    subs = {a: Counted(a, inside) for a, inside in subs.items()}
+    iterated = Counter()
+    listed = sum(lanes for lanes, _ in ideals._multichain_chunks(masks, subs, below, k, 1))
+    assert listed == k + 1
+    assert iterated[0] == 0
+    assert sum(iterated.values()) <= k
 
 
 def test_rowmotion_orbit_example_2x2():

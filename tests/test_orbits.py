@@ -513,6 +513,24 @@ def test_build_cap():
         build_gapless_table(cayley_moufang(), cap=10)
 
 
+@pytest.mark.parametrize("value", [True, 2.0])
+def test_entry_points_refuse_non_integer_parameters(value):
+    # A boolean or a float is refused, never read as 1 or converted.
+    from minuscule.errors import state_cap
+
+    P = cayley_moufang()
+    calls = (
+        lambda: state_cap(value),
+        lambda: rowmotion_orbits(P, value),
+        lambda: plane_partition_gf(P, value),
+        lambda: verify_csp(P, value),
+        lambda: promotion_order(P, value),
+    )
+    for call in calls:
+        with pytest.raises(ParameterError, match="expected an integer"):
+            call()
+
+
 def test_pool_is_clamped_to_the_ceiling_count(monkeypatch):
     # A stand-in pool that records its size and maps in-process: no real
     # processes are started for the large worker count.
