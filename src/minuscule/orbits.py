@@ -7,6 +7,7 @@ of its powers, cyclic sieving verdicts against the plane-partition
 generating function) is exact arithmetic over that table.
 """
 
+import hashlib
 import json
 import multiprocessing
 import os
@@ -137,25 +138,43 @@ def save_table(table: GaplessOrbitTable, path: str | Path) -> None:
         raise
 
 
-def _read_table(source, poset: Poset) -> GaplessOrbitTable:
-    """The table stored in a JSON file; an unreadable or ill-formed file is bad input naming the file."""
-    return read_json(source, partial(_table_from_dict, poset=poset), "table")
-
-
 def load_table(path: str | Path, poset: Poset) -> GaplessOrbitTable:
-    return _read_table(Path(path), poset)
+    """The table stored in a JSON file; an unreadable or ill-formed file is bad input naming the file."""
+    return read_json(Path(path), partial(_table_from_dict, poset=poset), "table")
 
 
 def _table_name(poset: Poset) -> str:
     return f"gapless-{poset.digest()}.json"
 
 
+# The sha256 of each table shipped under data/cache, by file name.  Packaged
+# tables are pinned, not re-validated: a file that does not match its pin is
+# an internal error.
+_PACKAGED_SHA256 = {
+    "gapless-1b3fa808a09e726e5a8edd99a44615f7e966d32fa916b5192f11a371853737e9.json":
+        "e32200080060da8d5fcee794c1e57b7263ecb55567290439fb7ef9e9373d5d62",
+    "gapless-aa722f08f2f0dcb36e71be3a353fc477e0924ae2eac33f74b5892f3a9202adab.json":
+        "b417e3b3425d3395e42f26eb2359e6feb9d46ae04206fee1df0138e1f79744c3",
+}
+
+# Each packaged table as read, by file name: shipped files do not change
+# while the process runs, so each is read, checked and parsed once.
+_PACKAGED: dict[str, GaplessOrbitTable] = {}
+
+
 def packaged_table(poset: Poset) -> GaplessOrbitTable | None:
-    """Table shipped with the package for this exact poset, if any."""
-    entry = resources.files("minuscule").joinpath("data/cache", _table_name(poset))
-    if not entry.is_file():
+    """Table shipped with the package for this exact poset, if any, on the caller's poset."""
+    name = _table_name(poset)
+    pin = _PACKAGED_SHA256.get(name)
+    if pin is None:
         return None
-    return _read_table(entry, poset)
+    table = _PACKAGED.get(name)
+    if table is None:
+        text = resources.files("minuscule").joinpath("data/cache", name).read_bytes()
+        if hashlib.sha256(text).hexdigest() != pin:
+            raise RuntimeError(f"packaged table {name} does not match its sha256 pin")
+        table = _PACKAGED[name] = _table_from_dict(json.loads(text), poset)
+    return GaplessOrbitTable(poset, table.rows, table.stable, table.total)
 
 
 def load_or_build_table(
@@ -427,12 +446,13 @@ def verify_csp(
             raise RuntimeError(
                 f"rowmotion orbits {summary.orbit_sizes} disagree with the tableau side {promo.orbit_sizes}"
             )
-    residues = {g: eval_at_root(gf, order, g).residue for g in _divisors(order)}
+    # zeta^d and the d-fold action depend on d only through g = gcd(d, order).
+    by_gcd = {g: (promo.fixed_by_power(g), eval_at_root(gf, order, g).residue) for g in _divisors(order)}
     records = []
     for d in range(1, order + 1):
         g = gcd(d, order)
-        fixed = promo.fixed_by_power(g)
-        value = RootOfUnityValue(order, d, order // g, residues[g])
+        fixed, residue = by_gcd[g]
+        value = RootOfUnityValue(order, d, order // g, residue)
         records.append(CspRecord(d, fixed, value, value.equals_int(fixed)))
     return CspVerdict(
         poset.family, k, m, order, tuple(records),

@@ -12,12 +12,21 @@ product formula for the generating function of bounded-height plane
 partitions over a built-in minuscule poset.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, gcd
+from operator import sub
 
 from .errors import ExactnessError, ParameterError, UnsupportedPosetError, _integer
 from .poset import Poset
+
+
+def _stripped(coeffs: list) -> tuple[int, ...]:
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
 
 
 class QPolynomial:
@@ -26,10 +35,15 @@ class QPolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        coeffs = list(coeffs)
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        self.coeffs = tuple(int(c) for c in coeffs)
+        # Exact integers only: a float or a boolean coefficient is refused, never converted.
+        self.coeffs = _stripped([_integer(c) for c in coeffs])
+
+    @classmethod
+    def _of(cls, coeffs: list) -> "QPolynomial":
+        """A list of integers the library computed, wrapped without a check."""
+        poly = object.__new__(cls)
+        poly.coeffs = _stripped(coeffs)
+        return poly
 
     @classmethod
     def zero(cls) -> "QPolynomial":
@@ -55,7 +69,7 @@ class QPolynomial:
 
     def __eq__(self, other):
         if isinstance(other, int):
-            other = QPolynomial((other,))
+            other = QPolynomial._of([other])
         return isinstance(other, QPolynomial) and self.coeffs == other.coeffs
 
     def __hash__(self):
@@ -68,17 +82,17 @@ class QPolynomial:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return QPolynomial(out)
+        return QPolynomial._of(out)
 
     def __neg__(self):
-        return QPolynomial(-c for c in self.coeffs)
+        return QPolynomial._of([-c for c in self.coeffs])
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return QPolynomial(c * other for c in self.coeffs)
+            return QPolynomial._of([c * other for c in self.coeffs])
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return QPolynomial()
@@ -87,7 +101,7 @@ class QPolynomial:
             if ca:
                 for j, cb in enumerate(b):
                     out[i + j] += ca * cb
-        return QPolynomial(out)
+        return QPolynomial._of(out)
 
     __rmul__ = __mul__
 
@@ -98,27 +112,33 @@ class QPolynomial:
         return val
 
     def divmod(self, divisor: "QPolynomial") -> tuple["QPolynomial", "QPolynomial"]:
-        """Polynomial division staying in integers; quotient steps must divide exactly."""
+        """Polynomial division staying in integers; quotient steps must divide exactly.
+
+        Each step subtracts the divisor's nonzero terms only: a cyclotomic
+        divisor is mostly zeros (the 144th has 3 nonzero terms of 49).
+        """
         if not divisor:
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
         dcs = divisor.coeffs
-        lead = dcs[-1]
-        qlen = len(rem) - len(dcs) + 1
+        top = len(dcs) - 1
+        lead = dcs[top]
+        terms = [(j, dc) for j, dc in enumerate(dcs) if dc]
+        qlen = len(rem) - top
         if qlen <= 0:
-            return QPolynomial(), QPolynomial(rem)
+            return QPolynomial(), QPolynomial._of(rem)
         quot = [0] * qlen
         for i in range(qlen - 1, -1, -1):
-            c = rem[i + len(dcs) - 1]
+            c = rem[i + top]
             if c == 0:
                 continue
             step, r = divmod(c, lead)
             if r:
                 raise ExactnessError("integer polynomial division step is not exact")
             quot[i] = step
-            for j, dc in enumerate(dcs):
+            for j, dc in terms:
                 rem[i + j] -= step * dc
-        return QPolynomial(quot), QPolynomial(rem)
+        return QPolynomial._of(quot), QPolynomial._of(rem)
 
     def exact_div(self, divisor: "QPolynomial") -> "QPolynomial":
         quot, rem = self.divmod(divisor)
@@ -146,23 +166,39 @@ def q_int(a: int) -> QPolynomial:
 def _q_quotient(numer, denom) -> QPolynomial:
     """prod (1 - q^a) over a in numer, divided by prod (1 - q^b) over b in denom.
 
-    Each numerator factor is multiplied in by one shift-and-subtract, then
-    each denominator factor is divided out by the recurrence
-    c[i] += c[i - b].  When the whole denominator divides the numerator, so
-    does every partial one, so every partial quotient is a polynomial; a
-    division whose top b coefficients are not all zero is not exact and raises.
+    Factors on both sides cancel first.  Each numerator factor is then
+    multiplied in by one shift-and-subtract, and right after it one pending
+    denominator factor 1 - q^b with b | a is divided out: it divides 1 - q^a,
+    so the partial quotient stays a polynomial, near its final degree.  The
+    factors left over are divided out at the end; when the whole denominator
+    divides the numerator, each of those divisions is exact too.  A division
+    whose top b coefficients are not all zero is not exact and raises.
     """
+    numer, denom = Counter(numer), Counter(denom)
+    shared = numer & denom
+    numer -= shared
+    denom -= shared
     coeffs = [1]
-    for a in numer:
+    for a in sorted(numer.elements()):
         pad = [0] * a
-        coeffs = [x - y for x, y in zip(coeffs + pad, pad + coeffs)]
-    for b in denom:
-        for i in range(b, len(coeffs)):
-            coeffs[i] += coeffs[i - b]
-        if any(coeffs[-b:]):
-            raise ExactnessError(f"the q-product does not divide exactly by 1 - q^{b}")
-        del coeffs[-b:]
-    return QPolynomial(coeffs)
+        coeffs = list(map(sub, coeffs + pad, pad + coeffs))
+        b = max((b for b, left in denom.items() if left and a % b == 0), default=0)
+        if b:
+            _divide_out(coeffs, b)
+            denom[b] -= 1
+    for b in denom.elements():
+        _divide_out(coeffs, b)
+    return QPolynomial._of(coeffs)
+
+
+def _divide_out(coeffs: list, b: int) -> None:
+    # In place: coeffs / (1 - q^b) as b strided prefix sums, the recurrence
+    # c[i] += c[i - b]; exact only when the top b coefficients come out zero.
+    for r in range(min(b, len(coeffs))):
+        coeffs[r::b] = accumulate(coeffs[r::b])
+    if any(coeffs[-b:]):
+        raise ExactnessError(f"the q-product does not divide exactly by 1 - q^{b}")
+    del coeffs[-b:]
 
 
 def q_factorial(a: int) -> QPolynomial:
@@ -255,10 +291,9 @@ def eval_at_root(f: QPolynomial, n: int, d: int) -> RootOfUnityValue:
     if n < 1:
         raise ParameterError("root order must be >= 1")
     np = n // gcd(n, d % n or n)
-    folded = [0] * np
-    for e, c in enumerate(f.coeffs):
-        folded[e % np] += c
-    _, rem = QPolynomial(folded).divmod(cyclotomic(np))
+    coeffs = f.coeffs
+    folded = [sum(coeffs[r::np]) for r in range(min(np, len(coeffs)))]
+    _, rem = QPolynomial._of(folded).divmod(cyclotomic(np))
     return RootOfUnityValue(n, d, np, rem.coeffs)
 
 

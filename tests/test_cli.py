@@ -132,6 +132,18 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     assert err.startswith("internal error: rowmotion orbits disagree")
 
 
+def test_packaged_table_pin_mismatch_exits_4(capsys, monkeypatch):
+    # A shipped table that does not match its sha256 pin is an engine fault, not bad input.
+    from minuscule import freudenthal, orbits
+
+    monkeypatch.setitem(orbits._PACKAGED_SHA256, orbits._table_name(freudenthal()), "0" * 64)
+    monkeypatch.setattr(orbits, "_PACKAGED", {})
+    with pytest.raises(RuntimeError, match="sha256 pin"):
+        orbits.packaged_table(freudenthal())
+    code, out, err = run(capsys, "gapless-table", "--poset", "freudenthal")
+    assert code == 4 and out == "" and "sha256 pin" in err
+
+
 def test_manifest(tmp_path, capsys):
     path = tmp_path / "manifest.json"
     code, out, _ = run(capsys, "qpoly", "--poset", "propeller-3", "--k", "1", "--manifest", str(path))

@@ -1,4 +1,5 @@
 import json
+import sys
 from collections import Counter
 from dataclasses import replace
 from importlib import resources
@@ -41,6 +42,7 @@ from minuscule import (
     shifted_staircase,
     verify_csp,
 )
+from minuscule import orbits
 from minuscule.ideals import _ideal_masks
 from minuscule.qpoly import eval_at_root, is_zero_at_primitive_root, plane_partition_gf
 from minuscule.orbits import load_table, packaged_table, promotion_orbits, save_table
@@ -485,9 +487,52 @@ def test_shipped_tables_are_named_by_digest():
     shipped = resources.files("minuscule").joinpath("data/cache")
     names = sorted(e.name for e in shipped.iterdir() if e.name.endswith(".json"))
     assert len(names) == 2
+    assert names == sorted(orbits._PACKAGED_SHA256)  # every shipped table is pinned
     for name in names:
         digest = json.loads(shipped.joinpath(name).read_text())["poset_digest"]
         assert name == f"gapless-{digest}.json"
+
+
+def test_packaged_table_is_read_once(monkeypatch):
+    # Two queries on Freudenthal open its shipped file once: the parsed table is kept.
+    name = orbits._table_name(freudenthal())
+    opened, watching = [], [True]
+
+    def hook(event, args):
+        if watching and event == "open" and str(args[0]).endswith(name):
+            opened.append(args[0])
+
+    sys.addaudithook(hook)  # audit hooks stay for the process; this one goes quiet below
+    monkeypatch.setattr(orbits, "_PACKAGED", {})
+    try:
+        first = verify_csp(freudenthal(), 2)
+        second = verify_csp(freudenthal(), 3)
+    finally:
+        watching.clear()
+    assert len(opened) == 1
+    assert first.holds and second.holds
+
+
+def test_packaged_table_keeps_the_callers_poset():
+    # The kept table is rewrapped per call: same covers, another family, its own family.
+    own = packaged_table(freudenthal())
+    other = Poset(own.poset.n, own.poset.covers, family="renamed")
+    table = packaged_table(other)
+    assert table.poset is other and table.to_dict()["family"] == "renamed"
+    assert table.rows == own.rows and table.stable == own.stable and table.total == own.total
+    assert packaged_table(freudenthal()).to_dict()["family"] == "freudenthal"
+
+
+def test_cache_dir_table_is_read_again(tmp_path):
+    # Cache-directory tables are not kept: a file rewritten between two lookups is read again.
+    shape = rectangle(2, 2)
+    load_or_build_table(shape, cache_dir=tmp_path)  # built and written
+    assert load_or_build_table(shape, cache_dir=tmp_path).stable == (0, 1, 2, 3)  # read
+    path = tmp_path / orbits._table_name(shape)
+    data = json.loads(path.read_text())
+    data["stable"] = []
+    path.write_text(json.dumps(data))
+    assert load_or_build_table(shape, cache_dir=tmp_path).stable == ()
 
 
 def test_shipped_tables_equal_a_fresh_build(tmp_path, cm_table, pf_table):

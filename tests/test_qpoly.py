@@ -1,6 +1,7 @@
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd
+from random import Random
 
 import pytest
 
@@ -27,6 +28,7 @@ from minuscule import (
     rectangle,
     shifted_staircase,
 )
+from minuscule.qpoly import _q_quotient
 
 
 def test_polynomial_basics():
@@ -247,3 +249,89 @@ def test_gf_division_is_checked():
     fake = Poset(3, [(0, 1), (0, 2)], family="fake")
     with pytest.raises(ExactnessError):
         plane_partition_gf(fake, 1)
+
+
+def test_constructor_refuses_floats_and_booleans():
+    # No floats anywhere in a verdict: a non-integer coefficient is refused, never truncated.
+    for coeffs in ([1.7, 2.2], [True, 2], [1, Fraction(1, 2)]):
+        with pytest.raises(ParameterError):
+            QPolynomial(coeffs)
+    with pytest.raises(ParameterError):
+        QPolynomial.monomial(2, 1.0)
+    assert QPolynomial([3, -1, 0]).coeffs == (3, -1)
+
+
+def _one_minus(a):
+    return QPolynomial.one() - QPolynomial.monomial(a)
+
+
+def _divides(numer, denom):
+    # prod (1 - q^b) | prod (1 - q^a) iff, for every n, no more b than a are multiples of n:
+    # each side holds the n-th cyclotomic once per such factor.
+    top = max(numer + denom, default=1)
+    return all(
+        sum(b % n == 0 for b in denom) <= sum(a % n == 0 for a in numer)
+        for n in range(1, top + 1)
+    )
+
+
+def test_q_quotient_matches_dense_reference():
+    # Seeded random multisets with shared factors and b | a pairs, against dense
+    # products and one exact division; a non-exact quotient must raise on both sides.
+    rng = Random(1717)
+    exact = inexact = shared = 0
+    for _ in range(300):
+        numer = [rng.randint(1, 12) for _ in range(rng.randint(0, 6))]
+        denom = rng.sample(numer, rng.randint(0, len(numer)))
+        shared += bool(denom)
+        for a in numer:
+            if rng.random() < 0.5:
+                denom.append(rng.choice([b for b in range(1, a + 1) if a % b == 0]))
+        denom += [rng.randint(1, 6) for _ in range(rng.randint(0, 2))]
+        rng.shuffle(denom)
+        num, den = QPolynomial.one(), QPolynomial.one()
+        for a in numer:
+            num = num * _one_minus(a)
+        for b in denom:
+            den = den * _one_minus(b)
+        if _divides(numer, denom):
+            exact += 1
+            assert _q_quotient(numer, denom) == num.exact_div(den), (numer, denom)
+        else:
+            inexact += 1
+            with pytest.raises(ExactnessError):
+                num.exact_div(den)
+            with pytest.raises(ExactnessError):
+                _q_quotient(numer, denom)
+    assert exact > 50 and inexact > 50 and shared > 100
+
+
+def _dense_remainder(f, g):
+    # Schoolbook long division over every coefficient of a monic g, zeros included.
+    rem = list(f)
+    for i in range(len(rem) - len(g), -1, -1):
+        c = rem[i + len(g) - 1]
+        for j, gc in enumerate(g):
+            rem[i + j] -= c * gc
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return tuple(rem)
+
+
+def test_eval_at_root_matches_dense_fold():
+    # For every d | n with n <= 200: zeta^d has order n / d, so fold the exponents one by
+    # one modulo n / d and divide densely by that cyclotomic.
+    rng = Random(200)
+    f = QPolynomial([rng.randint(-9, 9) for _ in range(451)] + [1])
+    want = {}
+    for order in range(1, 201):
+        folded = [0] * order
+        for e, c in enumerate(f.coeffs):
+            folded[e % order] += c
+        want[order] = _dense_remainder(folded, cyclotomic(order).coeffs)
+    for n in range(1, 201):
+        for d in range(1, n + 1):
+            if n % d == 0:
+                value = eval_at_root(f, n, d)
+                assert value.primitive_order == n // d
+                assert value.residue == want[n // d], (n, d)
