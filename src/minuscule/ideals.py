@@ -168,13 +168,13 @@ def _sub_ideals(poset: Poset, masks: list[int], cap: int) -> list[set[int]]:
     more of them than ideals of poset x k for any k >= 2; more than cap raise.
     """
     index = {mask: i for i, mask in enumerate(masks)}
-    above = [sum(1 << y for y in ys) for ys in poset.upper]
+    up = poset.up_masks
     subs = []
     pairs = 0
     for i, a in enumerate(masks):
         inside = {i}
         for x in range(poset.n):
-            if a >> x & 1 and not a & above[x]:
+            if a & up[x] == 1 << x:
                 inside |= subs[index[a ^ 1 << x]]
         subs.append(inside)
         pairs += len(inside)

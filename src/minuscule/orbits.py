@@ -472,8 +472,10 @@ def max_tree_ideal(poset: Poset) -> frozenset[int]:
 
 
 def max_dual_tree_filter(poset: Poset) -> frozenset[int]:
-    """The largest order filter in which every element is covered by at most one other."""
-    return max_tree_ideal(Poset(poset.n, [(b, a) for a, b in poset.covers]))
+    """The largest order filter in which every element is covered by at most one other:
+    the elements whose up-set avoids every element with two or more upper covers."""
+    branching = sum(1 << x for x in range(poset.n) if len(poset.upper[x]) > 1)
+    return frozenset(x for x in range(poset.n) if not poset.up_masks[x] & branching)
 
 
 def frame(poset: Poset) -> frozenset[int]:

@@ -9,6 +9,7 @@ are all built this way from hardcoded diagrams.
 """
 
 import hashlib
+import heapq
 import json
 from pathlib import Path
 
@@ -59,14 +60,18 @@ class Poset:
     """Immutable finite poset given by its cover relation on elements 0..n-1.
 
     The cover list must be acyclic and transitively reduced; both are checked
-    at construction.  rank(x) is the length of the longest chain with maximum
-    x, so rank(x) = 0 exactly for minimal elements.
+    at construction.  rank[x] is the length of the longest chain with maximum
+    x, so rank[x] = 0 exactly for minimal elements; corank[x] is the length of
+    the longest chain with minimum x.  As bit masks over the elements,
+    lower_masks[x] holds the lower covers of x, down_masks[x] the down-set of
+    x and up_masks[x] its up-set, both with x included.  One pass along topo
+    and one against it compute all of them.
     """
 
     __slots__ = (
         "n", "covers", "family", "shape", "product_of",
-        "lower", "upper", "neighbors", "rank", "topo",
-        "lower_masks", "down_masks", "_hash", "_digest",
+        "lower", "upper", "neighbors", "rank", "corank", "topo",
+        "lower_masks", "down_masks", "up_masks", "_hash", "_digest",
     )
 
     def __init__(self, n: int, covers, family=None, shape=None, product_of=None):
@@ -95,31 +100,38 @@ class Poset:
         self.neighbors = tuple(tuple(lo + hi) for lo, hi in zip(self.lower, self.upper))
 
         self.topo = self._toposort()
-        rank = [0] * n
-        for x in self.topo:
-            rank[x] = max((rank[a] + 1 for a in self.lower[x]), default=0)
-        self.rank = tuple(rank)
-        self._check_reduced()
-
-        lower_masks = [0] * n
-        down_masks = [0] * n
+        rank, lower_masks, down_masks = [0] * n, [0] * n, [0] * n
         for x in self.topo:
             m = 1 << x
             for a in self.lower[x]:
+                rank[x] = max(rank[x], rank[a] + 1)
                 lower_masks[x] |= 1 << a
                 m |= down_masks[a]
             down_masks[x] = m
+        corank, up_masks = [0] * n, [0] * n
+        for x in reversed(self.topo):
+            m = 1 << x
+            for y in self.upper[x]:
+                corank[x] = max(corank[x], corank[y] + 1)
+                m |= up_masks[y]
+            up_masks[x] = m
+        # A cover (a, b) is redundant iff b lies above some other upper cover of a.
+        for a, b in covers:
+            for c in self.upper[a]:
+                if c != b and up_masks[c] >> b & 1:
+                    raise ParameterError(f"cover ({a}, {b}) is implied by a longer path")
+        self.rank = tuple(rank)
+        self.corank = tuple(corank)
         self.lower_masks = tuple(lower_masks)
         self.down_masks = tuple(down_masks)
+        self.up_masks = tuple(up_masks)
         self._hash = hash((n, covers))
         self._digest = None
 
     def _toposort(self) -> tuple[int, ...]:
+        # Least ready element first; an ascending list is already a heap.
         indeg = [len(v) for v in self.lower]
-        ready = sorted(x for x in range(self.n) if indeg[x] == 0)
-        import heapq
-
-        heapq.heapify(ready)
+        ready = [x for x in range(self.n) if indeg[x] == 0]
         order = []
         while ready:
             x = heapq.heappop(ready)
@@ -131,19 +143,6 @@ class Poset:
         if len(order) != self.n:
             raise ParameterError("cover relation contains a cycle")
         return tuple(order)
-
-    def _check_reduced(self):
-        # A cover (a, b) is redundant iff b is reachable from some other upper cover of a.
-        above = [0] * self.n
-        for x in reversed(self.topo):
-            m = 0
-            for y in self.upper[x]:
-                m |= (1 << y) | above[y]
-            above[x] = m
-        for a, b in self.covers:
-            for c in self.upper[a]:
-                if c != b and (((1 << c) | above[c]) >> b) & 1:
-                    raise ParameterError(f"cover ({a}, {b}) is implied by a longer path")
 
     @property
     def rk(self) -> int:
@@ -180,7 +179,15 @@ class Poset:
 
 
 def poset_from_shape(shape: ShapeDiagram, family: str | None = None) -> Poset:
-    """Poset on a diagram's boxes: each box is covered by the boxes above and to the right."""
+    """Poset on a diagram's boxes: each box is covered by the boxes above and to the right.
+
+    Each row is a run of columns and covers join adjacent rows only, so the
+    diagram is connected exactly when each row shares a column with the next.
+    """
+    rows = shape.rows
+    for r, ((o1, l1), (o2, l2)) in enumerate(zip(rows, rows[1:])):
+        if max(o1, o2) >= min(o1 + l1, o2 + l2):
+            raise ParameterError(f"shape diagram is disconnected: rows {r} and {r + 1} share no column")
     boxes = shape.boxes()
     index = {b: i for i, b in enumerate(boxes)}
     covers = []
@@ -189,29 +196,7 @@ def poset_from_shape(shape: ShapeDiagram, family: str | None = None) -> Poset:
             covers.append((i, index[(r, c + 1)]))
         if (r + 1, c) in index:
             covers.append((i, index[(r + 1, c)]))
-    _check_connected(len(boxes), covers)
     return Poset(len(boxes), covers, family=family, shape=shape)
-
-
-def _check_connected(n: int, covers) -> None:
-    if n == 0:
-        return
-    adj = [[] for _ in range(n)]
-    for a, b in covers:
-        adj[a].append(b)
-        adj[b].append(a)
-    seen = [False] * n
-    stack = [0]
-    seen[0] = True
-    count = 1
-    while stack:
-        for y in adj[stack.pop()]:
-            if not seen[y]:
-                seen[y] = True
-                count += 1
-                stack.append(y)
-    if count != n:
-        raise ParameterError(f"shape diagram is disconnected ({count} of {n} boxes reachable)")
 
 
 def propeller(p: int) -> Poset:
@@ -270,8 +255,6 @@ def chain_product(poset: Poset, k: int) -> Poset:
     """Product of a poset with a k-element chain; element (x, i) has index x*k + i."""
     if k < 0:
         raise ParameterError("chain length must be nonnegative")
-    if k == 0:
-        return Poset(0, [], product_of=(poset, 0))
     n = poset.n
     covers = []
     for x in range(n):

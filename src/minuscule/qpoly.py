@@ -55,6 +55,7 @@ class QPolynomial:
 
     @classmethod
     def monomial(cls, exponent: int, coeff: int = 1) -> "QPolynomial":
+        exponent = _integer(exponent)
         if exponent < 0:
             raise ParameterError("exponent must be nonnegative")
         return cls([0] * exponent + [coeff])
@@ -158,6 +159,7 @@ class QPolynomial:
 
 def q_int(a: int) -> QPolynomial:
     """[a]_q = 1 + q + ... + q^(a-1)."""
+    a = _integer(a)
     if a < 0:
         raise ParameterError("q-integer index must be nonnegative")
     return QPolynomial([1] * a)
@@ -203,11 +205,13 @@ def _divide_out(coeffs: list, b: int) -> None:
 
 def q_factorial(a: int) -> QPolynomial:
     """[a]_q! = prod (1 - q^i) / (1 - q)^a over 1 <= i <= a."""
+    a = _integer(a)
     return _q_quotient(range(1, a + 1), [1] * a)
 
 
 def q_binomial(i: int, j: int) -> QPolynomial:
     """Gaussian binomial coefficient; zero when j > i, and q_binomial(i, j)(1) = C(i, j)."""
+    i, j = _integer(i), _integer(j)
     if i < 0 or j < 0:
         raise ParameterError("q-binomial arguments must be nonnegative")
     if j > i:
@@ -240,6 +244,7 @@ _CYCLOTOMIC_CACHE: dict[int, QPolynomial] = {}
 
 def cyclotomic(n: int) -> QPolynomial:
     """n-th cyclotomic polynomial: q - 1 for n = 1, else prod (1 - q^d)^mu(n/d) over d | n."""
+    n = _integer(n)
     if n < 1:
         raise ParameterError("cyclotomic index must be >= 1")
     cached = _CYCLOTOMIC_CACHE.get(n)
@@ -288,6 +293,7 @@ def eval_at_root(f: QPolynomial, n: int, d: int) -> RootOfUnityValue:
     zeta^d is a primitive root of order n' = n / gcd(n, d); fold exponents
     modulo n' and reduce modulo the n'-th cyclotomic polynomial.
     """
+    n, d = _integer(n), _integer(d)
     if n < 1:
         raise ParameterError("root order must be >= 1")
     np = n // gcd(n, d % n or n)
@@ -308,6 +314,7 @@ def q_binomial_at_root(i: int, j: int, d: int) -> int:
     Requires d | i; the value is C(i/d, j/d) when d | j and 0 otherwise,
     which also covers j > i through a vanishing binomial.
     """
+    i, j, d = _integer(i), _integer(j), _integer(d)
     if i < 1 or j < 0 or d < 1:
         raise ParameterError("arguments must be positive (j may be zero)")
     if i % d:
@@ -323,6 +330,7 @@ def q_ratio_limit(n1: int, n2: int, n: int, d: int) -> Fraction:
     Defined when n1 and n2 are congruent mod d: the limit is n1/n2 when both
     are divisible by d and 1 otherwise.
     """
+    n1, n2, n, d = _integer(n1), _integer(n2), _integer(n), _integer(d)
     if d < 1 or n < 1 or n % d:
         raise ParameterError("d must be a positive divisor of the order n")
     if n1 < 1 or n2 < 1:

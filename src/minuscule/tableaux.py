@@ -286,14 +286,6 @@ def inflate(gapless: IncreasingTableau, v: tuple[int, ...]) -> IncreasingTableau
     return _trusted(gapless.shape, tuple([positions[val - 1] for val in gapless.labels]), len(v))
 
 
-def _up_heights(shape: Poset) -> list[int]:
-    # Longest chain strictly upward from each element, in cover steps.
-    heights = [0] * shape.n
-    for x in reversed(shape.topo):
-        heights[x] = max((heights[y] + 1 for y in shape.upper[x]), default=0)
-    return heights
-
-
 def enumerate_increasing(shape: Poset, m: int, cap: int | None = None) -> Iterator[IncreasingTableau]:
     """All increasing tableaux with ceiling m, by backtracking along a linear extension."""
     m = _integer(m)
@@ -312,8 +304,7 @@ def enumerate_increasing(shape: Poset, m: int, cap: int | None = None) -> Iterat
     lower = [tuple(position[a] for a in shape.lower[x]) for x in topo]
     # The label tuple by element; itemgetter of one index gives no tuple.
     by_element = itemgetter(*position) if n > 1 else lambda vals: (vals[0],)
-    headroom = _up_heights(shape)
-    top = [m - headroom[x] for x in topo]
+    top = [m - shape.corank[x] for x in topo]
     vals = [0] * n
     last = n - 1
     count = 0

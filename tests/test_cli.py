@@ -239,11 +239,12 @@ def test_bad_cache_file_is_bad_input(tmp_path, capsys, content):
         ("poset.json", '{"shape": {"rows": [[0.4, 2.9]]}}'),
         ("poset.json", '{"n": true, "covers": []}'),
         ("poset.json", "[" * 100_000 + "]" * 100_000),
+        ("poset.json", '{"shape": {"rows": [[0, 2], [2, 2]]}}'),
         ("table_propeller_3.json", '{"rows": '),
     ],
     ids=[
         "poset-not-json", "poset-number", "poset-bad-row", "poset-bad-cover", "poset-float-cover",
-        "poset-float-row", "poset-bool-count", "poset-too-deep", "golden-not-json",
+        "poset-float-row", "poset-bool-count", "poset-too-deep", "poset-disconnected", "golden-not-json",
     ],
 )
 def test_malformed_input_file_is_bad_input(tmp_path, capsys, name, content):

@@ -416,6 +416,8 @@ def test_frame_read_from_covers_matches_ideal_listing(poset):
     tree_ideal, dual_filter = _frame_by_listing(poset)
     assert max_tree_ideal(poset) == tree_ideal
     assert max_dual_tree_filter(poset) == dual_filter
+    # The dual filter is the tree ideal of the dual poset.
+    assert max_dual_tree_filter(poset) == max_tree_ideal(Poset(poset.n, [(b, a) for a, b in poset.covers]))
     assert frame(poset) == tree_ideal | dual_filter
 
 

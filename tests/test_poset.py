@@ -1,4 +1,6 @@
 import json
+from collections import Counter
+from random import Random
 
 import pytest
 
@@ -45,10 +47,7 @@ def test_maximal_chain_through_any_element_has_full_length():
     # In every built-in family, the longest chain through x always has the
     # poset's full chain length, regardless of x.
     for P in (propeller(3), propeller(5), cayley_moufang(), freudenthal(), rectangle(2, 3), shifted_staircase(3)):
-        up = [0] * P.n
-        for x in reversed(P.topo):
-            up[x] = max((up[y] + 1 for y in P.upper[x]), default=0)
-        assert all(P.rank[x] + up[x] == P.rk for x in range(P.n)), P.family
+        assert all(P.rank[x] + P.corank[x] == P.rk for x in range(P.n)), P.family
 
 
 def test_freudenthal_heights():
@@ -88,8 +87,10 @@ def test_bad_parameters():
         rectangle(0, 3)
     with pytest.raises(ParameterError):
         ShapeDiagram([(0, 0)])
-    with pytest.raises(ParameterError):
-        poset_from_shape(ShapeDiagram([(0, 1), (5, 1)]))  # disconnected
+    with pytest.raises(ParameterError, match="rows 0 and 1 share no column"):
+        poset_from_shape(ShapeDiagram([(0, 1), (5, 1)]))
+    with pytest.raises(ParameterError, match="rows 1 and 2 share no column"):
+        poset_from_shape(ShapeDiagram([(0, 2), (1, 2), (3, 2)]))
 
 
 def test_cover_list_validation():
@@ -171,3 +172,125 @@ def test_build_minuscule_poset_dispatch():
     assert build_minuscule_poset("cayley-moufang").n == 16
     with pytest.raises(ParameterError):
         build_minuscule_poset("simply-laced")
+
+
+def _relabelled(P, rng):
+    # P with its elements renamed by a random permutation, so topo is not the identity.
+    perm = list(range(P.n))
+    rng.shuffle(perm)
+    return Poset(P.n, [(perm[a], perm[b]) for a, b in P.covers])
+
+
+def _closure(n, covers):
+    # reach[a][b]: b is reachable from a along covers (a itself included), by Floyd-Warshall.
+    reach = [[a == b for b in range(n)] for a in range(n)]
+    for a, b in covers:
+        reach[a][b] = True
+    for c in range(n):
+        for a in range(n):
+            if reach[a][c]:
+                for b in range(n):
+                    reach[a][b] = reach[a][b] or reach[c][b]
+    return reach
+
+
+def _random_covers(rng, n):
+    # The cover relation of a random order on 0..n-1: a random relation, closed
+    # transitively and then reduced, with elements renamed.
+    perm = list(range(n))
+    rng.shuffle(perm)
+    reach = _closure(n, [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.35])
+    return [
+        (perm[a], perm[b]) for a in range(n) for b in range(n)
+        if a != b and reach[a][b] and not any(reach[a][c] and reach[c][b] for c in range(n) if c not in (a, b))
+    ]
+
+
+def _posets_for_derived_data():
+    rng = Random(20261019)
+    families = [
+        cayley_moufang(), freudenthal(), propeller(3), propeller(5), rectangle(2, 3),
+        shifted_staircase(4), chain_product(propeller(3), 2),
+    ]
+    posets = families + [_relabelled(P, rng) for P in families]
+    posets += [Poset(n, _random_covers(rng, n)) for n in [0, 1, 2] + [rng.randint(3, 9) for _ in range(60)]]
+    return posets
+
+
+def test_derived_data_matches_closure_and_longest_chains():
+    for P in _posets_for_derived_data():
+        n = P.n
+        reach = _closure(n, P.covers)
+        as_mask = lambda bits: sum(1 << b for b in range(n) if bits[b])
+        assert P.up_masks == tuple(as_mask(reach[x]) for x in range(n))
+        assert P.down_masks == tuple(as_mask([reach[a][x] for a in range(n)]) for x in range(n))
+        # Longest chains ending and starting at x, over the whole order, by memoized search.
+        rank, corank = {}, {}
+
+        def up_to(x):
+            if x not in rank:
+                rank[x] = max((up_to(a) + 1 for a in range(n) if a != x and reach[a][x]), default=0)
+            return rank[x]
+
+        def down_from(x):
+            if x not in corank:
+                corank[x] = max((down_from(b) + 1 for b in range(n) if b != x and reach[x][b]), default=0)
+            return corank[x]
+
+        assert P.rank == tuple(up_to(x) for x in range(n))
+        assert P.corank == tuple(down_from(x) for x in range(n))
+
+
+def test_every_added_transitive_cover_is_refused():
+    refused = 0
+    for P in _posets_for_derived_data():
+        if P.n > 16:
+            continue
+        reach = _closure(P.n, P.covers)
+        covers = set(P.covers)
+        for a in range(P.n):
+            for b in range(P.n):
+                if a != b and reach[a][b] and (a, b) not in covers:
+                    with pytest.raises(ParameterError, match=rf"cover \({a}, {b}\) is implied by a longer path"):
+                        Poset(P.n, P.covers + ((a, b),))
+                    refused += 1
+    assert refused > 500
+
+
+def _connected_by_search(shape):
+    # The graph search over a diagram's covers that once guarded poset_from_shape.
+    boxes = shape.boxes()
+    index = {b: i for i, b in enumerate(boxes)}
+    adj = [[] for _ in boxes]
+    for (r, c), i in index.items():
+        for nb in ((r, c + 1), (r + 1, c)):
+            if nb in index:
+                adj[i].append(index[nb])
+                adj[index[nb]].append(i)
+    seen = {0}
+    stack = [0]
+    while stack:
+        for y in adj[stack.pop()]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return len(seen) == len(boxes)
+
+
+def test_connectivity_rule_matches_graph_search():
+    # Rows that abut without sharing a column, such as (0, 2) under (2, 2), touch
+    # only at a corner and are disconnected; random rows hit that edge often.
+    rng = Random(7)
+    cases = [[(0, 2), (2, 2)], [(2, 2), (0, 2)], [(0, 2), (1, 2)], [(1, 2), (0, 2)], [(0, 3), (1, 1), (3, 2)]]
+    cases += [[(rng.randint(0, 6), rng.randint(1, 4)) for _ in range(rng.randint(1, 5))] for _ in range(2000)]
+    outcomes = Counter()
+    for rows in cases:
+        shape = ShapeDiagram(rows)
+        connected = _connected_by_search(shape)
+        outcomes[connected] += 1
+        if connected:
+            assert poset_from_shape(shape).n == len(shape.boxes())
+        else:
+            with pytest.raises(ParameterError, match=r"disconnected: rows \d+ and \d+ share no column"):
+                poset_from_shape(shape)
+    assert outcomes[True] > 100 and outcomes[False] > 100

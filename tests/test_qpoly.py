@@ -261,6 +261,33 @@ def test_constructor_refuses_floats_and_booleans():
     assert QPolynomial([3, -1, 0]).coeffs == (3, -1)
 
 
+@pytest.mark.parametrize("value", [True, 2.0, 2.5])
+def test_integer_arguments_refuse_non_integers(value):
+    # A boolean or a float is refused as a parameter error, never read as 1 or converted.
+    f = q_int(3)
+    calls = (
+        lambda: q_int(value),
+        lambda: q_factorial(value),
+        lambda: q_binomial(value, 2),
+        lambda: q_binomial(4, value),
+        lambda: cyclotomic(value),
+        lambda: eval_at_root(f, value, 1),
+        lambda: eval_at_root(f, 6, value),
+        lambda: is_zero_at_primitive_root(f, value),
+        lambda: q_binomial_at_root(value, 2, 1),
+        lambda: q_binomial_at_root(4, value, 1),
+        lambda: q_binomial_at_root(4, 2, value),
+        lambda: q_ratio_limit(value, 1, 2, 1),
+        lambda: q_ratio_limit(1, value, 2, 1),
+        lambda: q_ratio_limit(1, 1, value, 1),
+        lambda: q_ratio_limit(1, 1, 2, value),
+        lambda: QPolynomial.monomial(value),
+    )
+    for call in calls:
+        with pytest.raises(ParameterError, match="expected an integer"):
+            call()
+
+
 def _one_minus(a):
     return QPolynomial.one() - QPolynomial.monomial(a)
 
