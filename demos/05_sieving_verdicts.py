@@ -18,7 +18,7 @@ from minuscule import (
 # The whole promotion action is controlled by a finite table: for each
 # ceiling, the gapless tableaux split into orbits.  The 16-box exceptional
 # shape has 549 gapless tableaux; the 27-box one has 624,493 (a shipped table,
-# checked on load for its schema, poset digest and total only; rebuild it with
+# pinned by its sha256 and read once per process; rebuild it with
 # build_gapless_table or the CLI's --fresh).
 # ---------------------------------------------------------------------------
 cm = cayley_moufang()

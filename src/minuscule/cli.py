@@ -38,8 +38,12 @@ EXIT_BAD_INPUT = 3
 EXIT_INTERNAL = 4
 
 
-def _emit_table(rows: list[list], header: list[str], fmt: str) -> str:
-    """Render rows as text, csv, or json; rows are emitted in the given order."""
+def emit(payload, fmt: str = "text") -> str:
+    """Canonical rendering: a (header, rows) table as text, csv or json, rows in
+    the given order; any other payload as one JSON line."""
+    if not (isinstance(payload, tuple) and len(payload) == 2):
+        return json.dumps(payload, sort_keys=True) + "\n"
+    header, rows = payload
     if fmt == "json":
         return json.dumps([dict(zip(header, row)) for row in rows], sort_keys=True) + "\n"
     if fmt == "csv":
@@ -52,16 +56,6 @@ def _emit_table(rows: list[list], header: list[str], fmt: str) -> str:
         "  ".join(str(v).ljust(w) for v, w in zip(row, widths)).rstrip() for row in rows
     )
     return "\n".join(lines) + "\n"
-
-
-def emit(payload, fmt: str = "text") -> str:
-    """Canonical rendering of a payload: a (header, rows) table or a JSON-able dict."""
-    if isinstance(payload, tuple) and len(payload) == 2:
-        header, rows = payload
-        return _emit_table(rows, header, fmt)
-    if fmt == "json" or isinstance(payload, dict):
-        return json.dumps(payload, sort_keys=True, indent=None) + "\n"
-    return str(payload) + "\n"
 
 
 def _cmd_rowmotion_orbits(args) -> tuple[int, str]:
@@ -97,7 +91,7 @@ def _cmd_verify_csp(args) -> tuple[int, str]:
         [r.d, r.fixed_count, r.value.value if r.value.is_integer else "non-integer", r.match]
         for r in verdict.records
     ]
-    out = _emit_table(rows, ["d", "fixed", "value", "match"], "text")
+    out = emit((["d", "fixed", "value", "match"], rows))
     out += f"verdict: {'holds' if verdict.holds else 'fails'} (order {verdict.order}, m {verdict.m})\n"
     return EXIT_OK, out
 
@@ -123,7 +117,7 @@ def _cmd_frame_check(args) -> tuple[int, str]:
 def _cmd_qpoly(args) -> tuple[int, str]:
     poset = parse_poset_spec(args.poset)
     gf = plane_partition_gf(poset, args.k)
-    return EXIT_OK, json.dumps(list(gf.coeffs)) + "\n"
+    return EXIT_OK, emit(list(gf.coeffs), "json")
 
 
 # Headline shapes, in report order; each table is built fresh once per run.

@@ -30,6 +30,8 @@ class ExactnessError(ArithmeticError):
 
 def _integer(value) -> int:
     # An exact integer or an error: floats and booleans are refused, never converted.
+    if type(value) is int:
+        return value
     try:
         if not isinstance(value, bool):
             return index(value)

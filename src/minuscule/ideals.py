@@ -25,6 +25,7 @@ class OrderIdeal:
     mask: int
 
     def __post_init__(self):
+        object.__setattr__(self, "mask", _integer(self.mask))
         if self.mask < 0 or self.mask >> self.poset.n:
             raise ParameterError("ideal mask out of range for the poset")
         if not self.is_down_closed():
@@ -448,6 +449,8 @@ class PlanePartition:
     heights: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "k", _integer(self.k))
+        object.__setattr__(self, "heights", tuple(map(_integer, self.heights)))
         if len(self.heights) != self.poset.n:
             raise ParameterError("height vector length must match the poset")
         for h in self.heights:

@@ -79,10 +79,10 @@ def _table_from_dict(data: dict, poset: Poset) -> GaplessOrbitTable:
     if data.get("poset_digest") != poset.digest():
         raise ParameterError("cached table belongs to a different poset")
     rows = tuple(
-        GaplessOrbitRow(r["m_t"], r["period"], r["orbits"], tuple(r["rep"]))
+        GaplessOrbitRow(*map(_integer, (r["m_t"], r["period"], r["orbits"])), tuple(map(_integer, r["rep"])))
         for r in data["rows"]
     )
-    table = GaplessOrbitTable(poset, rows, tuple(data["stable"]), data["total"])
+    table = GaplessOrbitTable(poset, rows, tuple(map(_integer, data["stable"])), _integer(data["total"]))
     if sum(r.period * r.orbits for r in rows) != table.total:
         raise ParameterError("cached table is inconsistent: orbit sizes do not sum to the total")
     return table
@@ -98,6 +98,7 @@ def build_gapless_table(poset: Poset, workers: int = 1, cap: int | None = None) 
     tests).
     """
     cap = state_cap(cap)
+    workers = _integer(workers)
     if poset.n == 0:
         raise ParameterError("the empty shape has no orbit table")
     graph = _IdealGraph(poset, cap)
@@ -216,6 +217,7 @@ def _table_for(
 
 def inflated_period(m: int, m_t: int, tau: int, ell: int) -> int:
     """Promotion period of an inflated tableau: ceiling m, gapless data (m_t, tau), content period ell."""
+    m, m_t, tau, ell = map(_integer, (m, m_t, tau, ell))
     if m < 1 or m_t < 1 or tau < 1 or ell < 1:
         raise ParameterError("all arguments must be positive")
     if m % ell:
@@ -241,6 +243,7 @@ def promote_pair(gapless: IncreasingTableau, v: tuple[int, ...]):
 
 def exact_period_vector_count(m: int, n: int, e: int) -> int:
     """Number of binary vectors of length m with n ones and exact rotation period e."""
+    m, n, e = map(_integer, (m, n, e))
     if m < 1 or not 0 <= n <= m:
         raise ParameterError("need 0 <= n <= m with m positive")
     if e < 1 or m % e:
@@ -283,6 +286,7 @@ def count_fixed(table: GaplessOrbitTable, m: int, j: int) -> int:
     exact-period-e vectors whose inflated period divides j, weighted by the
     row's tableau count.
     """
+    m, j = _integer(m), _integer(j)
     if j < 1:
         raise ParameterError("j must be positive")
     return promotion_orbits(table, m).fixed_by_power(j)

@@ -70,7 +70,7 @@ class Poset:
 
     __slots__ = (
         "n", "covers", "family", "shape", "product_of",
-        "lower", "upper", "neighbors", "rank", "corank", "topo",
+        "lower", "upper", "rank", "corank", "topo",
         "lower_masks", "down_masks", "up_masks", "_hash", "_digest",
     )
 
@@ -97,7 +97,6 @@ class Poset:
             upper[a].append(b)
         self.lower = tuple(tuple(v) for v in lower)
         self.upper = tuple(tuple(v) for v in upper)
-        self.neighbors = tuple(tuple(lo + hi) for lo, hi in zip(self.lower, self.upper))
 
         self.topo = self._toposort()
         rank, lower_masks, down_masks = [0] * n, [0] * n, [0] * n
@@ -201,6 +200,7 @@ def poset_from_shape(shape: ShapeDiagram, family: str | None = None) -> Poset:
 
 def propeller(p: int) -> Poset:
     """Two rows of p boxes overlapping in two central columns; 2p elements."""
+    p = _integer(p)
     if p < 3:
         raise ParameterError(f"propeller needs p >= 3, got {p}")
     return poset_from_shape(ShapeDiagram([(0, p), (p - 2, p)]), family=f"propeller-{p}")
@@ -218,6 +218,7 @@ def freudenthal() -> Poset:
 
 def rectangle(a: int, b: int) -> Poset:
     """The a-by-b grid poset."""
+    a, b = _integer(a), _integer(b)
     if a < 1 or b < 1:
         raise ParameterError("rectangle sides must be >= 1")
     return poset_from_shape(ShapeDiagram([(0, b)] * a), family=f"rectangle-{a}x{b}")
@@ -225,6 +226,7 @@ def rectangle(a: int, b: int) -> Poset:
 
 def shifted_staircase(s: int) -> Poset:
     """Staircase rows of lengths s, s-1, ..., 1, each shifted one box right."""
+    s = _integer(s)
     if s < 1:
         raise ParameterError("staircase size must be >= 1")
     return poset_from_shape(ShapeDiagram([(i, s - i) for i in range(s)]), family=f"shifted-staircase-{s}")
@@ -253,6 +255,7 @@ def build_minuscule_poset(family: str, *params: int) -> Poset:
 
 def chain_product(poset: Poset, k: int) -> Poset:
     """Product of a poset with a k-element chain; element (x, i) has index x*k + i."""
+    k = _integer(k)
     if k < 0:
         raise ParameterError("chain length must be nonnegative")
     n = poset.n

@@ -206,6 +206,8 @@ def _divide_out(coeffs: list, b: int) -> None:
 def q_factorial(a: int) -> QPolynomial:
     """[a]_q! = prod (1 - q^i) / (1 - q)^a over 1 <= i <= a."""
     a = _integer(a)
+    if a < 0:
+        raise ParameterError("q-factorial index must be nonnegative")
     return _q_quotient(range(1, a + 1), [1] * a)
 
 

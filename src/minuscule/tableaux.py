@@ -11,10 +11,10 @@ A gapless tableau with ceiling m is the chain of order ideals
 j; successive differences are antichains.  The swap rho_i rewrites only
 I_i, and the new I_i depends only on (I_(i-1), I_i, I_(i+1)), so K-promotion
 is one left-to-right sweep I_i <- step(I_(i-1), I_i, I_(i+1)) for
-i = 1..m-1, each new I_i feeding the next step.  The step is decided by the
-same singleton-component rule as k_bender_knuth and memoised per shape by
-ideal masks; a shape has few distinct triples (262 on the 27-element
-exceptional shape), so the sweep is a table lookup per position.  General
+i = 1..m-1, each new I_i feeding the next step.  The step is one rule on
+the three masks (_rho), which k_bender_knuth applies too, memoised per
+shape; a shape has few distinct triples (262 on the 27-element exceptional
+shape), so the sweep is a table lookup per position.  General
 promotion, when label 1 is present, makes the same sweep in one pass over
 the present labels only: I_i is the union of the boxes with the i smallest
 labels, and each settled antichain (new I_i minus new I_(i-1)) is written
@@ -140,33 +140,43 @@ def _trusted(shape: Poset, labels: tuple[int, ...], m: int) -> IncreasingTableau
     return tableau
 
 
-def _swap_sets(labels, i: int, neighbors) -> tuple[list[int], list[int]]:
-    # Boxes labeled i / i+1 sitting in singleton components of the
-    # {i, i+1} cover-adjacency graph.  Comparable boxes never share a
-    # label, so every edge joins an i-box to an (i+1)-box and a component
-    # is a singleton exactly when the box has no neighbor with the other label.
-    up = []
-    dn = []
-    for x, v in enumerate(labels):
-        if v == i:
-            if not any(labels[t] == i + 1 for t in neighbors[x]):
-                up.append(x)
-        elif v == i + 1:
-            if not any(labels[t] == i for t in neighbors[x]):
-                dn.append(x)
-    return up, dn
+def _rho(lower_masks, lo: int, mid: int, hi: int) -> int:
+    """The ideal rho_i leaves in place of mid, on masks of the boxes labelled
+    below i (lo), at most i (mid) and at most i+1 (hi).
+
+    rho_i swaps i and i+1 on the singleton components of the {i, i+1} boxes
+    under covers.  Labels rise along covers, so an (i+1)-box drops to i
+    exactly when none of its lower covers lies in mid - lo, and an i-box
+    rises to i+1 exactly when it is a lower cover of no (i+1)-box.  Each
+    (i+1)-box adds itself or an i-box to lo, so the result is never 0 when
+    hi - mid is not empty, and the step memo's readers test a hit with `or`.
+    """
+    low, new, rest = mid & ~lo, lo, hi & ~mid
+    while rest:
+        bit = rest & -rest
+        new |= lower_masks[bit.bit_length() - 1] & low or bit  # the i-boxes it keeps, or itself
+        rest ^= bit
+    return new
 
 
 def k_bender_knuth(tableau: IncreasingTableau, i: int) -> IncreasingTableau:
     """Swap labels i and i+1 on every singleton component of the {i, i+1} boxes."""
+    i = _integer(i)
     if not 1 <= i <= tableau.m - 1:
         raise ParameterError(f"operator index {i} outside 1..{tableau.m - 1}")
+    lo = mid = hi = 0
+    for x, v in enumerate(tableau.labels):
+        if v <= i + 1:
+            hi |= 1 << x
+            mid |= (v <= i) << x
+            lo |= (v < i) << x
+    new = _rho(tableau.shape.lower_masks, lo, mid, hi)
     labels = list(tableau.labels)
-    up, dn = _swap_sets(labels, i, tableau.shape.neighbors)
-    for x in up:
-        labels[x] = i + 1
-    for y in dn:
-        labels[y] = i
+    rest = hi & ~lo  # the boxes labelled i or i+1 take i inside the new ideal, i+1 outside
+    while rest:
+        bit = rest & -rest
+        labels[bit.bit_length() - 1] = i if new & bit else i + 1
+        rest ^= bit
     return _trusted(tableau.shape, tuple(labels), tableau.m)
 
 
@@ -176,25 +186,8 @@ def _step_memo(shape: Poset) -> dict[tuple[int, int, int], int]:
 
 
 def _swap_step(shape: Poset, lo: int, mid: int, hi: int) -> int:
-    """The ideal rho_i leaves between lo = I_(i-1) and hi = I_(i+1) in place of mid = I_i.
-
-    rho_i only moves boxes labelled i or i+1, that is the boxes of hi - lo,
-    so the new I_i is a function of the three masks.  The result is stored
-    in the shape's step memo, which callers read first.
-    """
-    # Label the boxes 0 (in lo), 1 (in mid - lo), 2 (in hi - mid), 3 (outside hi).
-    labels = [
-        0 if (lo >> x) & 1 else 1 if (mid >> x) & 1 else 2 if (hi >> x) & 1 else 3
-        for x in range(shape.n)
-    ]
-    up, dn = _swap_sets(labels, 1, shape.neighbors)
-    new = mid
-    for x in up:
-        new &= ~(1 << x)
-    for y in dn:
-        new |= 1 << y
-    _step_memo(shape)[lo, mid, hi] = new
-    return new
+    """The step memo's miss path: _rho on (I_(i-1), I_i, I_(i+1)), stored in the shape's memo."""
+    return _step_memo(shape).setdefault((lo, mid, hi), _rho(shape.lower_masks, lo, mid, hi))
 
 
 def promotion(tableau: IncreasingTableau) -> IncreasingTableau:
@@ -225,9 +218,7 @@ def promotion(tableau: IncreasingTableau) -> IncreasingTableau:
         if not added:
             continue
         nxt = cur | added
-        new = memo.get((prev, cur, nxt))
-        if new is None:
-            new = _swap_step(shape, prev, cur, nxt)
+        new = memo.get((prev, cur, nxt)) or _swap_step(shape, prev, cur, nxt)
         settled = new ^ prev
         while settled:
             low = settled & -settled
@@ -256,6 +247,7 @@ def _check_binary(v) -> None:
 
 def vector_inflation(v: tuple[int, ...], k: int) -> int:
     """Position (1-based) of the k-th one in a binary vector."""
+    k = _integer(k)
     _check_binary(v)
     count = 0
     for pos, bit in enumerate(v, start=1):
@@ -417,9 +409,7 @@ class _IdealGraph:
             while groups:  # popped, so each level is freed as the next one grows
                 (prev, last), (keys, images) = groups.popitem()
                 for nxt in admissible[last]:
-                    new = memo.get((prev, last, nxt)) if depth else 0
-                    if new is None:
-                        new = _swap_step(shape, prev, last, nxt)
+                    new = (memo.get((prev, last, nxt)) or _swap_step(shape, prev, last, nxt)) if depth else 0
                     add, image_add = comp[nxt], comp[new]
                     extended = [key + add for key in keys]
                     promoted = [image + image_add for image in images]

@@ -214,18 +214,30 @@ def test_reproduce_reports_golden_mismatches(tmp_path, capsys, monkeypatch):
         lambda text: text[:200],
         lambda text: "[1, 2, 3]\n",
         lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "rows"}),
+        lambda text: first_row(text, period=1.0, rep=[float(v) for v in json.loads(text)["rows"][0]["rep"]]),
+        lambda text: first_row(text, period=True, orbits=True),
     ],
-    ids=["truncated", "not-an-object", "no-rows"],
+    ids=["truncated", "not-an-object", "no-rows", "float-row", "bool-row"],
 )
 def test_bad_cache_file_is_bad_input(tmp_path, capsys, content):
-    # An unreadable or ill-formed cached table exits 3 naming the file, with nothing on stdout.
-    argv = ("gapless-table", "--poset", "propeller-3", "--cache-dir", str(tmp_path))
-    assert run(capsys, *argv)[0] == 0
+    # An unreadable or ill-formed cached table exits 3 naming the file, with
+    # nothing on stdout, for every command that reads it.  The float and
+    # boolean rows keep the orbit sizes summing to the total.
+    cache = ("--poset", "propeller-3", "--cache-dir", str(tmp_path))
+    assert run(capsys, "gapless-table", *cache)[0] == 0
     (path,) = tmp_path.iterdir()
     path.write_text(content(path.read_text()))
-    code, out, err = run(capsys, *argv)
-    assert code == 3 and out == ""
-    assert err.startswith("error: ") and str(path) in err
+    for command in (("gapless-table",), ("verify-csp", "--k", "1")):
+        code, out, err = run(capsys, *command, *cache)
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and str(path) in err
+
+
+def first_row(text: str, **fields) -> str:
+    """A cached table's text with fields of its first row replaced."""
+    data = json.loads(text)
+    data["rows"][0].update(fields)
+    return json.dumps(data)
 
 
 @pytest.mark.parametrize(

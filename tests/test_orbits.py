@@ -565,13 +565,33 @@ def test_entry_points_refuse_non_integer_parameters(value):
     # A boolean or a float is refused, never read as 1 or converted.
     from minuscule.errors import state_cap
 
+    from minuscule import OrderIdeal, PlanePartition, chain_product, k_bender_knuth, vector_inflation
+
     P = cayley_moufang()
+    table = load_or_build_table(P)
+    T = next(enumerate_gapless(propeller(3)))
     calls = (
         lambda: state_cap(value),
         lambda: rowmotion_orbits(P, value),
         lambda: plane_partition_gf(P, value),
         lambda: verify_csp(P, value),
         lambda: promotion_order(P, value),
+        lambda: chain_product(P, value),
+        lambda: rectangle(value, 2),
+        lambda: rectangle(2, value),
+        lambda: shifted_staircase(value),
+        lambda: propeller(value),
+        lambda: inflated_period(4, 2, 1, value),
+        lambda: inflated_period(value, 2, 1, 2),
+        lambda: exact_period_vector_count(4, 2, value),
+        lambda: exact_period_vector_count(value, 1, 1),
+        lambda: count_fixed(table, value, 2),
+        lambda: count_fixed(table, 12, value),
+        lambda: build_gapless_table(propeller(3), workers=value),
+        lambda: vector_inflation((1, 0, 1), value),
+        lambda: k_bender_knuth(T, value),
+        lambda: OrderIdeal(P, value),
+        lambda: PlanePartition(rectangle(1, 1), value, (1,)),
     )
     for call in calls:
         with pytest.raises(ParameterError, match="expected an integer"):

@@ -75,6 +75,10 @@ def test_q_factorial_matches_dense_product():
     # The definition: a product of q-integers, with dense multiplication.
     for a in range(16):
         assert q_factorial(a) == dense_q_factorial(a), a
+    # A negative index is refused, as q_int and q_binomial refuse theirs.
+    for call in (lambda: q_factorial(-1), lambda: q_int(-1), lambda: q_binomial(-1, 0)):
+        with pytest.raises(ParameterError, match="nonnegative"):
+            call()
 
 
 def test_q_binomial_matches_dense_quotient():

@@ -16,6 +16,7 @@ from minuscule import (
     content_vector,
     deflate,
     enumerate_gapless,
+    enumerate_ideals,
     enumerate_increasing,
     freudenthal,
     inflate,
@@ -340,6 +341,64 @@ def by_kbk(T):
     for i in range(1, T.m):
         T = k_bender_knuth(T, i)
     return T
+
+
+def swap_by_components(shape):
+    """rho_i on ideal masks (lo, mid, hi), read off the components of the {i, i+1} boxes: the swap oracle.
+
+    The boxes of hi - lo are joined along covers by graph search; the box of
+    a singleton component changes side of mid, every other box stays.
+    """
+    adjacent = [0] * shape.n
+    for a, b in shape.covers:
+        adjacent[a] |= 1 << b
+        adjacent[b] |= 1 << a
+
+    def swap(lo, mid, hi):
+        boxes = unseen = hi & ~lo
+        new = mid
+        while unseen:
+            start = unseen & -unseen
+            component = frontier = start
+            while frontier:
+                bit = frontier & -frontier
+                frontier ^= bit
+                grown = adjacent[bit.bit_length() - 1] & boxes & ~component
+                component |= grown
+                frontier |= grown
+            unseen &= ~component
+            if component == start:
+                new ^= start
+        return new
+
+    return swap
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [propeller(3), rectangle(2, 3), parse_poset_spec("shifted-staircase-4"), Poset(9, [])],
+    ids=["propeller-3", "rectangle-2x3", "shifted-staircase-4", "antichain-9"],
+)
+def test_swap_rule_matches_component_oracle(shape):
+    # Every chain lo <= mid <= hi of ideals whose differences are antichains.
+    from minuscule.tableaux import _rho
+
+    ideals = [ideal.mask for ideal in enumerate_ideals(shape)]
+    down = shape.down_masks
+    antichain = [
+        all(down[x] & d == 1 << x for x in range(shape.n) if d >> x & 1) for d in range(1 << shape.n)
+    ]
+    steps = {lo: [mid for mid in ideals if mid & lo == lo and antichain[mid & ~lo]] for lo in ideals}
+    triples = [(lo, mid, hi) for lo in ideals for mid in steps[lo] for hi in steps[mid]]
+    oracle = swap_by_components(shape)
+    moved = 0
+    for lo, mid, hi in triples:
+        expected = oracle(lo, mid, hi)
+        assert _rho(shape.lower_masks, lo, mid, hi) == expected, (lo, mid, hi)
+        moved += expected != mid
+    assert moved  # the rule is exercised, not only its fixed points
+    if not shape.covers:
+        assert len(triples) == 4**shape.n  # each element below lo, in mid - lo, in hi - mid or above hi
 
 
 def listing(graph, m):
