@@ -226,6 +226,10 @@ def inflated_period(m: int, m_t: int, tau: int, ell: int) -> int:
         raise ParameterError(
             f"no content vector of length {m} with {m_t} ones has period {ell}"
         )
+    return _inflated_period(m, m_t, tau, ell)
+
+
+def _inflated_period(m: int, m_t: int, tau: int, ell: int) -> int:
     return ell * tau // gcd(ell * m_t // m, tau)
 
 
@@ -248,27 +252,34 @@ def exact_period_vector_count(m: int, n: int, e: int) -> int:
         raise ParameterError("need 0 <= n <= m with m positive")
     if e < 1 or m % e:
         raise ParameterError(f"exact period {e} must be a positive divisor of the length {m}")
+    return _exact_period_vector_count(m, n, e)
 
-    def at_most(ep: int) -> int:
-        if (n * ep) % m:
-            return 0
-        return comb(ep, n * ep // m)
 
-    return sum(_mobius(e // ep) * at_most(ep) for ep in _divisors(e))
+def _exact_period_vector_count(m: int, n: int, e: int) -> int:
+    # Mobius inversion over the periods ep | e; a vector of period ep has n * ep / m ones per window.
+    return sum(_mobius(e // ep) * comb(ep, n * ep // m) for ep in _divisors(e) if (n * ep) % m == 0)
 
 
 def _inflation_classes(table: GaplessOrbitTable, m: int):
     """All ceiling-m tableaux, as inflations of a table row by the vectors of exact content
-    period e: yields (row, e, vector count, promotion period h of each inflation)."""
+    period e: yields (row, e, vector count, promotion period h of each inflation).
+
+    The vector count depends on (m_t, e) only, so each is computed once per call.
+    """
+    divisors = _divisors(m)
+    counts: dict[tuple[int, int], int] = {}
     for row in table.rows:
-        if row.m_t > m:
+        m_t = row.m_t
+        if m_t > m:
             continue
-        for e in _divisors(m):
-            if (e * row.m_t) % m:
+        for e in divisors:
+            if (e * m_t) % m:
                 continue
-            vectors = exact_period_vector_count(m, row.m_t, e)
+            vectors = counts.get((m_t, e))
+            if vectors is None:
+                vectors = counts[m_t, e] = _exact_period_vector_count(m, m_t, e)
             if vectors:
-                yield row, e, vectors, inflated_period(m, row.m_t, row.period, e)
+                yield row, e, vectors, _inflated_period(m, m_t, row.period, e)
 
 
 def promotion_orbits(table: GaplessOrbitTable, m: int) -> OrbitSummary:

@@ -155,7 +155,7 @@ class Poset:
         return [x for x in range(self.n) if not self.upper[x]]
 
     def __eq__(self, other):
-        return isinstance(other, Poset) and self.n == other.n and self.covers == other.covers
+        return self is other or (isinstance(other, Poset) and self.n == other.n and self.covers == other.covers)
 
     def __hash__(self):
         return self._hash

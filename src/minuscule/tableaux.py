@@ -12,29 +12,34 @@ j; successive differences are antichains.  The swap rho_i rewrites only
 I_i, and the new I_i depends only on (I_(i-1), I_i, I_(i+1)), so K-promotion
 is one left-to-right sweep I_i <- step(I_(i-1), I_i, I_(i+1)) for
 i = 1..m-1, each new I_i feeding the next step.  The step is one rule on
-the three masks (_rho), which k_bender_knuth applies too, memoised per
-shape; a shape has few distinct triples (262 on the 27-element exceptional
-shape), so the sweep is a table lookup per position.  General
-promotion, when label 1 is present, makes the same sweep in one pass over
-the present labels only: I_i is the union of the boxes with the i smallest
-labels, and each settled antichain (new I_i minus new I_(i-1)) is written
-straight out with the label just below the (i+1)-th present one, which is
+the three masks (_rho), which k_bender_knuth applies too.  The sweep runs
+through one automaton per shape (_Sweep), filled lazily: a state is the
+pair (new I_(i-1), I_i), a transition reads the antichain added next, and
+each state carries the packed complement of its new ideal.  A shape has
+few states (116 on the 27-element exceptional shape after its full table
+build, 47 on the 16-element one), so a sweep is one dict lookup and one
+addition per label.  General promotion, when label 1 is present, makes
+the same sweep in one pass over the present labels only: I_i is the union
+of the boxes with the i smallest labels, and the boxes of new I_i minus
+new I_(i-1) take the label just below the (i+1)-th present one, which is
 deflation, sweep and inflation by the rotated content vector in one go;
-without label 1, every label drops by one.  The orbit-table build lists
-the chains as paths in the (small) ideal graph, which is how the large
-shapes stay tractable, and keeps each tableau only as its label key, the
-label array read as one integer.  The graph, like the step memo, is keyed
-by ideal mask.  The build makes the sweep while it lists the chains: the
-prefixes of one length that share the sweep state, the mask pair
-(new I_(L-2), I_(L-1)), share their successors and, for each, the next
-image ideal, so one lookup in the memo promotion() reads extends the keys
-of a whole group of chains and of their images at once.  One table, the
-number of paths of each length from each ideal to the full one, both
-prunes the listing to prefixes that can still finish and counts the
-tableaux of each ceiling.  The orbit partition lives with the listing:
-the graph pops each ceiling's key-to-image map into cycles and hands out
-rows of label tuples and a mask of the elements the m-fold promotion
-moves, so no label key leaves this module.
+summed over the sweep, the packed complements count for each box how many
+new ideals it lies outside, and that count picks its label.  Without
+label 1, every label drops by one.  The orbit-table build lists the
+chains as paths in the (small) ideal graph, which is how the large shapes
+stay tractable, and keeps each tableau only as its label key, the label
+array read as one integer.  The graph, like the automaton, is keyed by
+ideal mask.  The build makes the sweep while it lists the chains: the
+prefixes of one length that share the sweep state share their successors
+and, for each, the next state, so one transition of the automaton
+promotion() reads extends the keys of a whole group of chains and of
+their images at once.  One table, the number of paths of each length
+from each ideal to the full one, both prunes the listing to prefixes
+that can still finish and counts the tableaux of each ceiling.  The
+orbit partition lives with the listing: the graph pops each ceiling's
+key-to-image map into cycles and hands out rows of label tuples and a
+mask of the elements the m-fold promotion moves, so no label key leaves
+this module.
 """
 
 from collections import Counter
@@ -147,9 +152,7 @@ def _rho(lower_masks, lo: int, mid: int, hi: int) -> int:
     rho_i swaps i and i+1 on the singleton components of the {i, i+1} boxes
     under covers.  Labels rise along covers, so an (i+1)-box drops to i
     exactly when none of its lower covers lies in mid - lo, and an i-box
-    rises to i+1 exactly when it is a lower cover of no (i+1)-box.  Each
-    (i+1)-box adds itself or an i-box to lo, so the result is never 0 when
-    hi - mid is not empty, and the step memo's readers test a hit with `or`.
+    rises to i+1 exactly when it is a lower cover of no (i+1)-box.
     """
     low, new, rest = mid & ~lo, lo, hi & ~mid
     while rest:
@@ -180,14 +183,60 @@ def k_bender_knuth(tableau: IncreasingTableau, i: int) -> IncreasingTableau:
     return _trusted(tableau.shape, tuple(labels), tableau.m)
 
 
+def _complement_key(mask: int, n: int, width: int) -> int:
+    # One big-endian field of `width` bytes per element, element 0 first: 1 outside mask, 0 inside.
+    return sum(1 << 8 * width * (n - 1 - x) for x in range(n) if not (mask >> x) & 1)
+
+
+class _Sweep:
+    """K-promotion's left-to-right sweep on one shape, as an automaton filled lazily.
+
+    A state is a sweep pair (new I_(i-1), I_i), numbered in order of first
+    use; state 0 is (0, 0), before the first label.  delta[state] maps the
+    antichain added next, I_(i+1) - I_i, to the state (new I_i, I_(i+1)),
+    where new I_i is _rho on (new I_(i-1), I_i, I_(i+1)) and new I_0 = I_0
+    is empty.  A target's I_i is never empty, so no target is state 0 and
+    the readers test a hit with `or`.  ckey[state] is the packed complement
+    of the state's new I_(i-1), one field of `width` bytes per element
+    (one byte up to 255 elements, where it is _IdealGraph.comp).  Summed
+    over the states a sweep passes, these terms count for each box how many
+    of the new ideals it lies outside, at most the element count, so no
+    field carries into the next.  pairs[state] is the sweep pair and ids
+    its inverse; bits[x] is the mask of element x.
+    """
+
+    __slots__ = ("lower_masks", "n", "bits", "width", "pairs", "ids", "delta", "ckey")
+
+    def __init__(self, shape: Poset):
+        self.lower_masks = shape.lower_masks
+        self.n = shape.n
+        self.bits = [1 << x for x in range(shape.n)]
+        self.width = shape.n.bit_length() // 8 + 1
+        self.pairs = [(0, 0)]
+        self.ids = {(0, 0): 0}
+        self.delta: list[dict[int, int]] = [{}]
+        self.ckey = [_complement_key(0, self.n, self.width)]
+
+
 @lru_cache(maxsize=8)
-def _step_memo(shape: Poset) -> dict[tuple[int, int, int], int]:
-    return {}
+def _sweep(shape: Poset) -> _Sweep:
+    return _Sweep(shape)
 
 
-def _swap_step(shape: Poset, lo: int, mid: int, hi: int) -> int:
-    """The step memo's miss path: _rho on (I_(i-1), I_i, I_(i+1)), stored in the shape's memo."""
-    return _step_memo(shape).setdefault((lo, mid, hi), _rho(shape.lower_masks, lo, mid, hi))
+def _swap_step(sweep: _Sweep, state: int, added: int) -> int:
+    """The automaton's miss path: the state after adding `added` to the state's I_i,
+    numbered if new, stored in delta[state] and returned."""
+    prev, cur = sweep.pairs[state]
+    nxt = cur | added
+    pair = (_rho(sweep.lower_masks, prev, cur, nxt) if cur else 0, nxt)
+    target = sweep.ids.get(pair)
+    if target is None:
+        target = sweep.ids[pair] = len(sweep.pairs)
+        sweep.pairs.append(pair)
+        sweep.delta.append({})
+        sweep.ckey.append(_complement_key(pair[0], sweep.n, sweep.width))
+    sweep.delta[state][added] = target
+    return target
 
 
 def promotion(tableau: IncreasingTableau) -> IncreasingTableau:
@@ -195,38 +244,36 @@ def promotion(tableau: IncreasingTableau) -> IncreasingTableau:
 
     Computed through deflation without building it: when label 1 is
     present, the ideal chain of the present labels is swept left to right
-    in one pass, and each settled antichain takes the label just below the
-    next present one (the promote_pair identity); otherwise every label
-    drops by one.
+    through the shape's automaton, and each settled antichain takes the
+    label just below the next present one (the promote_pair identity);
+    otherwise every label drops by one.  A box lying outside c of the new
+    ideals new I_0, ..., new I_(t-1) of the t present labels settles at the
+    c-th step, so the sweep only sums the states' ckey terms and the sum is
+    decoded once.
     """
     labels = tableau.labels
     shape, m = tableau.shape, tableau.m
     if 1 not in labels:
         return _trusted(shape, tuple([v - 1 for v in labels]), m)
-    by_value = [0] * (m + 1)
-    bit = 1
-    for v in labels:
-        by_value[v] |= bit
-        bit <<= 1
-    memo = _step_memo(shape)
-    out = [m] * len(labels)  # the boxes that settle last
-    # prev is the new I_(i-1), cur the old I_i; v runs over the present labels above 1.
-    prev = 0
-    cur = by_value[1]
-    for v in range(2, m + 1):
-        added = by_value[v]
-        if not added:
-            continue
-        nxt = cur | added
-        new = memo.get((prev, cur, nxt)) or _swap_step(shape, prev, cur, nxt)
-        settled = new ^ prev
-        while settled:
-            low = settled & -settled
-            out[low.bit_length() - 1] = v - 1
-            settled ^= low
-        prev = new
-        cur = nxt
-    return _trusted(shape, tuple(out), m)
+    sweep = _sweep(shape)
+    by_label = [0] * m  # by_label[v - 1]: the boxes labelled v
+    for v, bit in zip(labels, sweep.bits):
+        by_label[v - 1] |= bit
+    delta, ckey = sweep.delta, sweep.ckey
+    state = key = 0
+    out = []  # out[c]: the label of the boxes outside c new ideals, one below the next present label
+    for below, added in enumerate(by_label):
+        if added:
+            state = delta[state].get(added) or _swap_step(sweep, state, added)
+            key += ckey[state]
+            out.append(below)
+    out.append(m)  # the boxes outside every new ideal settle last
+    width = sweep.width
+    counts = key.to_bytes(shape.n * width, "big")
+    if width > 1:  # more than 255 elements
+        counts = [int.from_bytes(counts[i : i + width], "big") for i in range(0, len(counts), width)]
+    # itemgetter of one index gives no tuple.
+    return _trusted(shape, itemgetter(*counts)(out) if len(counts) > 1 else (out[counts[0]],), m)
 
 
 def content_vector(tableau: IncreasingTableau) -> tuple[int, ...]:
@@ -366,7 +413,7 @@ class _IdealGraph:
             self.succ[mask] = tuple(targets[1:])
             # Big-endian packed complement indicators: summed over a chain
             # they give its label key.
-            self.comp[mask] = sum(1 << 8 * (n - 1 - x) for x in range(n) if not (mask >> x) & 1)
+            self.comp[mask] = _complement_key(mask, n, 1)
             counts = {0: 1} if mask == full else {}
             for nxt in self.succ[mask]:
                 for r, ways in self.paths[nxt].items():
@@ -385,37 +432,39 @@ class _IdealGraph:
         The sweep is made while the chains are listed.  A prefix I_0..I_(L-1)
         carries the partial keys of itself and of its image prefix
         new I_0..new I_(L-2), and the prefixes of one level are grouped by
-        their sweep state, the mask pair (new I_(L-2), I_(L-1)): every prefix
+        their sweep state, the state of the shape's automaton (the one
+        promotion() reads) for the pair (new I_(L-2), I_(L-1)): every prefix
         of a group has the same successors I_L from which the full ideal is
-        reachable in the steps left and, for each, the same next image ideal
-        new I_(L-1) = step(new I_(L-2), I_(L-1), I_L), read from the shape's
-        step memo (the one promotion() reads).  So each (group, successor)
-        pair costs one step lookup and two list comprehensions, adding
-        comp[I_L] to the keys and comp[new I_(L-1)] to the image keys.
-        I_m = P is its own image and adds nothing.  The lists come out in
-        group order.
+        reachable in the steps left and, for each, the same next state, whose
+        ckey is comp[new I_(L-1)].  So each (group, successor) pair costs one
+        transition and two list comprehensions, adding comp[I_L] to the keys
+        and the next state's ckey to the image keys.  I_m = P is its own
+        image and adds nothing.  The lists come out in group order.
         """
-        shape, succ, comp, paths = self.shape, self.succ, self.comp, self.paths
-        memo = _step_memo(shape)
-        # (new I_(L-2), I_(L-1)) -> (keys, image keys); the first step adds new I_0 = I_0.
-        groups = {(0, 0): ([comp[0]], [0])}
+        succ, comp, paths = self.succ, self.comp, self.paths
+        sweep = _sweep(self.shape)
+        delta, ckey, pairs = sweep.delta, sweep.ckey, sweep.pairs
+        # state -> (keys, image keys); the start state 0 is the pair (0, I_0).
+        groups = {0: ([comp[0]], [0])}
         for depth in range(target):
             remaining = target - depth - 1
+            # I_(L-1) -> (I_L - I_(L-1), comp[I_L]) for each admissible successor I_L.
             admissible = {
-                last: [nxt for nxt in succ[last] if remaining in paths[nxt]]
-                for last in {last for _, last in groups}
+                last: [(nxt ^ last, comp[nxt]) for nxt in succ[last] if remaining in paths[nxt]]
+                for last in {pairs[state][1] for state in groups}
             }
-            grown: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
+            grown: dict[int, tuple[list[int], list[int]]] = {}
             while groups:  # popped, so each level is freed as the next one grows
-                (prev, last), (keys, images) = groups.popitem()
-                for nxt in admissible[last]:
-                    new = (memo.get((prev, last, nxt)) or _swap_step(shape, prev, last, nxt)) if depth else 0
-                    add, image_add = comp[nxt], comp[new]
+                state, (keys, images) = groups.popitem()
+                moves = delta[state]
+                for added, add in admissible[pairs[state][1]]:
+                    to = moves.get(added) or _swap_step(sweep, state, added)
+                    image_add = ckey[to]
                     extended = [key + add for key in keys]
                     promoted = [image + image_add for image in images]
-                    entry = grown.get((new, nxt))
+                    entry = grown.get(to)
                     if entry is None:
-                        grown[new, nxt] = (extended, promoted)
+                        grown[to] = (extended, promoted)
                     else:
                         entry[0].extend(extended)
                         entry[1].extend(promoted)

@@ -490,6 +490,46 @@ def test_labels_fit_one_byte_up_to_255_elements():
             build_gapless_table(shape)
 
 
+def _random_linear_labels(shape, m, rng):
+    """A tableau with ceiling m and n distinct labels, 1 among them, along a random linear extension."""
+    order, placed = [], 0
+    while len(order) < shape.n:
+        ready = [x for x in range(shape.n) if not (placed >> x) & 1 and shape.lower_masks[x] & ~placed == 0]
+        x = rng.choice(ready)
+        order.append(x)
+        placed |= 1 << x
+    labels = [0] * shape.n
+    for x, v in zip(order, [1] + sorted(rng.sample(range(2, m + 1), shape.n - 1))):
+        labels[x] = v
+    return IncreasingTableau(shape, labels, m)
+
+
+def test_promotion_decodes_wide_shapes_and_high_labels():
+    # With more than 255 distinct labels, a box can lie outside more of the
+    # swept ideals than one byte counts, so the sweep's per-box fields widen.
+    rng = random.Random(20)
+    chain = rectangle(1, 300)
+    gapless = IncreasingTableau(chain, range(1, 301), 300)
+    assert promotion(gapless) == gapless == by_kbk(gapless)
+    for shape in (chain, rectangle(2, 150)):
+        for m in (300, 400):
+            T = _random_linear_labels(shape, m, rng)
+            assert T.m_t == 300
+            assert promotion(T) == by_kbk(T)
+    # Labels above 255 on a small shape: gappy inflations of every gapless
+    # propeller-3 tableau, with and without label 1.
+    shape = propeller(3)
+    for T in enumerate_gapless(shape):
+        for m in (256, 300):
+            for first in (0, 1):
+                ones = set(rng.sample(range(1, m), T.m - first))
+                if first:
+                    ones.add(0)
+                gappy = inflate(T, tuple(int(pos in ones) for pos in range(m)))
+                assert (1 in gappy.labels) == bool(first)
+                assert promotion(gappy) == by_kbk(gappy)
+
+
 def test_promotion_never_enumerates_ideals(monkeypatch):
     # rectangle(8, 8) has 12,870 ideals; a single promotion must not list them.
     from minuscule import ideals, tableaux
@@ -509,15 +549,16 @@ def test_promotion_never_enumerates_ideals(monkeypatch):
 
 
 def test_table_build_and_promotion_share_one_step_memo(monkeypatch):
-    # Once a build has filled the shape's step memo, neither the listing nor
-    # promotion() computes a step again.
+    # The build and promotion() read one sweep automaton per shape: once a
+    # build has filled it, neither the listing nor promotion() takes its
+    # miss path again.
     from minuscule import tableaux
 
     shape = parse_poset_spec("shifted-staircase-5")
     build_gapless_table(shape)
 
     def refuse(*args):
-        raise AssertionError("a step missed the memo")
+        raise AssertionError("a step missed the automaton")
 
     monkeypatch.setattr(tableaux, "_swap_step", refuse)
     graph = _IdealGraph(shape)
