@@ -211,7 +211,7 @@ class _Sweep:
         self.lower_masks = shape.lower_masks
         self.n = shape.n
         self.bits = [1 << x for x in range(shape.n)]
-        self.width = shape.n.bit_length() // 8 + 1
+        self.width = max(1, (shape.n.bit_length() + 7) // 8)  # bytes that hold a count up to n
         self.pairs = [(0, 0)]
         self.ids = {(0, 0): 0}
         self.delta: list[dict[int, int]] = [{}]
@@ -272,8 +272,7 @@ def promotion(tableau: IncreasingTableau) -> IncreasingTableau:
     counts = key.to_bytes(shape.n * width, "big")
     if width > 1:  # more than 255 elements
         counts = [int.from_bytes(counts[i : i + width], "big") for i in range(0, len(counts), width)]
-    # itemgetter of one index gives no tuple.
-    return _trusted(shape, itemgetter(*counts)(out) if len(counts) > 1 else (out[counts[0]],), m)
+    return _trusted(shape, tuple([out[c] for c in counts]), m)
 
 
 def content_vector(tableau: IncreasingTableau) -> tuple[int, ...]:

@@ -483,6 +483,25 @@ def test_labels_fit_one_byte_up_to_255_elements():
     (chain,) = enumerate_gapless(rectangle(1, 255))
     assert chain.labels == tuple(range(1, 256))
     assert promotion(chain) == chain
+    # From 128 elements on, a count no longer fits seven bits: the build's
+    # image terms (the automaton's) must keep the width of its key terms.
+    rng = random.Random(255)
+    for n in (128, 255):
+        # A chain of n - 1 boxes and one free box: the free box shares a
+        # label with the chain or takes one of its own, so ceilings n - 1 and n.
+        shape = Poset(n, [(x, x + 1) for x in range(n - 2)])
+        graph = _IdealGraph(shape)
+        assert graph.class_sizes() == {n - 1: n - 1, n: n}
+        for m in graph.class_sizes():
+            pairs = listing(graph, m)
+            for T, image in pairs:
+                assert image == promotion(T).labels
+            for T, image in rng.sample(pairs, 3):
+                assert image == by_kbk(T).labels
+        table = build_gapless_table(shape)
+        assert sum(row.period * row.orbits for row in table.rows) == 2 * n - 1
+    T = _random_linear_labels(rectangle(2, 64), 200, rng)
+    assert promotion(T) == by_kbk(T)
     for shape in (rectangle(1, 256), Poset(300, [])):
         with pytest.raises(ParameterError, match="at most 255 elements"):
             list(enumerate_gapless(shape))
