@@ -20,7 +20,7 @@ from importlib import resources
 from math import comb, gcd
 from pathlib import Path
 
-from .errors import ParameterError, UnsupportedPosetError, _integer, read_json, state_cap
+from .errors import ParameterError, StateCapExceeded, UnsupportedPosetError, _integer, read_json, state_cap
 from .ideals import OrbitSummary, _orbit, rowmotion_orbits
 from .poset import Poset
 from .qpoly import RootOfUnityValue, _divisors, _mobius, eval_at_root, plane_partition_gf, q_binomial_at_root
@@ -85,6 +85,17 @@ def _table_from_dict(data: dict, poset: Poset) -> GaplessOrbitTable:
     table = GaplessOrbitTable(poset, rows, tuple(map(_integer, data["stable"])), _integer(data["total"]))
     if sum(r.period * r.orbits for r in rows) != table.total:
         raise ParameterError("cached table is inconsistent: orbit sizes do not sum to the total")
+    by_ceiling: Counter = Counter()
+    for r in rows:
+        by_ceiling[r.m_t] += r.period * r.orbits
+    # Each ideal lies on one of a true table's total chains, of at most n + 1
+    # ideals each, so that product bounds the recount for every true table.
+    try:
+        sizes = _IdealGraph(poset, max(1, table.total * (poset.n + 1))).class_sizes()
+    except StateCapExceeded:
+        sizes = None
+    if by_ceiling != sizes:
+        raise ParameterError("cached table does not match the shape: wrong tableau count at some ceiling")
     return table
 
 
@@ -184,7 +195,13 @@ def load_or_build_table(
     workers: int = 1,
     cap: int | None = None,
 ) -> GaplessOrbitTable:
-    """Packaged table, else on-disk cache keyed by poset digest (made before any build), else a fresh build."""
+    """Packaged table, else on-disk cache keyed by poset digest (made before any build), else a fresh build.
+
+    workers, and cap when given, are checked before any lookup.
+    """
+    workers = _integer(workers)
+    if cap is not None:
+        cap = state_cap(cap)
     table = packaged_table(poset)
     if table is not None:
         return table
@@ -208,6 +225,7 @@ def _table_for(
     poset: Poset, table: GaplessOrbitTable | None, cache_dir: str | Path | None, workers: int
 ) -> GaplessOrbitTable:
     """The given table, refused unless it is the poset's own; without one, the looked-up table."""
+    workers = _integer(workers)
     if table is None:
         return load_or_build_table(poset, cache_dir=cache_dir, workers=workers)
     if table.poset != poset:
@@ -310,6 +328,7 @@ def count_fixed_qbinomial(table: GaplessOrbitTable, m: int, d: int) -> int:
     valid when every row with m_t <= m has period dividing m_t (true for the
     Cayley-Moufang poset and the propellers).
     """
+    m, d = _integer(m), _integer(d)
     if d < 1 or m % d:
         raise ParameterError(f"d = {d} must divide m = {m}")
     total = 0

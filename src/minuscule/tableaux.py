@@ -14,22 +14,23 @@ is one left-to-right sweep I_i <- step(I_(i-1), I_i, I_(i+1)) for
 i = 1..m-1, each new I_i feeding the next step.  The step is one rule on
 the three masks (_rho), which k_bender_knuth applies too.  The sweep runs
 through one automaton per shape (_Sweep), filled lazily: a state is the
-pair (new I_(i-1), I_i), a transition reads the antichain added next, and
-each state carries the packed complement of its new ideal.  A shape has
-few states (116 on the 27-element exceptional shape after its full table
-build, 47 on the 16-element one), so a sweep is one dict lookup and one
+pair (new I_(i-1), I_i) and a transition reads the antichain added next.
+A shape has few states (116 on the 27-element exceptional shape after its
+full table build, 47 on the 16-element one).  The automaton alone encodes
+and decodes label keys, a tableau's label array read as one integer and
+the sum of one term per ideal of its chain; each state stores the terms
+of its I_i and its new I_(i-1), so a sweep is one dict lookup and one
 addition per label.  General promotion, when label 1 is present, makes
 the same sweep in one pass over the present labels only: I_i is the union
 of the boxes with the i smallest labels, and the boxes of new I_i minus
 new I_(i-1) take the label just below the (i+1)-th present one, which is
 deflation, sweep and inflation by the rotated content vector in one go;
-summed over the sweep, the packed complements count for each box how many
-new ideals it lies outside, and that count picks its label.  Without
-label 1, every label drops by one.  The orbit-table build lists the
-chains as paths in the (small) ideal graph, which is how the large shapes
-stay tractable, and keeps each tableau only as its label key, the label
-array read as one integer.  The graph, like the automaton, is keyed by
-ideal mask.  The build makes the sweep while it lists the chains: the
+the summed terms count for each box how many new ideals it lies outside,
+and that count picks its label.  Without label 1, every label drops by
+one.  The orbit-table build lists the chains as paths in the (small)
+ideal graph, which is how the large shapes stay tractable, and keeps each
+tableau only as its label key.  The graph, like the automaton, is keyed
+by ideal mask.  The build makes the sweep while it lists the chains: the
 prefixes of one length that share the sweep state share their successors
 and, for each, the next state, so one transition of the automaton
 promotion() reads extends the keys of a whole group of chains and of
@@ -100,7 +101,9 @@ class IncreasingTableau:
         return hash((self.labels, self.m))
 
     def __repr__(self):
-        return f"IncreasingTableau(m={self.m}, rows={self.to_text()!r})"
+        # A shape given by its covers has no rows to print; its labels stand in.
+        body = f"labels={self.labels!r}" if self.shape.shape is None else f"rows={self.to_text()!r}"
+        return f"IncreasingTableau(m={self.m}, {body})"
 
     def to_text(self) -> str:
         """Text form: rows bottom-to-top, comma-separated labels, '.' for absent boxes."""
@@ -183,29 +186,28 @@ def k_bender_knuth(tableau: IncreasingTableau, i: int) -> IncreasingTableau:
     return _trusted(tableau.shape, tuple(labels), tableau.m)
 
 
-def _complement_key(mask: int, n: int, width: int) -> int:
-    # One big-endian field of `width` bytes per element, element 0 first: 1 outside mask, 0 inside.
-    return sum(1 << 8 * width * (n - 1 - x) for x in range(n) if not (mask >> x) & 1)
-
-
 class _Sweep:
-    """K-promotion's left-to-right sweep on one shape, as an automaton filled lazily.
+    """K-promotion's sweep on one shape as a lazily filled automaton, and the one owner of label keys.
 
     A state is a sweep pair (new I_(i-1), I_i), numbered in order of first
     use; state 0 is (0, 0), before the first label.  delta[state] maps the
     antichain added next, I_(i+1) - I_i, to the state (new I_i, I_(i+1)),
     where new I_i is _rho on (new I_(i-1), I_i, I_(i+1)) and new I_0 = I_0
     is empty.  A target's I_i is never empty, so no target is state 0 and
-    the readers test a hit with `or`.  ckey[state] is the packed complement
-    of the state's new I_(i-1), one field of `width` bytes per element
-    (one byte up to 255 elements, where it is _IdealGraph.comp).  Summed
-    over the states a sweep passes, these terms count for each box how many
-    of the new ideals it lies outside, at most the element count, so no
-    field carries into the next.  pairs[state] is the sweep pair and ids
-    its inverse; bits[x] is the mask of element x.
+    the readers test a hit with `or`.  pairs[state] is the sweep pair and
+    ids its inverse; bits[x] is the mask of element x.
+
+    A label key is a sum of terms, one per ideal of a chain: the packed
+    complement of the ideal (term), one big-endian field of `width` bytes
+    per element, element 0 first.  A box labelled l lies outside exactly
+    I_0, ..., I_(l-1), so a chain's key holds its label array and keys
+    order like label arrays.  A field counts at most the element count, so
+    none carries into the next; fields() splits a key.  Each state stores
+    the term of its I_i (key_term, which a chain's key reads) and of its
+    new I_(i-1) (image_term, which its promotion image reads).
     """
 
-    __slots__ = ("lower_masks", "n", "bits", "width", "pairs", "ids", "delta", "ckey")
+    __slots__ = ("lower_masks", "n", "bits", "width", "pairs", "ids", "delta", "key_term", "image_term")
 
     def __init__(self, shape: Poset):
         self.lower_masks = shape.lower_masks
@@ -215,7 +217,19 @@ class _Sweep:
         self.pairs = [(0, 0)]
         self.ids = {(0, 0): 0}
         self.delta: list[dict[int, int]] = [{}]
-        self.ckey = [_complement_key(0, self.n, self.width)]
+        self.key_term, self.image_term = [self.term(0)], [self.term(0)]
+
+    def term(self, mask: int) -> int:
+        shift = 8 * self.width
+        return sum(1 << shift * (self.n - 1 - x) for x in range(self.n) if not (mask >> x) & 1)
+
+    def fields(self, key: int) -> bytes | list[int]:
+        """The fields of a key, element 0 first (bytes at width 1)."""
+        width = self.width
+        packed = key.to_bytes(self.n * width, "big")
+        if width == 1:
+            return packed
+        return [int.from_bytes(packed[i : i + width], "big") for i in range(0, len(packed), width)]
 
 
 @lru_cache(maxsize=8)
@@ -234,7 +248,8 @@ def _swap_step(sweep: _Sweep, state: int, added: int) -> int:
         target = sweep.ids[pair] = len(sweep.pairs)
         sweep.pairs.append(pair)
         sweep.delta.append({})
-        sweep.ckey.append(_complement_key(pair[0], sweep.n, sweep.width))
+        sweep.key_term.append(sweep.term(nxt))
+        sweep.image_term.append(sweep.term(pair[0]))
     sweep.delta[state][added] = target
     return target
 
@@ -248,7 +263,7 @@ def promotion(tableau: IncreasingTableau) -> IncreasingTableau:
     label just below the next present one (the promote_pair identity);
     otherwise every label drops by one.  A box lying outside c of the new
     ideals new I_0, ..., new I_(t-1) of the t present labels settles at the
-    c-th step, so the sweep only sums the states' ckey terms and the sum is
+    c-th step, so the sweep only sums the states' image terms and the sum is
     decoded once.
     """
     labels = tableau.labels
@@ -259,20 +274,16 @@ def promotion(tableau: IncreasingTableau) -> IncreasingTableau:
     by_label = [0] * m  # by_label[v - 1]: the boxes labelled v
     for v, bit in zip(labels, sweep.bits):
         by_label[v - 1] |= bit
-    delta, ckey = sweep.delta, sweep.ckey
+    delta, image_term = sweep.delta, sweep.image_term
     state = key = 0
     out = []  # out[c]: the label of the boxes outside c new ideals, one below the next present label
     for below, added in enumerate(by_label):
         if added:
             state = delta[state].get(added) or _swap_step(sweep, state, added)
-            key += ckey[state]
+            key += image_term[state]
             out.append(below)
     out.append(m)  # the boxes outside every new ideal settle last
-    width = sweep.width
-    counts = key.to_bytes(shape.n * width, "big")
-    if width > 1:  # more than 255 elements
-        counts = [int.from_bytes(counts[i : i + width], "big") for i in range(0, len(counts), width)]
-    return _trusted(shape, tuple([out[c] for c in counts]), m)
+    return _trusted(shape, tuple([out[c] for c in sweep.fields(key)]), m)
 
 
 def content_vector(tableau: IncreasingTableau) -> tuple[int, ...]:
@@ -379,16 +390,13 @@ class _IdealGraph:
     empty ideal to the full one, where each step adds a nonempty subset of
     the minimal elements of the complement, and the label of a box is the
     index of the step that added it.  The graph lists each tableau as its
-    label key: the label array as a big-endian integer, one byte per
-    element, element 0 first, so keys order like label arrays.  The key of
-    a path is the sum of comp over its ideals, since a box labelled l lies
-    outside exactly I_0, ..., I_(l-1).  One byte per label caps the shape
-    at 255 elements.  Keys never leave the graph: class_orbits hands out
-    label tuples and element masks.  succ and comp map each ideal mask to
-    its successor masks and its term of a key, and paths[mask][r] is the
-    number of r-step paths from it to the full ideal (a step count that
-    cannot reach it has no entry).  A shape with more than cap gapless
-    tableaux raises StateCapExceeded before any is listed.
+    label key, which the shape's sweep automaton (_Sweep) encodes and
+    decodes; keys never leave the graph: class_orbits hands out label
+    tuples and element masks.  succ maps each ideal mask to its successor
+    masks, and paths[mask][r] is the number of r-step paths from it to the
+    full ideal (a step count that cannot reach it has no entry).  The build
+    takes shapes of at most 255 elements, and a shape with more than cap
+    gapless tableaux raises StateCapExceeded before any is listed.
     """
 
     def __init__(self, shape: Poset, cap: int | None = None):
@@ -399,7 +407,7 @@ class _IdealGraph:
         self.shape = shape
         lower_masks = shape.lower_masks
         full = (1 << n) - 1
-        self.succ, self.comp, self.paths = {}, {}, {}
+        self.succ, self.paths = {}, {}
         # Every successor is a strict superset, so with supersets first each
         # path count is made from finished ones.
         for mask in sorted(_ideal_masks(shape, cap), key=int.bit_count, reverse=True):
@@ -410,9 +418,6 @@ class _IdealGraph:
                 if not (mask >> x) & 1 and mask & lower_masks[x] == lower_masks[x]:
                     targets += [t | 1 << x for t in targets]
             self.succ[mask] = tuple(targets[1:])
-            # Big-endian packed complement indicators: summed over a chain
-            # they give its label key.
-            self.comp[mask] = _complement_key(mask, n, 1)
             counts = {0: 1} if mask == full else {}
             for nxt in self.succ[mask]:
                 for r, ways in self.paths[nxt].items():
@@ -434,31 +439,31 @@ class _IdealGraph:
         their sweep state, the state of the shape's automaton (the one
         promotion() reads) for the pair (new I_(L-2), I_(L-1)): every prefix
         of a group has the same successors I_L from which the full ideal is
-        reachable in the steps left and, for each, the same next state, whose
-        ckey is comp[new I_(L-1)].  So each (group, successor) pair costs one
-        transition and two list comprehensions, adding comp[I_L] to the keys
-        and the next state's ckey to the image keys.  I_m = P is its own
-        image and adds nothing.  The lists come out in group order.
+        reachable in the steps left and, for each, the same next state
+        (new I_(L-1), I_L).  So each (group, successor) pair costs one
+        transition and two list comprehensions, adding the next state's
+        key_term to the keys and its image_term to the image keys.  I_m = P
+        is its own image and adds nothing.  The lists come out in group order.
         """
-        succ, comp, paths = self.succ, self.comp, self.paths
+        succ, paths = self.succ, self.paths
         sweep = _sweep(self.shape)
-        delta, ckey, pairs = sweep.delta, sweep.ckey, sweep.pairs
+        delta, pairs, key_term, image_term = sweep.delta, sweep.pairs, sweep.key_term, sweep.image_term
         # state -> (keys, image keys); the start state 0 is the pair (0, I_0).
-        groups = {0: ([comp[0]], [0])}
+        groups = {0: ([key_term[0]], [0])}
         for depth in range(target):
             remaining = target - depth - 1
-            # I_(L-1) -> (I_L - I_(L-1), comp[I_L]) for each admissible successor I_L.
+            # I_(L-1) -> I_L - I_(L-1) for each admissible successor I_L.
             admissible = {
-                last: [(nxt ^ last, comp[nxt]) for nxt in succ[last] if remaining in paths[nxt]]
+                last: [nxt ^ last for nxt in succ[last] if remaining in paths[nxt]]
                 for last in {pairs[state][1] for state in groups}
             }
             grown: dict[int, tuple[list[int], list[int]]] = {}
             while groups:  # popped, so each level is freed as the next one grows
                 state, (keys, images) = groups.popitem()
                 moves = delta[state]
-                for added, add in admissible[pairs[state][1]]:
+                for added in admissible[pairs[state][1]]:
                     to = moves.get(added) or _swap_step(sweep, state, added)
-                    image_add = ckey[to]
+                    add, image_add = key_term[to], image_term[to]
                     extended = [key + add for key in keys]
                     promoted = [image + image_add for image in images]
                     entry = grown.get(to)
@@ -502,17 +507,16 @@ class _IdealGraph:
                 counts[tau] = (count + 1, min(rep, least))
                 shift = m % tau
                 if shift:
-                    # Labels of the two tableaux differ exactly in the nonzero bytes of the xor.
+                    # Labels of the two tableaux differ exactly in the nonzero fields of the xor.
                     for s in range(tau):
                         moved |= orbit[s] ^ orbit[(s + shift) % tau]
         except RuntimeError:
             if not set(images) <= set(keys):
                 raise RuntimeError(f"a promotion image is not a chain of ceiling {m}") from None
             raise
-        n = self.shape.n
-        rows = [(tau, count, tuple(rep.to_bytes(n, "big"))) for tau, (count, rep) in sorted(counts.items())]
-        moved_bytes = moved.to_bytes(n, "big")
-        return size, rows, sum(1 << x for x in range(n) if moved_bytes[x])
+        fields = _sweep(self.shape).fields
+        rows = [(tau, count, tuple(fields(rep))) for tau, (count, rep) in sorted(counts.items())]
+        return size, rows, sum(1 << x for x, field in enumerate(fields(moved)) if field)
 
 
 def enumerate_gapless(shape: Poset, cap: int | None = None) -> Iterator[IncreasingTableau]:
@@ -520,15 +524,11 @@ def enumerate_gapless(shape: Poset, cap: int | None = None) -> Iterator[Increasi
 
     Within a ceiling, the tableaux come in ascending order of their label arrays.
     """
-    cap = state_cap(cap)
-    n = shape.n
-    if n == 0:
-        yield _trusted(shape, (), 0)
-        return
     graph = _IdealGraph(shape, cap)
-    for m in range(shape.rk + 1, n + 1):
+    fields = _sweep(shape).fields
+    for m in range(shape.rk + 1, shape.n + 1):
         for key in sorted(graph.class_promotions(m)[0]):
-            yield _trusted(shape, tuple(key.to_bytes(n, "big")), m)
+            yield _trusted(shape, tuple(fields(key)), m)
 
 
 def promotion_census(shape: Poset, m: int) -> Counter:

@@ -89,6 +89,17 @@ def test_verify_csp_json(capsys):
     assert verdict["order"] == verdict["m"] == 9
 
 
+def test_verify_csp_text(capsys):
+    # One row per power d of the order, then the verdict line; Freudenthal fails at height 5.
+    code, out, _ = run(capsys, "verify-csp", "--poset", "freudenthal", "--k", "5")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0].split() == ["d", "fixed", "value", "match"]
+    assert len(lines) == 1 + 66 + 1
+    assert lines[1].split() == ["1", "0", "non-integer", "False"]
+    assert lines[-1] == "verdict: fails (order 66, m 22)"
+
+
 def test_frame_check_exit_codes(capsys):
     code, out, _ = run(capsys, "frame-check")
     assert code == 0 and json.loads(out)["match"] is True
@@ -109,7 +120,7 @@ def test_bad_input_exit_code(capsys):
     assert code == 3 and "error" in err
     code, _, err = run(capsys, "period", "--poset", "cayley-moufang", "--m", "5")
     assert code == 3
-    # Labels are packed one byte per element, so the table build refuses 256 elements.
+    # The table build takes shapes of at most 255 elements.
     code, out, err = run(capsys, "gapless-table", "--poset", "rectangle-1x256", "--fresh")
     assert code == 3 and out == "" and "at most 255 elements" in err
 
@@ -117,6 +128,16 @@ def test_bad_input_exit_code(capsys):
 def test_resource_cap_exit_code(capsys):
     code, _, err = run(capsys, "rowmotion-orbits", "--poset", "cayley-moufang", "--k", "2", "--state-cap", "10")
     assert code == 2 and "state cap" in err
+
+
+@pytest.mark.parametrize("value, exit_code", [("10", 2), ("abc", 3), ("0", 3)])
+def test_state_cap_environment(capsys, monkeypatch, value, exit_code):
+    # The environment cap bounds a traversal as --state-cap does; a value that
+    # is no positive integer is bad input naming the variable.
+    monkeypatch.setenv("MINUSCULE_STATE_CAP", value)
+    code, out, err = run(capsys, "rowmotion-orbits", "--poset", "cayley-moufang", "--k", "2")
+    assert code == exit_code and out == ""
+    assert ("state cap" if exit_code == 2 else "MINUSCULE_STATE_CAP") in err
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):
@@ -216,18 +237,21 @@ def test_reproduce_reports_golden_mismatches(tmp_path, capsys, monkeypatch):
         lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "rows"}),
         lambda text: first_row(text, period=1.0, rep=[float(v) for v in json.loads(text)["rows"][0]["rep"]]),
         lambda text: first_row(text, period=True, orbits=True),
+        lambda text: json.dumps(json.loads(text) | {"rows": [], "total": 0}),
+        lambda text: first_row(text, m_t=json.loads(text)["rows"][0]["m_t"] + 1),
     ],
-    ids=["truncated", "not-an-object", "no-rows", "float-row", "bool-row"],
+    ids=["truncated", "not-an-object", "no-rows", "float-row", "bool-row", "empty-rows", "row-moved"],
 )
 def test_bad_cache_file_is_bad_input(tmp_path, capsys, content):
-    # An unreadable or ill-formed cached table exits 3 naming the file, with
-    # nothing on stdout, for every command that reads it.  The float and
-    # boolean rows keep the orbit sizes summing to the total.
+    # An unreadable, ill-formed or wrong cached table exits 3 naming the file,
+    # with nothing on stdout, for every command that reads it.  The last four
+    # keep the orbit sizes summing to the total; the last two are well formed
+    # but miscount the shape's tableaux at some ceiling.
     cache = ("--poset", "propeller-3", "--cache-dir", str(tmp_path))
     assert run(capsys, "gapless-table", *cache)[0] == 0
     (path,) = tmp_path.iterdir()
     path.write_text(content(path.read_text()))
-    for command in (("gapless-table",), ("verify-csp", "--k", "1")):
+    for command in (("gapless-table",), ("verify-csp", "--k", "1"), ("period", "--m", "8"), ("frame-check",)):
         code, out, err = run(capsys, *command, *cache)
         assert code == 3 and out == ""
         assert err.startswith("error: ") and str(path) in err

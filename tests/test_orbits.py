@@ -587,6 +587,14 @@ def test_entry_points_refuse_non_integer_parameters(value):
         lambda: exact_period_vector_count(value, 1, 1),
         lambda: count_fixed(table, value, 2),
         lambda: count_fixed(table, 12, value),
+        lambda: count_fixed_qbinomial(table, value, 1),
+        lambda: count_fixed_qbinomial(table, 12, value),
+        # Checked before the packaged table is looked up, not only when a build runs.
+        lambda: verify_csp(P, 2, workers=value),
+        lambda: promotion_order(P, 12, workers=value),
+        lambda: frame_check(P, workers=value),
+        lambda: load_or_build_table(P, workers=value),
+        lambda: load_or_build_table(P, cap=value),
         lambda: build_gapless_table(propeller(3), workers=value),
         lambda: vector_inflation((1, 0, 1), value),
         lambda: k_bender_knuth(T, value),

@@ -31,7 +31,7 @@ from minuscule import (
     rotate_left,
     vector_inflation,
 )
-from minuscule.tableaux import _IdealGraph
+from minuscule.tableaux import _IdealGraph, _sweep
 
 
 def fixture_text(name: str) -> str:
@@ -69,9 +69,16 @@ def test_validation_rejects_non_integers():
         IncreasingTableau(P, [1.0, 2, 3, 4, 5, 6], 9, validate=False)
     with pytest.raises(ParameterError):
         next(enumerate_increasing(P, 9.0))
-    T = IncreasingTableau(P, bytes([1, 2, 3, 4, 5, 6]), 9)  # byte labels, as graph.labels gives
+    T = IncreasingTableau(P, bytes([1, 2, 3, 4, 5, 6]), 9)  # byte labels, as _Sweep.fields gives up to 255 elements
     assert T.labels == (1, 2, 3, 4, 5, 6) and all(type(v) is int for v in T.labels)
     assert IncreasingTableau.from_text(T.to_text(), m=9) == T
+
+
+def test_repr_prints_any_shape():
+    # A diagram shape prints its rows; a shape given by covers, its labels.
+    T = IncreasingTableau(Poset(2, [(0, 1)]), (1, 2), 2)
+    assert repr(T) == "IncreasingTableau(m=2, labels=(1, 2))"
+    assert repr(load_fixture("kbk_base.txt")).startswith("IncreasingTableau(m=6, rows='")
 
 
 def test_kbk_fixture_swaps():
@@ -407,14 +414,14 @@ def listing(graph, m):
     The listed label keys must be class_sizes()[m] distinct keys, each the
     label array of a valid gapless tableau (built by the validating constructor).
     """
-    n = graph.shape.n
+    fields = _sweep(graph.shape).fields
     keys, images = graph.class_promotions(m)
     assert len(set(keys)) == len(keys) == len(images) == graph.class_sizes()[m]
     pairs = []
     for key, image in zip(keys, images):
-        T = IncreasingTableau(graph.shape, key.to_bytes(n, "big"), m)
+        T = IncreasingTableau(graph.shape, fields(key), m)
         assert T.is_gapless
-        pairs.append((T, tuple(image.to_bytes(n, "big"))))
+        pairs.append((T, tuple(fields(image))))
     return pairs
 
 
@@ -478,13 +485,13 @@ def test_grouped_listing_matches_chains_and_sweep():
 
 
 def test_labels_fit_one_byte_up_to_255_elements():
-    # A label key holds one byte per element, and a label can reach the
-    # element count: 255 elements fit, 256 are refused before any listing.
+    # The table build takes shapes of at most 255 elements, where a label,
+    # which can reach the element count, fits one byte; 256 are refused
+    # before any listing.
     (chain,) = enumerate_gapless(rectangle(1, 255))
     assert chain.labels == tuple(range(1, 256))
     assert promotion(chain) == chain
-    # From 128 elements on, a count no longer fits seven bits: the build's
-    # image terms (the automaton's) must keep the width of its key terms.
+    # From 128 elements on, a count no longer fits seven bits.
     rng = random.Random(255)
     for n in (128, 255):
         # A chain of n - 1 boxes and one free box: the free box shares a
