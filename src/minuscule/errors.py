@@ -1,4 +1,4 @@
-"""Shared exception types, the global state-cap setting, and the JSON input reader."""
+"""Shared exception types, the global state-cap setting, and the input file readers."""
 
 import json
 import os
@@ -59,12 +59,17 @@ def state_cap(override: int | None = None) -> int:
     return DEFAULT_STATE_CAP
 
 
-def read_json(source, convert, what: str):
-    """convert(the JSON in source, a path or package resource); a file that cannot be
-    read, parsed or converted is bad input whose message names it."""
+def read_input(source, convert, what: str):
+    """convert(the bytes of source, a path or package resource); a file that cannot be
+    read or converted is bad input whose message names it."""
     try:
-        return convert(json.loads(source.read_text(encoding="utf-8")))
+        return convert(source.read_bytes())
     except KeyError as exc:
         raise ParameterError(f"bad {what} file {source}: no field {exc}") from exc
     except (OSError, ValueError, TypeError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise ParameterError(f"bad {what} file {source}: {exc}") from exc
+
+
+def read_json(source, convert, what: str):
+    """convert(the JSON in source), read through read_input."""
+    return read_input(source, lambda data: convert(json.loads(data.decode("utf-8"))), what)

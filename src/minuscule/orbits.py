@@ -15,12 +15,11 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
-from functools import partial
 from importlib import resources
 from math import comb, gcd
 from pathlib import Path
 
-from .errors import ParameterError, StateCapExceeded, UnsupportedPosetError, _integer, read_json, state_cap
+from .errors import ParameterError, StateCapExceeded, UnsupportedPosetError, _integer, read_input, state_cap
 from .ideals import OrbitSummary, _orbit, rowmotion_orbits
 from .poset import Poset
 from .qpoly import RootOfUnityValue, _divisors, _mobius, eval_at_root, plane_partition_gf, q_binomial_at_root
@@ -83,6 +82,13 @@ def _table_from_dict(data: dict, poset: Poset) -> GaplessOrbitTable:
         for r in data["rows"]
     )
     table = GaplessOrbitTable(poset, rows, tuple(map(_integer, data["stable"])), _integer(data["total"]))
+    if any(min(r.m_t, r.period, r.orbits) < 1 for r in rows):
+        raise ParameterError("cached table has a row whose ceiling, period or orbit count is not positive")
+    keys = [(r.m_t, r.period) for r in rows]
+    if keys != sorted(set(keys)):
+        raise ParameterError("cached table rows are not strictly ascending by ceiling and period")
+    if table.stable != tuple(sorted(set(table.stable).intersection(range(poset.n)))):
+        raise ParameterError("cached table's stable elements are not strictly ascending inside the shape")
     if sum(r.period * r.orbits for r in rows) != table.total:
         raise ParameterError("cached table is inconsistent: orbit sizes do not sum to the total")
     by_ceiling: Counter = Counter()
@@ -96,7 +102,24 @@ def _table_from_dict(data: dict, poset: Poset) -> GaplessOrbitTable:
         sizes = None
     if by_ceiling != sizes:
         raise ParameterError("cached table does not match the shape: wrong tableau count at some ceiling")
+    for r in rows:  # last, as each rep's orbit is walked
+        start = IncreasingTableau(poset, r.rep, r.m_t)
+        if not start.is_gapless:
+            raise ParameterError(f"cached table row {r.m_t, r.period}: its rep is not gapless")
+        current, steps = promotion(start), 1
+        while current.labels != start.labels and steps < r.period:
+            current, steps = promotion(current), steps + 1
+        if current.labels != start.labels or steps != r.period:
+            raise ParameterError(f"cached table row {r.m_t, r.period}: its rep's orbit has another size")
     return table
+
+
+def _workers(value) -> int:
+    """A worker count: an integer, at least 1."""
+    workers = _integer(value)
+    if workers < 1:
+        raise ParameterError(f"worker count must be at least 1, got {workers}")
+    return workers
 
 
 def build_gapless_table(poset: Poset, workers: int = 1, cap: int | None = None) -> GaplessOrbitTable:
@@ -109,7 +132,7 @@ def build_gapless_table(poset: Poset, workers: int = 1, cap: int | None = None) 
     tests).
     """
     cap = state_cap(cap)
-    workers = _integer(workers)
+    workers = _workers(workers)
     if poset.n == 0:
         raise ParameterError("the empty shape has no orbit table")
     graph = _IdealGraph(poset, cap)
@@ -152,16 +175,15 @@ def save_table(table: GaplessOrbitTable, path: str | Path) -> None:
 
 def load_table(path: str | Path, poset: Poset) -> GaplessOrbitTable:
     """The table stored in a JSON file; an unreadable or ill-formed file is bad input naming the file."""
-    return read_json(Path(path), partial(_table_from_dict, poset=poset), "table")
+    return _read_table(Path(path), poset)
 
 
 def _table_name(poset: Poset) -> str:
     return f"gapless-{poset.digest()}.json"
 
 
-# The sha256 of each table shipped under data/cache, by file name.  Packaged
-# tables are pinned, not re-validated: a file that does not match its pin is
-# an internal error.
+# The sha256 of each table shipped under data/cache, by file name: a file
+# that does not match its pin is an internal error.
 _PACKAGED_SHA256 = {
     "gapless-1b3fa808a09e726e5a8edd99a44615f7e966d32fa916b5192f11a371853737e9.json":
         "e32200080060da8d5fcee794c1e57b7263ecb55567290439fb7ef9e9373d5d62",
@@ -169,24 +191,35 @@ _PACKAGED_SHA256 = {
         "b417e3b3425d3395e42f26eb2359e6feb9d46ae04206fee1df0138e1f79744c3",
 }
 
-# Each packaged table as read, by file name: shipped files do not change
-# while the process runs, so each is read, checked and parsed once.
-_PACKAGED: dict[str, GaplessOrbitTable] = {}
+# Each stored table as checked, by (sha256 of its file, poset digest): the same
+# bytes for the same shape are checked once per process, shipped or in a cache
+# directory, and a rewritten file is read afresh.
+_TABLES: dict[tuple[str, str], GaplessOrbitTable] = {}
+
+
+def _read_table(source, poset: Poset, pin: str | None = None) -> GaplessOrbitTable:
+    """The table in source, a path or with pin a shipped file's name, on the caller's poset.
+    A kept pinned table opens no file; a file that does not match its pin is an internal error."""
+    table = _TABLES.get((pin, poset.digest()))
+    if table is None:
+        if pin is not None:
+            source = resources.files("minuscule").joinpath("data/cache", source)
+        def parse(data: bytes) -> GaplessOrbitTable:
+            key = (hashlib.sha256(data).hexdigest(), poset.digest())
+            if pin is not None and key[0] != pin:
+                raise RuntimeError(f"packaged table {source} does not match its sha256 pin")
+            if key not in _TABLES:
+                _TABLES[key] = _table_from_dict(json.loads(data), poset)
+            return _TABLES[key]
+        table = read_input(source, parse, "table")
+    return GaplessOrbitTable(poset, table.rows, table.stable, table.total)
 
 
 def packaged_table(poset: Poset) -> GaplessOrbitTable | None:
     """Table shipped with the package for this exact poset, if any, on the caller's poset."""
     name = _table_name(poset)
     pin = _PACKAGED_SHA256.get(name)
-    if pin is None:
-        return None
-    table = _PACKAGED.get(name)
-    if table is None:
-        text = resources.files("minuscule").joinpath("data/cache", name).read_bytes()
-        if hashlib.sha256(text).hexdigest() != pin:
-            raise RuntimeError(f"packaged table {name} does not match its sha256 pin")
-        table = _PACKAGED[name] = _table_from_dict(json.loads(text), poset)
-    return GaplessOrbitTable(poset, table.rows, table.stable, table.total)
+    return None if pin is None else _read_table(name, poset, pin)
 
 
 def load_or_build_table(
@@ -199,7 +232,7 @@ def load_or_build_table(
 
     workers, and cap when given, are checked before any lookup.
     """
-    workers = _integer(workers)
+    workers = _workers(workers)
     if cap is not None:
         cap = state_cap(cap)
     table = packaged_table(poset)
@@ -225,7 +258,7 @@ def _table_for(
     poset: Poset, table: GaplessOrbitTable | None, cache_dir: str | Path | None, workers: int
 ) -> GaplessOrbitTable:
     """The given table, refused unless it is the poset's own; without one, the looked-up table."""
-    workers = _integer(workers)
+    workers = _workers(workers)
     if table is None:
         return load_or_build_table(poset, cache_dir=cache_dir, workers=workers)
     if table.poset != poset:

@@ -153,12 +153,20 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     assert err.startswith("internal error: rowmotion orbits disagree")
 
 
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_threads_below_one_is_bad_input(capsys, threads):
+    shape = ("--poset", "propeller-3", "--threads", threads)
+    for command in (("gapless-table",), ("gapless-table", "--fresh"), ("verify-csp", "--k", "1"), ("frame-check",)):
+        code, out, err = run(capsys, *command, *shape)
+        assert code == 3 and out == "" and "worker count must be at least 1" in err
+
+
 def test_packaged_table_pin_mismatch_exits_4(capsys, monkeypatch):
     # A shipped table that does not match its sha256 pin is an engine fault, not bad input.
     from minuscule import freudenthal, orbits
 
     monkeypatch.setitem(orbits._PACKAGED_SHA256, orbits._table_name(freudenthal()), "0" * 64)
-    monkeypatch.setattr(orbits, "_PACKAGED", {})
+    monkeypatch.setattr(orbits, "_TABLES", {})
     with pytest.raises(RuntimeError, match="sha256 pin"):
         orbits.packaged_table(freudenthal())
     code, out, err = run(capsys, "gapless-table", "--poset", "freudenthal")
@@ -229,6 +237,10 @@ def test_reproduce_reports_golden_mismatches(tmp_path, capsys, monkeypatch):
     assert len(builds) == len(set(builds)) == 6
 
 
+# propeller-3's gapless tableaux: one orbit of period 1 at ceiling 5, one of period 2 at ceiling 6.
+P3_REP5, P3_REP6 = [1, 2, 3, 3, 4, 5], [1, 2, 3, 4, 5, 6]
+
+
 @pytest.mark.parametrize(
     "content",
     [
@@ -239,14 +251,32 @@ def test_reproduce_reports_golden_mismatches(tmp_path, capsys, monkeypatch):
         lambda text: first_row(text, period=True, orbits=True),
         lambda text: json.dumps(json.loads(text) | {"rows": [], "total": 0}),
         lambda text: first_row(text, m_t=json.loads(text)["rows"][0]["m_t"] + 1),
+        lambda text: with_rows(text, (5, 1, 1, P3_REP5), (6, 0, 5, P3_REP6), (6, 2, 1, P3_REP6)),
+        lambda text: with_rows(text, (5, 1, 1, P3_REP5), (6, 1, 4, P3_REP6), (6, 2, -1, P3_REP6)),
+        lambda text: with_rows(text, (5, 1, 0, P3_REP5), (5, 1, 1, P3_REP5), (6, 2, 1, P3_REP6)),
+        lambda text: with_rows(text, (6, 2, 1, P3_REP6), (5, 1, 1, P3_REP5)),
+        lambda text: json.dumps(json.loads(text) | {"stable": [99]}),
+        lambda text: json.dumps(json.loads(text) | {"stable": [3, 1, 1]}),
+        lambda text: with_rows(text, (5, 1, 1, P3_REP5), (6, 2, 1, P3_REP6[::-1])),
+        lambda text: with_rows(text, (5, 1, 1, P3_REP5), (6, 2, 1, [1])),
+        lambda text: with_rows(text, (5, 1, 1, P3_REP5), (6, 2, 1, P3_REP5)),
+        lambda text: with_rows(text, (5, 1, 1, P3_REP5), (6, 1, 2, P3_REP6)),
     ],
-    ids=["truncated", "not-an-object", "no-rows", "float-row", "bool-row", "empty-rows", "row-moved"],
+    ids=[
+        "truncated", "not-an-object", "no-rows", "float-row", "bool-row", "empty-rows", "row-moved",
+        "zero-period", "negative-orbits", "zero-orbits", "rows-descending", "stable-outside",
+        "stable-unsorted", "rep-decreasing", "rep-short", "rep-not-gapless", "rep-wrong-period",
+    ],
 )
 def test_bad_cache_file_is_bad_input(tmp_path, capsys, content):
     # An unreadable, ill-formed or wrong cached table exits 3 naming the file,
-    # with nothing on stdout, for every command that reads it.  The last four
-    # keep the orbit sizes summing to the total; the last two are well formed
-    # but miscount the shape's tableaux at some ceiling.
+    # with nothing on stdout, for every command that reads it.  From
+    # "float-row" on, the orbit sizes sum to the total; "empty-rows" and
+    # "row-moved" are well formed but miscount the shape's tableaux at some
+    # ceiling, and every case after them counts them right: a row that is not
+    # positive, rows out of order, a stable set that is not strictly ascending
+    # inside the shape, or a rep that is not a gapless tableau of its ceiling
+    # whose promotion orbit has its row's period.
     cache = ("--poset", "propeller-3", "--cache-dir", str(tmp_path))
     assert run(capsys, "gapless-table", *cache)[0] == 0
     (path,) = tmp_path.iterdir()
@@ -261,6 +291,13 @@ def first_row(text: str, **fields) -> str:
     """A cached table's text with fields of its first row replaced."""
     data = json.loads(text)
     data["rows"][0].update(fields)
+    return json.dumps(data)
+
+
+def with_rows(text: str, *rows) -> str:
+    """A cached table's text with its rows replaced by (m_t, period, orbits, rep) tuples."""
+    data = json.loads(text)
+    data["rows"] = [dict(zip(("m_t", "period", "orbits", "rep"), row)) for row in rows]
     return json.dumps(data)
 
 

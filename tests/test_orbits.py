@@ -505,7 +505,7 @@ def test_packaged_table_is_read_once(monkeypatch):
             opened.append(args[0])
 
     sys.addaudithook(hook)  # audit hooks stay for the process; this one goes quiet below
-    monkeypatch.setattr(orbits, "_PACKAGED", {})
+    monkeypatch.setattr(orbits, "_TABLES", {})
     try:
         first = verify_csp(freudenthal(), 2)
         second = verify_csp(freudenthal(), 3)
@@ -526,7 +526,7 @@ def test_packaged_table_keeps_the_callers_poset():
 
 
 def test_cache_dir_table_is_read_again(tmp_path):
-    # Cache-directory tables are not kept: a file rewritten between two lookups is read again.
+    # Tables are kept by the sha256 of their bytes: a file rewritten between two lookups is read again.
     shape = rectangle(2, 2)
     load_or_build_table(shape, cache_dir=tmp_path)  # built and written
     assert load_or_build_table(shape, cache_dir=tmp_path).stable == (0, 1, 2, 3)  # read
@@ -535,6 +535,28 @@ def test_cache_dir_table_is_read_again(tmp_path):
     data["stable"] = []
     path.write_text(json.dumps(data))
     assert load_or_build_table(shape, cache_dir=tmp_path).stable == ()
+
+
+def test_cache_dir_table_is_checked_once_per_distinct_file(tmp_path, monkeypatch):
+    # Repeated lookups of an unchanged cache-dir file parse and check it once,
+    # and a second cache directory holding the same bytes adds no check.
+    checked = []
+    real = orbits._table_from_dict
+    monkeypatch.setattr(orbits, "_table_from_dict", lambda data, poset: checked.append(poset) or real(data, poset))
+    monkeypatch.setattr(orbits, "_TABLES", {})
+    shape = propeller(4)
+    name = orbits._table_name(shape)
+    first, second = tmp_path / "first", tmp_path / "second"
+    table = load_or_build_table(shape, cache_dir=first)  # built and written
+    for _ in range(3):
+        assert load_or_build_table(shape, cache_dir=first).rows == table.rows
+    assert verify_csp(shape, 2, cache_dir=first).holds
+    assert len(checked) == 1
+    second.mkdir()
+    (second / name).write_bytes((first / name).read_bytes())
+    assert load_or_build_table(shape, cache_dir=second).rows == table.rows
+    assert promotion_order(shape, 12, cache_dir=second).period == 12
+    assert len(checked) == 1
 
 
 def test_shipped_tables_equal_a_fresh_build(tmp_path, cm_table, pf_table):
@@ -603,6 +625,22 @@ def test_entry_points_refuse_non_integer_parameters(value):
     )
     for call in calls:
         with pytest.raises(ParameterError, match="expected an integer"):
+            call()
+
+
+@pytest.mark.parametrize("value", [0, -1])
+def test_worker_count_below_one_is_refused(value):
+    # Checked before the packaged table is looked up, as the integer check is.
+    P = cayley_moufang()
+    calls = (
+        lambda: build_gapless_table(propeller(3), workers=value),
+        lambda: load_or_build_table(P, workers=value),
+        lambda: verify_csp(P, 2, workers=value),
+        lambda: promotion_order(P, 12, workers=value),
+        lambda: frame_check(P, workers=value),
+    )
+    for call in calls:
+        with pytest.raises(ParameterError, match="worker count must be at least 1"):
             call()
 
 
