@@ -22,7 +22,10 @@ from pathlib import Path
 from .errors import ParameterError, StateCapExceeded, UnsupportedPosetError, _integer, read_input, state_cap
 from .ideals import OrbitSummary, _orbit, rowmotion_orbits
 from .poset import Poset
-from .qpoly import RootOfUnityValue, _divisors, _mobius, eval_at_root, plane_partition_gf, q_binomial_at_root
+from .qpoly import (
+    RootOfUnityValue, _divisors, _factor_residue, _hook_factors, _mobius, eval_at_root, plane_partition_gf,
+    q_binomial_at_root,
+)
 from .tableaux import IncreasingTableau, _check_binary, _IdealGraph, inflate, promotion, rotate_left
 
 _TABLE_SCHEMA = "minuscule.gapless-table/1"
@@ -490,31 +493,48 @@ def verify_csp(
 
     The order and the fixed points of every power are read off one tableau-side
     orbit summary at ceiling m = k + rk + 1, whose largest orbit is walked.  The
-    polynomial is evaluated exactly, once per primitive order, and a non-integer
-    value is an automatic mismatch.  At most _PSI_CHECK_CAP ideals, the rowmotion
-    orbit multiset is recounted by brute force and must equal the tableau side's;
-    a disagreement is an engine bug, not a sieving failure, and raises.
+    value at each primitive order is read exactly from the hook product's factors
+    where they decide it; the polynomial is built, at most once, only when some
+    primitive order needs it, and evaluated there.  A non-integer value is an
+    automatic mismatch.  At most _PSI_CHECK_CAP ideals, the rowmotion orbit
+    multiset is recounted by brute force and must equal the tableau side's.  A
+    disagreement raises: as bad input naming the file when the table was read from
+    cache_dir and a fresh build differs from it, and otherwise as an engine bug,
+    not a sieving failure.
     """
     k = _integer(k)
     if k < 0:
         raise ParameterError("height bound must be nonnegative")
     if poset.family is None:
         raise UnsupportedPosetError("sieving verdicts need the product generating function, so a built-in family")
+    given = table
     table = _table_for(poset, table, cache_dir, workers)
     m = k + poset.rk + 1
     promo = promotion_orbits(table, m)
     _largest_orbit_witness(poset, table, m, promo)
     order = promo.order()
-    gf = plane_partition_gf(poset, k)
-    recounted = gf(1) <= _PSI_CHECK_CAP
+    numer, denom = _hook_factors(poset, k)
+    (count,) = _factor_residue(numer, denom, 1)  # gf(1): every factor vanishes at q = 1
+    recounted = count <= _PSI_CHECK_CAP
     if recounted:
         summary = rowmotion_orbits(poset, k, cap=_PSI_CHECK_CAP)
         if summary != promo:
-            raise RuntimeError(
-                f"rowmotion orbits {summary.orbit_sizes} disagree with the tableau side {promo.orbit_sizes}"
-            )
+            detail = f"rowmotion orbits {summary.orbit_sizes} disagree with the tableau side {promo.orbit_sizes}"
+            if given is None and cache_dir is not None and packaged_table(poset) is None:
+                if build_gapless_table(poset, workers=workers).triples() != table.triples():
+                    path = Path(cache_dir) / _table_name(poset)
+                    raise ParameterError(f"cached table {path} does not match the shape: {detail}")
+            raise RuntimeError(detail)
     # zeta^d and the d-fold action depend on d only through g = gcd(d, order).
-    by_gcd = {g: (promo.fixed_by_power(g), eval_at_root(gf, order, g).residue) for g in _divisors(order)}
+    gf = None
+    by_gcd = {}
+    for g in _divisors(order):
+        residue = _factor_residue(numer, denom, order // g)
+        if residue is None:
+            if gf is None:
+                gf = plane_partition_gf(poset, k)
+            residue = eval_at_root(gf, order, g).residue
+        by_gcd[g] = promo.fixed_by_power(g), residue
     records = []
     for d in range(1, order + 1):
         g = gcd(d, order)

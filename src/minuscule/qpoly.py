@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import comb, gcd
+from math import comb, gcd, prod
 from operator import sub
 
 from .errors import ExactnessError, ParameterError, UnsupportedPosetError, _integer
@@ -344,6 +344,23 @@ def q_ratio_limit(n1: int, n2: int, n: int, d: int) -> Fraction:
     return Fraction(1)
 
 
+def _hook_factors(poset: Poset, k: int) -> tuple[list[int], list[int]]:
+    """The exponents of the hook product for plane partitions of height at most k:
+    numerator h_x + k and denominator h_x over element heights h_x = rank(x) + 1,
+    factors shared by both sides cancelled.  Only the built-in minuscule families
+    are accepted.
+    """
+    if poset.family is None:
+        raise UnsupportedPosetError("the product formula is only asserted for built-in minuscule posets")
+    k = _integer(k)
+    if k < 0:
+        raise ParameterError("height bound must be nonnegative")
+    heights = Counter(r + 1 for r in poset.rank)
+    numer = Counter({h + k: c for h, c in heights.items()})
+    shared = numer & heights
+    return sorted((numer - shared).elements()), sorted((heights - shared).elements())
+
+
 def plane_partition_gf(poset: Poset, k: int) -> QPolynomial:
     """Generating function counting plane partitions of height at most k by size.
 
@@ -351,10 +368,27 @@ def plane_partition_gf(poset: Poset, k: int) -> QPolynomial:
     prod (1 - q^(h_x + k)) / prod (1 - q^(h_x)), as one exact quotient.
     Only the built-in minuscule families are accepted.
     """
-    if poset.family is None:
-        raise UnsupportedPosetError("the product formula is only asserted for built-in minuscule posets")
-    k = _integer(k)
-    if k < 0:
-        raise ParameterError("height bound must be nonnegative")
-    heights = [r + 1 for r in poset.rank]
-    return _q_quotient([h + k for h in heights], heights)
+    return _q_quotient(*_hook_factors(poset, k))
+
+
+def _factor_residue(numer, denom, order: int) -> tuple[int, ...] | None:
+    """Residue, as eval_at_root gives it, of prod (1 - q^a) / prod (1 - q^b) over a in
+    numer and b in denom at a primitive order-th root of unity zeta, read from the
+    factors alone; None when they cannot decide it.
+
+    The quotient must be a polynomial.  1 - zeta^a vanishes exactly when order
+    divides a, and otherwise depends on a mod order only.  More vanishing factors above than below make the value 0.  With as many
+    on each side, and the other factors equal mod order as multisets, those cancel
+    and each vanishing pair (1 - q^a) / (1 - q^b) tends to a / b (q_ratio_limit),
+    so the value is the integer prod a / prod b over the vanishing factors.
+    """
+    top = [a for a in numer if a % order == 0]
+    bottom = [b for b in denom if b % order == 0]
+    if len(top) > len(bottom):
+        return ()
+    if sorted(a % order for a in numer) != sorted(b % order for b in denom):
+        return None
+    value, left = divmod(prod(top), prod(bottom))
+    if left:
+        raise ExactnessError(f"the q-product's value at a primitive {order}-th root is not an integer")
+    return (value,)

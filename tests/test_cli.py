@@ -239,36 +239,39 @@ def test_reproduce_reports_golden_mismatches(tmp_path, capsys, monkeypatch):
 
 # propeller-3's gapless tableaux: one orbit of period 1 at ceiling 5, one of period 2 at ceiling 6.
 P3_REP5, P3_REP6 = [1, 2, 3, 3, 4, 5], [1, 2, 3, 4, 5, 6]
+# The shape and the commands of every case but the last.
+P3 = ("propeller-3", (("gapless-table",), ("verify-csp", "--k", "1"), ("period", "--m", "8"), ("frame-check",)))
 
 
 @pytest.mark.parametrize(
-    "content",
+    "spec, commands, content",
     [
-        lambda text: text[:200],
-        lambda text: "[1, 2, 3]\n",
-        lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "rows"}),
-        lambda text: first_row(text, period=1.0, rep=[float(v) for v in json.loads(text)["rows"][0]["rep"]]),
-        lambda text: first_row(text, period=True, orbits=True),
-        lambda text: json.dumps(json.loads(text) | {"rows": [], "total": 0}),
-        lambda text: first_row(text, m_t=json.loads(text)["rows"][0]["m_t"] + 1),
-        lambda text: with_rows(text, (5, 1, 1, P3_REP5), (6, 0, 5, P3_REP6), (6, 2, 1, P3_REP6)),
-        lambda text: with_rows(text, (5, 1, 1, P3_REP5), (6, 1, 4, P3_REP6), (6, 2, -1, P3_REP6)),
-        lambda text: with_rows(text, (5, 1, 0, P3_REP5), (5, 1, 1, P3_REP5), (6, 2, 1, P3_REP6)),
-        lambda text: with_rows(text, (6, 2, 1, P3_REP6), (5, 1, 1, P3_REP5)),
-        lambda text: json.dumps(json.loads(text) | {"stable": [99]}),
-        lambda text: json.dumps(json.loads(text) | {"stable": [3, 1, 1]}),
-        lambda text: with_rows(text, (5, 1, 1, P3_REP5), (6, 2, 1, P3_REP6[::-1])),
-        lambda text: with_rows(text, (5, 1, 1, P3_REP5), (6, 2, 1, [1])),
-        lambda text: with_rows(text, (5, 1, 1, P3_REP5), (6, 2, 1, P3_REP5)),
-        lambda text: with_rows(text, (5, 1, 1, P3_REP5), (6, 1, 2, P3_REP6)),
+        (*P3, lambda text: text[:200]),
+        (*P3, lambda text: "[1, 2, 3]\n"),
+        (*P3, lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "rows"})),
+        (*P3, lambda text: first_row(text, period=1.0, rep=[float(v) for v in json.loads(text)["rows"][0]["rep"]])),
+        (*P3, lambda text: first_row(text, period=True, orbits=True)),
+        (*P3, lambda text: json.dumps(json.loads(text) | {"rows": [], "total": 0})),
+        (*P3, lambda text: first_row(text, m_t=json.loads(text)["rows"][0]["m_t"] + 1)),
+        (*P3, lambda text: with_rows(text, (5, 1, 1, P3_REP5), (6, 0, 5, P3_REP6), (6, 2, 1, P3_REP6))),
+        (*P3, lambda text: with_rows(text, (5, 1, 1, P3_REP5), (6, 1, 4, P3_REP6), (6, 2, -1, P3_REP6))),
+        (*P3, lambda text: with_rows(text, (5, 1, 0, P3_REP5), (5, 1, 1, P3_REP5), (6, 2, 1, P3_REP6))),
+        (*P3, lambda text: with_rows(text, (6, 2, 1, P3_REP6), (5, 1, 1, P3_REP5))),
+        (*P3, lambda text: json.dumps(json.loads(text) | {"stable": [99]})),
+        (*P3, lambda text: json.dumps(json.loads(text) | {"stable": [3, 1, 1]})),
+        (*P3, lambda text: with_rows(text, (5, 1, 1, P3_REP5), (6, 2, 1, P3_REP6[::-1]))),
+        (*P3, lambda text: with_rows(text, (5, 1, 1, P3_REP5), (6, 2, 1, [1]))),
+        (*P3, lambda text: with_rows(text, (5, 1, 1, P3_REP5), (6, 2, 1, P3_REP5))),
+        (*P3, lambda text: with_rows(text, (5, 1, 1, P3_REP5), (6, 1, 2, P3_REP6))),
+        ("rectangle-3x3", (("verify-csp", "--k", "3"),), lambda text: with_orbits(text, {(8, 2): 6, (8, 8): 9})),
     ],
     ids=[
         "truncated", "not-an-object", "no-rows", "float-row", "bool-row", "empty-rows", "row-moved",
         "zero-period", "negative-orbits", "zero-orbits", "rows-descending", "stable-outside",
-        "stable-unsorted", "rep-decreasing", "rep-short", "rep-not-gapless", "rep-wrong-period",
+        "stable-unsorted", "rep-decreasing", "rep-short", "rep-not-gapless", "rep-wrong-period", "orbit-split",
     ],
 )
-def test_bad_cache_file_is_bad_input(tmp_path, capsys, content):
+def test_bad_cache_file_is_bad_input(tmp_path, capsys, spec, commands, content):
     # An unreadable, ill-formed or wrong cached table exits 3 naming the file,
     # with nothing on stdout, for every command that reads it.  From
     # "float-row" on, the orbit sizes sum to the total; "empty-rows" and
@@ -276,12 +279,14 @@ def test_bad_cache_file_is_bad_input(tmp_path, capsys, content):
     # ceiling, and every case after them counts them right: a row that is not
     # positive, rows out of order, a stable set that is not strictly ascending
     # inside the shape, or a rep that is not a gapless tableau of its ceiling
-    # whose promotion orbit has its row's period.
-    cache = ("--poset", "propeller-3", "--cache-dir", str(tmp_path))
+    # whose promotion orbit has its row's period.  "orbit-split" moves tableaux
+    # between the periods of one ceiling, which the read checks cannot see:
+    # verify-csp's rowmotion recount refuses it.
+    cache = ("--poset", spec, "--cache-dir", str(tmp_path))
     assert run(capsys, "gapless-table", *cache)[0] == 0
     (path,) = tmp_path.iterdir()
     path.write_text(content(path.read_text()))
-    for command in (("gapless-table",), ("verify-csp", "--k", "1"), ("period", "--m", "8"), ("frame-check",)):
+    for command in commands:
         code, out, err = run(capsys, *command, *cache)
         assert code == 3 and out == ""
         assert err.startswith("error: ") and str(path) in err
@@ -291,6 +296,14 @@ def first_row(text: str, **fields) -> str:
     """A cached table's text with fields of its first row replaced."""
     data = json.loads(text)
     data["rows"][0].update(fields)
+    return json.dumps(data)
+
+
+def with_orbits(text: str, counts: dict) -> str:
+    """A cached table's text with the orbit counts of its (m_t, period) rows in counts replaced."""
+    data = json.loads(text)
+    for row in data["rows"]:
+        row["orbits"] = counts.get((row["m_t"], row["period"]), row["orbits"])
     return json.dumps(data)
 
 

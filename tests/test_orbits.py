@@ -30,6 +30,7 @@ from minuscule import (
     load_or_build_table,
     max_dual_tree_filter,
     max_tree_ideal,
+    parse_poset_spec,
     poset_from_shape,
     promote_pair,
     promotion,
@@ -43,8 +44,10 @@ from minuscule import (
     verify_csp,
 )
 from minuscule import orbits
-from minuscule.ideals import _ideal_masks
-from minuscule.qpoly import eval_at_root, is_zero_at_primitive_root, plane_partition_gf
+from minuscule.ideals import OrbitSummary, _ideal_masks
+from minuscule.qpoly import (
+    _factor_residue, _hook_factors, eval_at_root, is_zero_at_primitive_root, plane_partition_gf,
+)
 from minuscule.orbits import load_table, packaged_table, promotion_orbits, save_table
 
 
@@ -327,11 +330,14 @@ def test_verify_csp_records(cm_table):
 
 
 def test_verify_csp_values_are_the_roots_values(cm_table, pf_table):
-    # One evaluation per primitive order must give every record the per-d value.
+    # One value per primitive order, from the factors or the polynomial, must
+    # give every record the per-d value of the expanded polynomial.
     for shape, table, ks in (
-        (cayley_moufang(), cm_table, (0, 1, 2, 3, 4, 5, 6, 80)),
-        (freudenthal(), pf_table, range(8)),
+        (cayley_moufang(), cm_table, (0, 1, 2, 3, 4, 5, 6, 25, 80)),
+        (freudenthal(), pf_table, (*range(8), 10, 16)),
         (propeller(4), build_gapless_table(propeller(4)), range(7)),
+        (rectangle(3, 4), build_gapless_table(rectangle(3, 4)), range(4)),
+        (shifted_staircase(5), build_gapless_table(shifted_staircase(5)), range(4)),
     ):
         for k in ks:
             verdict = verify_csp(shape, k, table=table)
@@ -339,6 +345,65 @@ def test_verify_csp_values_are_the_roots_values(cm_table, pf_table):
             assert [r.d for r in verdict.records] == list(range(1, verdict.order + 1))
             for r in verdict.records:
                 assert r.value == eval_at_root(gf, verdict.order, r.d), (shape.family, k, r.d)
+
+
+# (cases the factors decide, cases) over every divisor of the action's order
+# at k = 0..40; Freudenthal's undecided cases are those of every k >= 5.
+_FACTOR_DECIDED = {
+    "cayley-moufang": (183, 183),
+    "freudenthal": (330, 485),
+    "propeller-3": (173, 173),
+    "propeller-4": (173, 173),
+    "propeller-5": (179, 179),
+    "propeller-6": (183, 183),
+    "rectangle-3x4": (165, 173),
+    "shifted-staircase-5": (173, 179),
+}
+
+
+@pytest.mark.parametrize("spec", _FACTOR_DECIDED)
+def test_root_values_read_from_the_factors(spec):
+    # Every residue the factors decide is eval_at_root's on the expanded polynomial.
+    shape = parse_poset_spec(spec)
+    table = load_or_build_table(shape)
+    decided = cases = 0
+    for k in range(41):
+        order = promotion_orbits(table, k + shape.rk + 1).order()
+        numer, denom = _hook_factors(shape, k)
+        gf = plane_partition_gf(shape, k)
+        for g in range(1, order + 1):
+            if order % g:
+                continue
+            cases += 1
+            residue = _factor_residue(numer, denom, order // g)
+            if residue is not None:
+                decided += 1
+                assert residue == eval_at_root(gf, order, g).residue, (k, g)
+    assert (decided, cases) == _FACTOR_DECIDED[spec]
+
+
+def test_verify_csp_builds_the_polynomial_only_for_undecided_roots(monkeypatch):
+    # Over the heights a sieve pass queries, only Freudenthal k >= 5 has a
+    # primitive order the factors leave open, and each query builds once.
+    built = []
+    real = orbits.plane_partition_gf
+
+    def spy(poset, k):
+        built.append((poset.family, k))
+        return real(poset, k)
+
+    monkeypatch.setattr(orbits, "plane_partition_gf", spy)
+    queries = [("cayley-moufang", k) for k in (*range(21), 25, 80)]
+    queries += [("freudenthal", k) for k in (*range(8), 10, 16)]
+    queries += [(f"propeller-{p}", k) for p in range(3, 7) for k in range(7)]
+    queries += [(spec, k) for spec in ("rectangle-3x4", "shifted-staircase-5") for k in range(4)]
+    tables = {}
+    for spec, k in queries:
+        shape = parse_poset_spec(spec)
+        if spec not in tables:
+            tables[spec] = load_or_build_table(shape)
+        verify_csp(shape, k, table=tables[spec])
+    assert built == [("freudenthal", k) for k in (5, 6, 7, 10, 16)]
 
 
 def test_verify_csp_recount_rejects_a_wrong_table(cm_table):
@@ -349,6 +414,17 @@ def test_verify_csp_recount_rejects_a_wrong_table(cm_table):
     wrong = replace(cm_table, rows=rows, total=cm_table.total + row.period)
     with pytest.raises(RuntimeError, match="rowmotion orbits"):
         verify_csp(cayley_moufang(), 1, table=wrong)
+
+
+def test_recount_mismatch_on_a_fresh_or_true_table_is_an_engine_error(tmp_path, monkeypatch):
+    # A recount that disagrees with a fresh build, with a cache-dir file equal
+    # to a fresh build, or with a shipped table is the engine's fault.
+    wrong = OrbitSummary(((2, 1),), 2)
+    monkeypatch.setattr(orbits, "rowmotion_orbits", lambda *args, **kwargs: wrong)
+    for shape in (propeller(3), propeller(3), cayley_moufang()):  # built, then read
+        with pytest.raises(RuntimeError, match="rowmotion orbits"):
+            verify_csp(shape, 0, cache_dir=tmp_path)
+    assert len(list(tmp_path.iterdir())) == 1
 
 
 def test_verify_csp_failure_detail(pf_table):
