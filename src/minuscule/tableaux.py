@@ -29,18 +29,19 @@ the summed terms count for each box how many new ideals it lies outside,
 and that count picks its label.  Without label 1, every label drops by
 one.  The orbit-table build lists the chains as paths in the (small)
 ideal graph, which is how the large shapes stay tractable, and keeps each
-tableau only as its label key.  The graph, like the automaton, is keyed
-by ideal mask.  The build makes the sweep while it lists the chains: the
-prefixes of one length that share the sweep state share their successors
-and, for each, the next state, so one transition of the automaton
-promotion() reads extends the keys of a whole group of chains and of
-their images at once.  One table, the number of paths of each length
-from each ideal to the full one, both prunes the listing to prefixes
-that can still finish and counts the tableaux of each ceiling.  The
-orbit partition lives with the listing: the graph pops each ceiling's
-key-to-image map into cycles and hands out rows of label tuples and a
-mask of the elements the m-fold promotion moves, so no label key leaves
-this module.
+tableau only as one integer, its label key packed above the key of its
+promotion image.  The graph, like the automaton, is keyed by ideal mask.
+The build makes the sweep while it lists the chains: the prefixes of one
+length that share the sweep state share their successors and, for each,
+the next state, so one transition of the automaton promotion() reads
+extends a whole group of chains at once, one addition per chain, and the
+automaton alone splits the sums.  One table, the number of paths of each
+length from each ideal to the full one, both prunes the listing to
+prefixes that can still finish and counts the tableaux of each ceiling.
+The orbit partition lives with the listing: the graph pops each
+ceiling's key-to-image map into cycles and hands out rows of label tuples
+and a mask of the elements the m-fold promotion moves, so no label key
+leaves this module.
 """
 
 from collections import Counter
@@ -203,21 +204,30 @@ class _Sweep:
     I_0, ..., I_(l-1), so a chain's key holds its label array and keys
     order like label arrays.  A field counts at most the element count, so
     none carries into the next; fields() splits a key.  Each state stores
-    the term of its I_i (key_term, which a chain's key reads) and of its
-    new I_(i-1) (image_term, which its promotion image reads).
+    the term of its new I_(i-1) (image_term, which a promotion image reads)
+    and the packed term (packed_term): the term of its I_i, which a chain's
+    key reads, above bit `shift`, plus its image term below it.  A sum of
+    packed terms along a chain is its key above `shift` and its image's key
+    below; an image key is below 2**shift, so nothing carries across, and
+    keys() and promotions() split such sums.  State 0 is entered by no
+    transition, so its image term is 0 and its packed term, the key term
+    of I_0 alone, starts every sum.
     """
 
-    __slots__ = ("lower_masks", "n", "bits", "width", "pairs", "ids", "delta", "key_term", "image_term")
+    __slots__ = (
+        "lower_masks", "n", "bits", "width", "shift", "pairs", "ids", "delta", "packed_term", "image_term",
+    )
 
     def __init__(self, shape: Poset):
         self.lower_masks = shape.lower_masks
         self.n = shape.n
         self.bits = [1 << x for x in range(shape.n)]
         self.width = max(1, (shape.n.bit_length() + 7) // 8)  # bytes that hold a count up to n
+        self.shift = 8 * self.width * self.n  # the bits of one key
         self.pairs = [(0, 0)]
         self.ids = {(0, 0): 0}
         self.delta: list[dict[int, int]] = [{}]
-        self.key_term, self.image_term = [self.term(0)], [self.term(0)]
+        self.packed_term, self.image_term = [self.term(0) << self.shift], [0]
 
     def term(self, mask: int) -> int:
         shift = 8 * self.width
@@ -230,6 +240,17 @@ class _Sweep:
         if width == 1:
             return packed
         return [int.from_bytes(packed[i : i + width], "big") for i in range(0, len(packed), width)]
+
+    def keys(self, sums: list[int]) -> list[int]:
+        """The keys of sums of packed terms, in their order."""
+        shift = self.shift
+        return [total >> shift for total in sums]
+
+    def promotions(self, sums: list[int]) -> dict[int, int]:
+        """The key-to-image-key map of sums of packed terms."""
+        shift = self.shift
+        low = (1 << shift) - 1
+        return {total >> shift: total & low for total in sums}
 
 
 @lru_cache(maxsize=8)
@@ -248,8 +269,9 @@ def _swap_step(sweep: _Sweep, state: int, added: int) -> int:
         target = sweep.ids[pair] = len(sweep.pairs)
         sweep.pairs.append(pair)
         sweep.delta.append({})
-        sweep.key_term.append(sweep.term(nxt))
-        sweep.image_term.append(sweep.term(pair[0]))
+        image = sweep.term(pair[0])
+        sweep.packed_term.append((sweep.term(nxt) << sweep.shift) + image)
+        sweep.image_term.append(image)
     sweep.delta[state][added] = target
     return target
 
@@ -430,26 +452,28 @@ class _IdealGraph:
         """Number of gapless tableaux per ceiling, in ascending order: the paths from the empty ideal."""
         return {m: ways for m, ways in sorted(self.paths[0].items()) if m}
 
-    def class_promotions(self, target: int) -> tuple[list[int], list[int]]:
-        """Label keys of the gapless tableaux of ceiling target and of their K-promotion images, aligned.
+    def class_promotions(self, target: int) -> list[int]:
+        """The gapless tableaux of ceiling target with their K-promotion images, as sums of packed terms.
 
-        The sweep is made while the chains are listed.  A prefix I_0..I_(L-1)
-        carries the partial keys of itself and of its image prefix
-        new I_0..new I_(L-2), and the prefixes of one level are grouped by
-        their sweep state, the state of the shape's automaton (the one
-        promotion() reads) for the pair (new I_(L-2), I_(L-1)): every prefix
-        of a group has the same successors I_L from which the full ideal is
-        reachable in the steps left and, for each, the same next state
-        (new I_(L-1), I_L).  So each (group, successor) pair costs one
-        transition and two list comprehensions, adding the next state's
-        key_term to the keys and its image_term to the image keys.  I_m = P
-        is its own image and adds nothing.  The lists come out in group order.
+        Each sum holds a tableau's label key above the sweep's `shift` and
+        its image's label key below (_Sweep splits them).  The sweep is made
+        while the chains are listed.  A prefix I_0..I_(L-1) carries one sum,
+        its partial key and that of its image prefix new I_0..new I_(L-2),
+        and the prefixes of one level are grouped by their sweep state, the
+        state of the shape's automaton (the one promotion() reads) for the
+        pair (new I_(L-2), I_(L-1)): every prefix of a group has the same
+        successors I_L from which the full ideal is reachable in the steps
+        left and, for each, the same next state (new I_(L-1), I_L).  So each
+        (group, successor) pair costs one transition and one list
+        comprehension, adding the next state's packed_term to the group's
+        sums.  I_m = P is its own image and adds nothing.  The list comes out
+        in group order.
         """
         succ, paths = self.succ, self.paths
         sweep = _sweep(self.shape)
-        delta, pairs, key_term, image_term = sweep.delta, sweep.pairs, sweep.key_term, sweep.image_term
-        # state -> (keys, image keys); the start state 0 is the pair (0, I_0).
-        groups = {0: ([key_term[0]], [0])}
+        delta, pairs, packed_term = sweep.delta, sweep.pairs, sweep.packed_term
+        # state -> sums; the start state 0 is the pair (0, I_0).
+        groups = {0: [packed_term[0]]}
         for depth in range(target):
             remaining = target - depth - 1
             # I_(L-1) -> I_L - I_(L-1) for each admissible successor I_L.
@@ -457,28 +481,24 @@ class _IdealGraph:
                 last: [nxt ^ last for nxt in succ[last] if remaining in paths[nxt]]
                 for last in {pairs[state][1] for state in groups}
             }
-            grown: dict[int, tuple[list[int], list[int]]] = {}
+            grown: dict[int, list[int]] = {}
             while groups:  # popped, so each level is freed as the next one grows
-                state, (keys, images) = groups.popitem()
+                state, sums = groups.popitem()
                 moves = delta[state]
                 for added in admissible[pairs[state][1]]:
                     to = moves.get(added) or _swap_step(sweep, state, added)
-                    add, image_add = key_term[to], image_term[to]
-                    extended = [key + add for key in keys]
-                    promoted = [image + image_add for image in images]
+                    add = packed_term[to]
+                    extended = [total + add for total in sums]
                     entry = grown.get(to)
                     if entry is None:
-                        grown[to] = (extended, promoted)
+                        grown[to] = extended
                     else:
-                        entry[0].extend(extended)
-                        entry[1].extend(promoted)
+                        entry += extended
             groups = grown
-        keys: list[int] = []
-        images: list[int] = []
-        for extended, promoted in groups.values():
-            keys += extended
-            images += promoted
-        return keys, images
+        listed: list[int] = []
+        while groups:
+            listed += groups.popitem()[1]
+        return listed
 
     def class_orbits(self, m: int) -> tuple[int, list[tuple[int, int, tuple[int, ...]]], int]:
         """The gapless tableaux of ceiling m split into promotion orbits: (size, rows, moved).
@@ -486,16 +506,17 @@ class _IdealGraph:
         The orbits are the cycles of the key-to-image map of the listing
         (class_promotions), popped off it (ideals._cycles).  A promotion that
         is not a permutation of the keys raises: the walk fails, and only
-        then are the images compared with the keys, to tell an image that is
-        no tableau of the class from one that two tableaux share.  rows holds
-        (period, orbit count, representative labels) by ascending period; a
-        representative is the least label array among the tableaux of its
-        period.  moved is the mask of the elements whose entry the m-fold
-        promotion changes on some tableau: orbit position shifts by m mod the
-        period, so this is a pairwise comparison inside each orbit.
+        then is the ceiling listed again and its images compared with its
+        keys, to tell an image that is no tableau of the class from one that
+        two tableaux share.  rows holds (period, orbit count, representative
+        labels) by ascending period; a representative is the least label
+        array among the tableaux of its period.  moved is the mask of the
+        elements whose entry the m-fold promotion changes on some tableau:
+        orbit position shifts by m mod the period, so this is a pairwise
+        comparison inside each orbit.
         """
-        keys, images = self.class_promotions(m)
-        promote = dict(zip(keys, images))
+        sweep = _sweep(self.shape)
+        promote = sweep.promotions(self.class_promotions(m))
         size = len(promote)
         counts: dict[int, tuple[int, int]] = {}
         moved = 0
@@ -511,10 +532,11 @@ class _IdealGraph:
                     for s in range(tau):
                         moved |= orbit[s] ^ orbit[(s + shift) % tau]
         except RuntimeError:
-            if not set(images) <= set(keys):
+            promote = sweep.promotions(self.class_promotions(m))
+            if not set(promote.values()) <= promote.keys():
                 raise RuntimeError(f"a promotion image is not a chain of ceiling {m}") from None
             raise
-        fields = _sweep(self.shape).fields
+        fields = sweep.fields
         rows = [(tau, count, tuple(fields(rep))) for tau, (count, rep) in sorted(counts.items())]
         return size, rows, sum(1 << x for x, field in enumerate(fields(moved)) if field)
 
@@ -525,9 +547,10 @@ def enumerate_gapless(shape: Poset, cap: int | None = None) -> Iterator[Increasi
     Within a ceiling, the tableaux come in ascending order of their label arrays.
     """
     graph = _IdealGraph(shape, cap)
-    fields = _sweep(shape).fields
+    sweep = _sweep(shape)
+    fields = sweep.fields
     for m in range(shape.rk + 1, shape.n + 1):
-        for key in sorted(graph.class_promotions(m)[0]):
+        for key in sorted(sweep.keys(graph.class_promotions(m))):
             yield _trusted(shape, tuple(fields(key)), m)
 
 

@@ -860,21 +860,22 @@ def test_failed_cache_write_leaves_no_table(tmp_path, monkeypatch):
 def test_orbit_walks_are_bounded(monkeypatch):
     # A promotion that is not a bijection must fail the walk, not hang it.
     from minuscule import orbits
-    from minuscule.tableaux import _IdealGraph
+    from minuscule.tableaux import _IdealGraph, _sweep
 
     shape = propeller(3)
     table = build_gapless_table(shape)
     class_promotions = _IdealGraph.class_promotions
+    sweep = _sweep(shape)
 
     def onto_least(self, m):
         # Every tableau of the ceiling promoted onto its least one.
-        keys, _ = class_promotions(self, m)
-        return keys, [min(keys)] * len(keys)
+        keys = sweep.keys(class_promotions(self, m))
+        return [(key << sweep.shift) + min(keys) for key in keys]
 
     def off_the_class(self, m):
         # The last image replaced by a key that is no tableau of the ceiling.
-        keys, images = class_promotions(self, m)
-        return keys, images[:-1] + [0]
+        listed = class_promotions(self, m)
+        return listed[:-1] + [listed[-1] >> sweep.shift << sweep.shift]
 
     with monkeypatch.context() as patched:
         patched.setattr(_IdealGraph, "class_promotions", onto_least)
@@ -888,6 +889,25 @@ def test_orbit_walks_are_bounded(monkeypatch):
     monkeypatch.setattr(orbits, "promotion", lambda t: sink)
     with pytest.raises(RuntimeError, match="within"):
         promotion_order(shape, 8, table=table)
+
+
+def test_a_build_lists_each_ceiling_once(monkeypatch):
+    # Only a failed orbit walk lists its ceiling a second time: a build that
+    # succeeds lists each ceiling exactly once.
+    from minuscule.tableaux import _IdealGraph
+
+    class_promotions = _IdealGraph.class_promotions
+    listed = []
+
+    def spy(self, m):
+        listed.append(m)
+        return class_promotions(self, m)
+
+    monkeypatch.setattr(_IdealGraph, "class_promotions", spy)
+    for shape in (propeller(3), cayley_moufang(), rectangle(3, 4)):
+        listed.clear()
+        build_gapless_table(shape, workers=1)
+        assert sorted(listed) == list(_IdealGraph(shape).class_sizes())
 
 
 def test_a_table_of_another_poset_is_refused():

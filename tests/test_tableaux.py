@@ -414,11 +414,14 @@ def listing(graph, m):
     The listed label keys must be class_sizes()[m] distinct keys, each the
     label array of a valid gapless tableau (built by the validating constructor).
     """
-    fields = _sweep(graph.shape).fields
-    keys, images = graph.class_promotions(m)
-    assert len(set(keys)) == len(keys) == len(images) == graph.class_sizes()[m]
+    sweep = _sweep(graph.shape)
+    fields = sweep.fields
+    listed = graph.class_promotions(m)
+    keys = sweep.keys(listed)
+    promote = sweep.promotions(listed)
+    assert len(set(keys)) == len(keys) == len(promote) == graph.class_sizes()[m]
     pairs = []
-    for key, image in zip(keys, images):
+    for key, image in promote.items():
         T = IncreasingTableau(graph.shape, fields(key), m)
         assert T.is_gapless
         pairs.append((T, tuple(fields(image))))
@@ -505,6 +508,13 @@ def test_labels_fit_one_byte_up_to_255_elements():
                 assert image == promotion(T).labels
             for T, image in rng.sample(pairs, 3):
                 assert image == by_kbk(T).labels
+            # Read as bytes, each listed sum is the tableau's labels and then its
+            # image's: a field reaches the ceiling and carries into no neighbour.
+            raw = [total.to_bytes(2 * n, "big") for total in graph.class_promotions(m)]
+            assert sorted((r[:n], r[n:]) for r in raw) == sorted(
+                (bytes(T.labels), bytes(promotion(T).labels)) for T, _ in pairs
+            )
+            assert max(max(r[:n]) for r in raw) == max(max(r[n:]) for r in raw) == m
         table = build_gapless_table(shape)
         assert sum(row.period * row.orbits for row in table.rows) == 2 * n - 1
     T = _random_linear_labels(rectangle(2, 64), 200, rng)
