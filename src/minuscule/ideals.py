@@ -124,16 +124,15 @@ class OrbitSummary:
         return cls(orbit_sizes, sum(states.values()))
 
 
-def _orbit(start, step, bound: int) -> list:
-    """The orbit of start under step; a walk that has not closed after bound steps raises."""
-    orbit = [start]
-    current = step(start)
+def _orbit(start, step, bound: int) -> int | None:
+    """The size of the orbit of start under step, or None if the walk has not closed
+    after bound steps; only the current state is kept."""
+    size, current = 1, step(start)
     while current != start:
-        if len(orbit) == bound:
-            raise RuntimeError(f"orbit walk did not return to its start within {bound} steps")
-        orbit.append(current)
-        current = step(current)
-    return orbit
+        if size == bound:
+            return None
+        size, current = size + 1, step(current)
+    return size
 
 
 def _cycles(image: dict) -> Iterator[list]:

@@ -9,10 +9,8 @@ generating function) is exact arithmetic over that table.
 
 import hashlib
 import json
-import multiprocessing
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
 from importlib import resources
@@ -109,10 +107,7 @@ def _table_from_dict(data: dict, poset: Poset) -> GaplessOrbitTable:
         start = IncreasingTableau(poset, r.rep, r.m_t)
         if not start.is_gapless:
             raise ParameterError(f"cached table row {r.m_t, r.period}: its rep is not gapless")
-        current, steps = promotion(start), 1
-        while current.labels != start.labels and steps < r.period:
-            current, steps = promotion(current), steps + 1
-        if current.labels != start.labels or steps != r.period:
+        if _orbit(start, promotion, r.period) != r.period:
             raise ParameterError(f"cached table row {r.m_t, r.period}: its rep's orbit has another size")
     return table
 
@@ -147,6 +142,10 @@ def build_gapless_table(poset: Poset, workers: int = 1, cap: int | None = None) 
     with ExitStack() as stack:
         mapper = map
         if workers > 1 and chains >= _POOL_MIN_CHAINS:
+            # Loaded here, so a process that starts no pool never imports them.
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
             try:
                 ctx = multiprocessing.get_context("fork")
             except ValueError:
@@ -405,17 +404,21 @@ class PeriodReport:
 
 def _largest_orbit_witness(poset: Poset, table: GaplessOrbitTable, m: int, promo: OrbitSummary):
     """(largest orbit size in promo, the ceiling-m summary of table; a tableau attaining
-    it, or None): an inflated table row whose orbit is walked to confirm its size."""
+    it, or None): an inflated table row whose orbit is walked to confirm its size.
+    An orbit longer than the state cap is not walked: it raises StateCapExceeded."""
     max_orbit = promo.orbit_sizes[-1][0] if promo.orbit_sizes else 1
+    cap = state_cap()
+    if max_orbit > cap:
+        raise StateCapExceeded(f"the largest orbit has {max_orbit} tableaux to walk", cap)
     for row, e, _, h in _inflation_classes(table, m):
         if h == max_orbit:
             rep = IncreasingTableau(poset, row.rep, row.m_t)
             witness = inflate(rep, _periodic_vector(m, row.m_t, e))
-            steps = len(_orbit(witness, promotion, max_orbit))
+            steps = _orbit(witness, promotion, max_orbit)
+            if steps is None:
+                raise RuntimeError(f"orbit walk did not return to its start within {max_orbit} steps")
             if steps != max_orbit:
-                raise RuntimeError(
-                    f"witness verification failed: orbit size {steps}, expected {max_orbit}"
-                )
+                raise RuntimeError(f"witness verification failed: orbit size {steps}, expected {max_orbit}")
             return max_orbit, witness
     return max_orbit, None
 

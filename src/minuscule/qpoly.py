@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import comb, gcd, prod
+from math import comb, gcd, isqrt, prod
 from operator import sub
 
 from .errors import ExactnessError, ParameterError, UnsupportedPosetError, _integer
@@ -223,7 +223,9 @@ def q_binomial(i: int, j: int) -> QPolynomial:
 
 
 def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
+    """The positive divisors of n, ascending: those up to isqrt(n) by trial division, then their cofactors."""
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 def _mobius(n: int) -> int:

@@ -18,8 +18,8 @@ pair (new I_(i-1), I_i) and a transition reads the antichain added next.
 A shape has few states (116 on the 27-element exceptional shape after its
 full table build, 47 on the 16-element one).  The automaton alone encodes
 and decodes label keys, a tableau's label array read as one integer and
-the sum of one term per ideal of its chain; each state stores the terms
-of its I_i and its new I_(i-1), so a sweep is one dict lookup and one
+the sum of one term per ideal of its chain; each state stores one term,
+I_i's packed above new I_(i-1)'s, so a sweep is one dict lookup and one
 addition per label.  General promotion, when label 1 is present, makes
 the same sweep in one pass over the present labels only: I_i is the union
 of the boxes with the i smallest labels, and the boxes of new I_i minus
@@ -204,19 +204,17 @@ class _Sweep:
     I_0, ..., I_(l-1), so a chain's key holds its label array and keys
     order like label arrays.  A field counts at most the element count, so
     none carries into the next; fields() splits a key.  Each state stores
-    the term of its new I_(i-1) (image_term, which a promotion image reads)
-    and the packed term (packed_term): the term of its I_i, which a chain's
-    key reads, above bit `shift`, plus its image term below it.  A sum of
-    packed terms along a chain is its key above `shift` and its image's key
-    below; an image key is below 2**shift, so nothing carries across, and
-    keys() and promotions() split such sums.  State 0 is entered by no
-    transition, so its image term is 0 and its packed term, the key term
-    of I_0 alone, starts every sum.
+    one term (packed_term): the term of its I_i, which a chain's key reads,
+    above bit `shift`, plus the term of its new I_(i-1), which a promotion
+    image reads, below it.  A sum of packed terms along a chain is its key
+    above `shift` and its image's key below; an image key is below
+    2**shift, so nothing carries across, and image(), keys() and
+    promotions() split such sums.  State 0 is entered by no transition, so
+    its packed term, the key term of I_0 alone, starts every listed sum;
+    promotion() starts from 0 and reads the image half alone.
     """
 
-    __slots__ = (
-        "lower_masks", "n", "bits", "width", "shift", "pairs", "ids", "delta", "packed_term", "image_term",
-    )
+    __slots__ = ("lower_masks", "n", "bits", "width", "shift", "low", "pairs", "ids", "delta", "packed_term")
 
     def __init__(self, shape: Poset):
         self.lower_masks = shape.lower_masks
@@ -224,10 +222,11 @@ class _Sweep:
         self.bits = [1 << x for x in range(shape.n)]
         self.width = max(1, (shape.n.bit_length() + 7) // 8)  # bytes that hold a count up to n
         self.shift = 8 * self.width * self.n  # the bits of one key
+        self.low = (1 << self.shift) - 1
         self.pairs = [(0, 0)]
         self.ids = {(0, 0): 0}
         self.delta: list[dict[int, int]] = [{}]
-        self.packed_term, self.image_term = [self.term(0) << self.shift], [0]
+        self.packed_term = [self.term(0) << self.shift]
 
     def term(self, mask: int) -> int:
         shift = 8 * self.width
@@ -241,6 +240,10 @@ class _Sweep:
             return packed
         return [int.from_bytes(packed[i : i + width], "big") for i in range(0, len(packed), width)]
 
+    def image(self, total: int) -> int:
+        """The image key of one sum of packed terms."""
+        return total & self.low
+
     def keys(self, sums: list[int]) -> list[int]:
         """The keys of sums of packed terms, in their order."""
         shift = self.shift
@@ -248,8 +251,7 @@ class _Sweep:
 
     def promotions(self, sums: list[int]) -> dict[int, int]:
         """The key-to-image-key map of sums of packed terms."""
-        shift = self.shift
-        low = (1 << shift) - 1
+        shift, low = self.shift, self.low
         return {total >> shift: total & low for total in sums}
 
 
@@ -269,9 +271,7 @@ def _swap_step(sweep: _Sweep, state: int, added: int) -> int:
         target = sweep.ids[pair] = len(sweep.pairs)
         sweep.pairs.append(pair)
         sweep.delta.append({})
-        image = sweep.term(pair[0])
-        sweep.packed_term.append((sweep.term(nxt) << sweep.shift) + image)
-        sweep.image_term.append(image)
+        sweep.packed_term.append((sweep.term(nxt) << sweep.shift) + sweep.term(pair[0]))
     sweep.delta[state][added] = target
     return target
 
@@ -285,8 +285,8 @@ def promotion(tableau: IncreasingTableau) -> IncreasingTableau:
     label just below the next present one (the promote_pair identity);
     otherwise every label drops by one.  A box lying outside c of the new
     ideals new I_0, ..., new I_(t-1) of the t present labels settles at the
-    c-th step, so the sweep only sums the states' image terms and the sum is
-    decoded once.
+    c-th step, so the sweep only sums the states' packed terms and the image
+    half of the sum is decoded once.
     """
     labels = tableau.labels
     shape, m = tableau.shape, tableau.m
@@ -296,16 +296,16 @@ def promotion(tableau: IncreasingTableau) -> IncreasingTableau:
     by_label = [0] * m  # by_label[v - 1]: the boxes labelled v
     for v, bit in zip(labels, sweep.bits):
         by_label[v - 1] |= bit
-    delta, image_term = sweep.delta, sweep.image_term
-    state = key = 0
+    delta, packed_term = sweep.delta, sweep.packed_term
+    state = total = 0
     out = []  # out[c]: the label of the boxes outside c new ideals, one below the next present label
     for below, added in enumerate(by_label):
         if added:
             state = delta[state].get(added) or _swap_step(sweep, state, added)
-            key += image_term[state]
+            total += packed_term[state]
             out.append(below)
     out.append(m)  # the boxes outside every new ideal settle last
-    return _trusted(shape, tuple([out[c] for c in sweep.fields(key)]), m)
+    return _trusted(shape, tuple([out[c] for c in sweep.fields(sweep.image(total))]), m)
 
 
 def content_vector(tableau: IncreasingTableau) -> tuple[int, ...]:

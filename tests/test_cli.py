@@ -410,3 +410,27 @@ def test_demo_runs_clean(demo):
     )
     assert done.returncode == 0 and done.stderr == "", done.stderr
     assert done.stdout
+
+
+def test_importing_the_package_loads_no_process_pool():
+    # The pool modules load only when a build starts a pool.
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import minuscule, minuscule.cli; "
+        "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", code, str(ROOT / "src")], capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0 and done.stderr == "", done.stderr
+    assert done.stdout == "[]\n"
+
+
+def test_an_orbit_longer_than_the_state_cap_is_not_walked(capsys, monkeypatch):
+    # The largest orbit at m = 5000 has 5000 tableaux: past a cap of 1000 the
+    # witness walk is refused as a resource limit, with nothing on stdout.
+    monkeypatch.setenv("MINUSCULE_STATE_CAP", "1000")
+    code, out, err = run(capsys, "period", "--poset", "propeller-3", "--m", "5000")
+    assert (code, out) == (2, "") and "state cap: 1000" in err
+    monkeypatch.setenv("MINUSCULE_STATE_CAP", "5000")
+    code, out, _ = run(capsys, "period", "--poset", "propeller-3", "--m", "5000")
+    assert code == 0 and json.loads(out) == {"m": 5000, "max_orbit": 5000, "period": 5000}

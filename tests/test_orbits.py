@@ -723,6 +723,8 @@ def test_worker_count_below_one_is_refused(value):
 def test_pool_is_clamped_to_the_ceiling_count(monkeypatch):
     # A stand-in pool that records its size and maps in-process: no real
     # processes are started for the large worker count.
+    import concurrent.futures
+
     from minuscule import orbits
 
     sizes = []
@@ -742,7 +744,7 @@ def test_pool_is_clamped_to_the_ceiling_count(monkeypatch):
 
     shape = propeller(3)
     single = build_gapless_table(shape, workers=1)
-    monkeypatch.setattr(orbits, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     # Three chains are far below the in-process cut-off; lift it to reach the pool.
     monkeypatch.setattr(orbits, "_POOL_MIN_CHAINS", 0)
     wide = build_gapless_table(shape, workers=8)
@@ -752,6 +754,8 @@ def test_pool_is_clamped_to_the_ceiling_count(monkeypatch):
 
 
 def test_small_builds_start_no_pool(monkeypatch):
+    import concurrent.futures
+
     from minuscule import orbits
 
     # On a 2-CPU machine with one CPU busy, a pool gained little or nothing on
@@ -762,7 +766,7 @@ def test_small_builds_start_no_pool(monkeypatch):
         def __init__(self, *args, **kwargs):
             raise AssertionError("a build below the cut-off started a process pool")
 
-    monkeypatch.setattr(orbits, "ProcessPoolExecutor", NoPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
     for shape in (cayley_moufang(), propeller(3), rectangle(3, 4)):
         single = build_gapless_table(shape, workers=1)
         dual = build_gapless_table(shape, workers=2)
@@ -774,19 +778,14 @@ def _eager_partition(tableaux, m):
 
     A row's representative is the least label array among the tableaux of its period.
     """
-    from minuscule.ideals import _orbit
+    from minuscule.ideals import _cycles
 
     n = tableaux[0].shape.n
-    seen = set()
     rows = {}
     moved = set()
-    for T in tableaux:
-        if T in seen:
-            continue
-        orbit = _orbit(T, promotion, len(tableaux))
-        seen.update(orbit)
+    for orbit in _cycles({T: promotion(T) for T in tableaux}):
         tau = len(orbit)
-        count, rep = rows.get(tau, (0, T.labels))
+        count, rep = rows.get(tau, (0, orbit[0].labels))
         rows[tau] = (count + 1, min(rep, *(t.labels for t in orbit)))
         for s, t in enumerate(orbit):
             u = orbit[(s + m) % tau]
@@ -889,6 +888,23 @@ def test_orbit_walks_are_bounded(monkeypatch):
     monkeypatch.setattr(orbits, "promotion", lambda t: sink)
     with pytest.raises(RuntimeError, match="within"):
         promotion_order(shape, 8, table=table)
+
+
+def test_the_witness_walk_keeps_no_tableaux():
+    # The largest orbit is walked one tableau at a time: at m = 50,000 the
+    # walk keeps no list of the 50,000 tableaux it passes (some 17 MB).
+    import tracemalloc
+
+    shape = propeller(3)
+    table = build_gapless_table(shape)
+    tracemalloc.start()
+    try:
+        report = promotion_order(shape, 50_000, table=table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.max_orbit == 50_000
+    assert peak < 4_000_000
 
 
 def test_a_build_lists_each_ceiling_once(monkeypatch):

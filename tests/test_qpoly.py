@@ -28,7 +28,7 @@ from minuscule import (
     rectangle,
     shifted_staircase,
 )
-from minuscule.qpoly import _q_quotient
+from minuscule.qpoly import _divisors, _q_quotient
 
 
 def test_polynomial_basics():
@@ -366,3 +366,11 @@ def test_eval_at_root_matches_dense_fold():
                 value = eval_at_root(f, n, d)
                 assert value.primitive_order == n // d
                 assert value.residue == want[n // d], (n, d)
+
+
+def test_divisors_by_trial_division_up_to_the_square_root():
+    for n in range(2001):
+        assert _divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
+    # 10**12 = 2**12 * 5**12: 169 divisors, found in about 10**6 trial divisions.
+    big = _divisors(10**12)
+    assert len(big) == 169 and big == sorted(big) and big[-2:] == [5 * 10**11, 10**12]

@@ -584,7 +584,7 @@ def test_promotion_never_enumerates_ideals(monkeypatch):
         assert promotion(gappy) == by_kbk(gappy) != gappy
 
 
-def test_table_build_and_promotion_share_one_step_memo(monkeypatch):
+def test_table_build_and_promotion_share_one_sweep_automaton(monkeypatch):
     # The build and promotion() read one sweep automaton per shape: once a
     # build has filled it, neither the listing nor promotion() takes its
     # miss path again.
