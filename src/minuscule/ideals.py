@@ -216,7 +216,8 @@ def _multichain_chunks(masks: list[int], subs: dict, below: list[list[int]], k: 
     levels above them from a depth-first walk that writes each level once per
     node, as one run as long as the multichains below it, and stops at the
     empty ideal: a plane is zero-padded up to its next run and at each chunk
-    cut.  Of the depths whose tails fit in _TAIL_BYTES, the one with the
+    cut.  A run, of a walk level or a tail, is written only up to the chunk's
+    end and the rest at the next cut, so no plane outgrows one chunk.  Of the depths whose tails fit in _TAIL_BYTES, the one with the
     fewest byte-string operations is used: tails cost about depth^2 / 2 joins
     per ideal, the walk one run per node and depth copies per leaf.
     """
@@ -258,6 +259,18 @@ def _multichain_chunks(masks: list[int], subs: dict, below: list[list[int]], k: 
             for plane in row:
                 plane += bytes(lanes - len(plane))
 
+    # carry[r]: (runs, lanes written, count) of the run on row r that passes the
+    # current chunk's end, one byte string per plane (a walk level's, one cell to repeat).
+    carry = {}
+
+    def write(r: int, runs: list[bytes], done: int, count: int, start: int) -> None:
+        # Lanes done.. of a run on row r from lane start of the chunk, up to its end; the rest waits.
+        n = min(count - done, _CHUNK - start)
+        for plane, run in zip(rows[r], runs):
+            plane += run * n if len(run) == 1 else run[done:done + n]
+        if done + n < count:
+            carry[r] = runs, done + n, count
+
     stack = [iter(subs[top])]
     while stack:
         b = next(stack[-1], None)
@@ -267,21 +280,29 @@ def _multichain_chunks(masks: list[int], subs: dict, below: list[list[int]], k: 
         level = len(stack) - 1
         count = below[k - 1 - level][b]
         pad(rows[level])
-        for plane, cell in zip(rows[level], cells):
-            plane += cell[b] * count
+        if lanes + count <= _CHUNK:
+            for plane, cell in zip(rows[level], cells):
+                plane += cell[b] * count
+        else:
+            write(level, [cell[b] for cell in cells], 0, count, lanes)
         if b and level + 1 < levels:
             stack.append(iter(subs[b]))
             continue
         if b:
             pad(rows[levels])
-            for plane, run in zip(rows[levels], tail):
-                plane += run[b]
+            if lanes + count <= _CHUNK:
+                for plane, run in zip(rows[levels], tail):
+                    plane += run[b]
+            else:
+                write(levels, [run[b] for run in tail], 0, count, lanes)
         lanes += count
         while lanes >= _CHUNK:
             yield _CHUNK, [bytes(plane[:_CHUNK]).ljust(_CHUNK, b"\0") for plane in planes]
             for plane in planes:
                 del plane[:_CHUNK]
             lanes -= _CHUNK
+            for r in list(carry):
+                write(r, *carry.pop(r), 0)
     if lanes:
         yield lanes, [bytes(plane).ljust(lanes, b"\0") for plane in planes]
 

@@ -32,8 +32,8 @@ _TABLE_SCHEMA = "minuscule.gapless-table/1"
 _PSI_CHECK_CAP = 20_000
 
 # Builds of fewer gapless tableaux than this run in one process whatever the
-# worker count: below it a 2-process pool saved at most about a third with
-# both CPUs idle, and nothing with one CPU busy (BENCH_12.json).
+# worker count: with both CPUs idle a 2-process pool lost 20% at 39,453 and
+# won 6% at 56,569; with one CPU busy it lost up to 126,289 (BENCH_27.json).
 _POOL_MIN_CHAINS = 40_000
 
 

@@ -35,9 +35,13 @@ The build makes the sweep while it lists the chains: the prefixes of one
 length that share the sweep state share their successors and, for each,
 the next state, so one transition of the automaton promotion() reads
 extends a whole group of chains at once, one addition per chain, and the
-automaton alone splits the sums.  One table, the number of paths of each
-length from each ideal to the full one, both prunes the listing to
-prefixes that can still finish and counts the tableaux of each ceiling.
+automaton alone splits the sums.  The groups grow so only to half the
+ceiling: what the rest of a chain adds depends only on its sweep state
+and the steps left, so each such tail sum is made once, memoized on the
+graph for the build, and a tableau is one prefix sum plus one tail sum.
+One table, the number of paths of each length from each ideal to the
+full one, both prunes the listing to chains that can still finish and
+counts the tableaux of each ceiling.
 The orbit partition lives with the listing: the graph pops each
 ceiling's key-to-image map into cycles and hands out rows of label tuples
 and a mask of the elements the m-fold promotion moves, so no label key
@@ -416,7 +420,9 @@ class _IdealGraph:
     decodes; keys never leave the graph: class_orbits hands out label
     tuples and element masks.  succ maps each ideal mask to its successor
     masks, and paths[mask][r] is the number of r-step paths from it to the
-    full ideal (a step count that cannot reach it has no entry).  The build
+    full ideal (a step count that cannot reach it has no entry).  sweep is
+    the automaton the graph lists with, held so that tails, the listing's
+    memo keyed by its states, stays valid for the graph's life.  The build
     takes shapes of at most 255 elements, and a shape with more than cap
     gapless tableaux raises StateCapExceeded before any is listed.
     """
@@ -427,6 +433,9 @@ class _IdealGraph:
         if n > 255:
             raise ParameterError(f"gapless tableaux need a shape of at most 255 elements, got {n}")
         self.shape = shape
+        # A build starts from an empty memo, which dies with its graph.
+        self.sweep = _sweep(shape)
+        self.tails: dict[tuple[int, int], list[int]] = {}
         lower_masks = shape.lower_masks
         full = (1 << n) - 1
         self.succ, self.paths = {}, {}
@@ -466,15 +475,22 @@ class _IdealGraph:
         left and, for each, the same next state (new I_(L-1), I_L).  So each
         (group, successor) pair costs one transition and one list
         comprehension, adding the next state's packed_term to the group's
-        sums.  I_m = P is its own image and adds nothing.  The list comes out
-        in group order.
+        sums.  I_m = P is its own image and adds nothing.
+
+        The prefixes grow so only to level target // 2.  What a chain adds
+        after that depends only on its sweep state and the steps left, so
+        each group takes its tails (the graph's memo, _tails) and the
+        listing is every prefix sum plus every tail sum: one addition per
+        tableau.  The list comes out in group order, each prefix with all
+        its tails.
         """
         succ, paths = self.succ, self.paths
-        sweep = _sweep(self.shape)
+        sweep = self.sweep
         delta, pairs, packed_term = sweep.delta, sweep.pairs, sweep.packed_term
+        half = target // 2
         # state -> sums; the start state 0 is the pair (0, I_0).
         groups = {0: [packed_term[0]]}
-        for depth in range(target):
+        for depth in range(half):
             remaining = target - depth - 1
             # I_(L-1) -> I_L - I_(L-1) for each admissible successor I_L.
             admissible = {
@@ -497,8 +513,35 @@ class _IdealGraph:
             groups = grown
         listed: list[int] = []
         while groups:
-            listed += groups.popitem()[1]
+            state, sums = groups.popitem()
+            tails = self._tails(state, target - half)
+            listed += [total + tail for total in sums for tail in tails]
         return listed
+
+    def _tails(self, state: int, steps: int) -> list[int]:
+        """The sums of packed terms along every chain that finishes the sweep from state in steps steps.
+
+        Memoized per (state, steps) for the graph's life.  The states are
+        those of the automaton the graph keeps: _sweep's cache can evict a
+        shape's automaton, and the one it starts next numbers its states
+        afresh.
+        """
+        tails = self.tails.get((state, steps))
+        if tails is None:
+            if not steps:
+                tails = [0]  # state's I_i is the full ideal
+            else:
+                sweep = self.sweep
+                moves, last = sweep.delta[state], sweep.pairs[state][1]
+                tails = []
+                for nxt in self.succ[last]:
+                    if steps - 1 in self.paths[nxt]:
+                        added = nxt ^ last
+                        to = moves.get(added) or _swap_step(sweep, state, added)
+                        add = sweep.packed_term[to]
+                        tails += [add + tail for tail in self._tails(to, steps - 1)]
+            self.tails[state, steps] = tails
+        return tails
 
     def class_orbits(self, m: int) -> tuple[int, list[tuple[int, int, tuple[int, ...]]], int]:
         """The gapless tableaux of ceiling m split into promotion orbits: (size, rows, moved).
@@ -515,7 +558,7 @@ class _IdealGraph:
         orbit position shifts by m mod the period, so this is a pairwise
         comparison inside each orbit.
         """
-        sweep = _sweep(self.shape)
+        sweep = self.sweep
         promote = sweep.promotions(self.class_promotions(m))
         size = len(promote)
         counts: dict[int, tuple[int, int]] = {}
@@ -547,7 +590,7 @@ def enumerate_gapless(shape: Poset, cap: int | None = None) -> Iterator[Increasi
     Within a ceiling, the tableaux come in ascending order of their label arrays.
     """
     graph = _IdealGraph(shape, cap)
-    sweep = _sweep(shape)
+    sweep = graph.sweep
     fields = sweep.fields
     for m in range(shape.rk + 1, shape.n + 1):
         for key in sorted(sweep.keys(graph.class_promotions(m))):

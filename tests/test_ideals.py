@@ -224,6 +224,32 @@ def test_multichain_listing_is_the_product_ideals(monkeypatch):
         assert sorted(listed) == sorted(ideals._ideal_masks(chain_product(P, k)))
 
 
+def test_multichain_planes_stay_within_two_chunks(monkeypatch):
+    # A run longer than the rest of its chunk, on a walk level or from a tail, is
+    # written up to the chunk's end and carried to the next cut: no plane grows past
+    # two chunks, however many multichains lie below a shallow level's ideal.
+    from minuscule import ideals
+
+    longest = 0
+
+    class Plane(bytearray):
+        def __iadd__(self, other):
+            nonlocal longest
+            result = super().__iadd__(other)
+            longest = max(longest, len(self))
+            return result
+
+    cases = ((rectangle(2, 2), 8), (rectangle(1, 2), 30), (propeller(3), 4))
+    expected = [rowmotion_orbits(P, k) for P, k in cases]
+    monkeypatch.setattr(ideals, "bytearray", Plane, raising=False)
+    for chunk, budget in itertools.product((7, 64), (0, ideals._TAIL_BYTES)):
+        monkeypatch.setattr(ideals, "_CHUNK", chunk)
+        monkeypatch.setattr(ideals, "_TAIL_BYTES", budget)
+        longest = 0
+        assert [rowmotion_orbits(P, k) for P, k in cases] == expected
+        assert 0 < longest <= 2 * chunk
+
+
 def test_multichain_walk_stops_at_the_empty_ideal(monkeypatch):
     # With no tails, the walk over rectangle(1, 1) x 50 follows only the full ideal,
     # once per level: it never iterates the empty ideal's sub-ideals.

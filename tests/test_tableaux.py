@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 from importlib import resources
@@ -601,6 +602,35 @@ def test_table_build_and_promotion_share_one_sweep_automaton(monkeypatch):
     for m in graph.class_sizes():
         for T, image in listing(graph, m):
             assert promotion(T).labels == image
+
+
+def test_listing_survives_an_evicted_automaton():
+    # The listing's tails memo is keyed by the states of one automaton. Promotions
+    # on ten other shapes between the ceilings of a listing evict the shape's
+    # automaton from _sweep's cache, so _sweep(shape) starts a new one that numbers
+    # its states afresh; the listing must not read its memo by those numbers.
+    shape = cayley_moufang()
+    others = [rectangle(a, b) for a, b in ((1, 2), (1, 3), (2, 2), (2, 3), (3, 3))]
+    others += [propeller(p) for p in (3, 4, 5)] + [parse_poset_spec(f"shifted-staircase-{s}") for s in (3, 4)]
+    assert _sweep.cache_info().maxsize < len(others)
+    expected = [(T.m, T.labels) for T in enumerate_gapless(shape)]
+    tableaux = enumerate_gapless(shape)
+    listed = []
+    for m, size in _IdealGraph(shape).class_sizes().items():
+        listed += [(T.m, T.labels) for T in itertools.islice(tableaux, size)]
+        before = _sweep(shape)
+        for other in others:
+            promotion(next(enumerate_increasing(other, other.rk + 1)))
+        assert _sweep(shape) is not before
+        # The new automaton fills in another order than the listing's did.
+        for labels_m, labels in listed[::-5]:
+            promotion(IncreasingTableau(shape, labels, labels_m))
+    assert next(tableaux, None) is None
+    assert listed == expected
+    # The memo lives and dies with its graph: a second build lists from an empty one.
+    graph = _IdealGraph(shape)
+    graph.class_orbits(shape.n)
+    assert graph.tails and not _IdealGraph(shape).tails
 
 
 def test_promotion_census_walk_is_bounded(monkeypatch):
