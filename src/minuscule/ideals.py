@@ -261,17 +261,9 @@ def _multichain_chunks(masks: list[int], subs: dict, below: list[list[int]], k: 
                 plane += bytes(lanes - len(plane))
 
     # carry[r]: (runs, lanes written, count) of the run on row r that passes the
-    # current chunk's end, one byte string per plane (a walk level's, one cell to repeat).
+    # current chunk's end, one byte string per plane: a walk level's is one cell to
+    # repeat, a tail's the whole run.
     carry = {}
-
-    def write(r: int, runs: list[bytes], done: int, count: int, start: int) -> None:
-        # Lanes done.. of a run on row r from lane start of the chunk, up to its end; the rest waits.
-        n = min(count - done, _CHUNK - start)
-        for plane, run in zip(rows[r], runs):
-            plane += run * n if len(run) == 1 else run[done:done + n]
-        if done + n < count:
-            carry[r] = runs, done + n, count
-
     stack = [iter(subs[top])]
     while stack:
         b = next(stack[-1], None)
@@ -280,32 +272,35 @@ def _multichain_chunks(masks: list[int], subs: dict, below: list[list[int]], k: 
             continue
         level = len(stack) - 1
         count = below[k - 1 - level][b]
+        n = min(count, _CHUNK - lanes)
         pad(rows[level])
-        # Most runs fit the chunk and are written at once: write() for every
-        # node made the Freudenthal x 4 census about 8% slower.
-        if lanes + count <= _CHUNK:
-            for plane, cell in zip(rows[level], cells):
-                plane += cell[b] * count
-        else:
-            write(level, [cell[b] for cell in cells], 0, count, lanes)
+        for plane, cell in zip(rows[level], cells):
+            plane += cell[b] * n
+        if n < count:
+            carry[level] = [cell[b] for cell in cells], n, count
         if b and level + 1 < levels:
             stack.append(iter(subs[b]))
             continue
         if b:
             pad(rows[levels])
-            if lanes + count <= _CHUNK:
-                for plane, run in zip(rows[levels], tail):
-                    plane += run[b]
-            else:
-                write(levels, [run[b] for run in tail], 0, count, lanes)
+            for plane, run in zip(rows[levels], tail):
+                plane += run[b][:n]
+            if n < count:
+                carry[levels] = [run[b] for run in tail], n, count
         lanes += count
         while lanes >= _CHUNK:
             yield _CHUNK, [bytes(plane[:_CHUNK]).ljust(_CHUNK, b"\0") for plane in planes]
             for plane in planes:
                 del plane[:_CHUNK]
             lanes -= _CHUNK
-            for r in list(carry):
-                write(r, *carry.pop(r), 0)
+            for r, (runs, done, total) in list(carry.items()):
+                n = min(total - done, _CHUNK)
+                for plane, run in zip(rows[r], runs):
+                    plane += run * n if len(run) == 1 else run[done:done + n]
+                if done + n < total:
+                    carry[r] = runs, done + n, total
+                else:
+                    del carry[r]
     if lanes:
         yield lanes, [bytes(plane).ljust(lanes, b"\0") for plane in planes]
 

@@ -33,8 +33,9 @@ _PSI_CHECK_CAP = 20_000
 
 # Builds of fewer gapless tableaux than this run in one process whatever the
 # worker count: with both CPUs idle a 2-process pool lost 20% at 39,453 and
-# won 6% at 56,569; with one CPU busy it lost up to 126,289 (BENCH_27.json).
-_POOL_MIN_CHAINS = 40_000
+# won 6% at 56,569, so the cut lies between; with one CPU busy it lost up to
+# 126,289 (BENCH_27.json).
+_POOL_MIN_CHAINS = 50_000
 
 
 @dataclass(frozen=True)

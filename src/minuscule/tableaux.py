@@ -420,9 +420,8 @@ class _IdealGraph:
     decodes; keys never leave the graph: class_orbits hands out label
     tuples and element masks.  succ maps each ideal mask to its successor
     masks, and paths[mask][r] is the number of r-step paths from it to the
-    full ideal (a step count that cannot reach it has no entry).  sweep is
-    the automaton the graph lists with, held so that tails, the listing's
-    memo keyed by its states, stays valid for the graph's life.  The build
+    full ideal (a step count that cannot reach it has no entry).  tails is
+    the listing's memo (_tails), which lives and dies with the graph.  The build
     takes shapes of at most 255 elements, and a shape with more than cap
     gapless tableaux raises StateCapExceeded before any is listed.
     """
@@ -433,9 +432,7 @@ class _IdealGraph:
         if n > 255:
             raise ParameterError(f"gapless tableaux need a shape of at most 255 elements, got {n}")
         self.shape = shape
-        # A build starts from an empty memo, which dies with its graph.
-        self.sweep = _sweep(shape)
-        self.tails: dict[tuple[int, int], list[int]] = {}
+        self.tails: dict[tuple[tuple[int, int], int], list[int]] = {}
         lower_masks = shape.lower_masks
         full = (1 << n) - 1
         self.succ, self.paths = {}, {}
@@ -484,25 +481,16 @@ class _IdealGraph:
         tableau.  The list comes out in group order, each prefix with all
         its tails.
         """
-        succ, paths = self.succ, self.paths
-        sweep = self.sweep
-        delta, pairs, packed_term = sweep.delta, sweep.pairs, sweep.packed_term
+        sweep = _sweep(self.shape)
+        packed_term = sweep.packed_term
         half = target // 2
         # state -> sums; the start state 0 is the pair (0, I_0).
         groups = {0: [packed_term[0]]}
         for depth in range(half):
-            remaining = target - depth - 1
-            # I_(L-1) -> I_L - I_(L-1) for each admissible successor I_L.
-            admissible = {
-                last: [nxt ^ last for nxt in succ[last] if remaining in paths[nxt]]
-                for last in {pairs[state][1] for state in groups}
-            }
             grown: dict[int, list[int]] = {}
             while groups:  # popped, so each level is freed as the next one grows
                 state, sums = groups.popitem()
-                moves = delta[state]
-                for added in admissible[pairs[state][1]]:
-                    to = moves.get(added) or _swap_step(sweep, state, added)
+                for to in self._steps(sweep, state, target - depth - 1):
                     add = packed_term[to]
                     extended = [total + add for total in sums]
                     entry = grown.get(to)
@@ -514,33 +502,34 @@ class _IdealGraph:
         listed: list[int] = []
         while groups:
             state, sums = groups.popitem()
-            tails = self._tails(state, target - half)
+            tails = self._tails(sweep, state, target - half)
             listed += [total + tail for total in sums for tail in tails]
         return listed
 
-    def _tails(self, state: int, steps: int) -> list[int]:
+    def _steps(self, sweep: _Sweep, state: int, remaining: int) -> Iterator[int]:
+        """The states one sweep step on from state whose I_i reaches the full ideal in remaining steps."""
+        moves, last = sweep.delta[state], sweep.pairs[state][1]
+        paths = self.paths
+        for nxt in self.succ[last]:
+            if remaining in paths[nxt]:
+                added = nxt ^ last
+                yield moves.get(added) or _swap_step(sweep, state, added)
+
+    def _tails(self, sweep: _Sweep, state: int, steps: int) -> list[int]:
         """The sums of packed terms along every chain that finishes the sweep from state in steps steps.
 
-        Memoized per (state, steps) for the graph's life.  The states are
-        those of the automaton the graph keeps: _sweep's cache can evict a
-        shape's automaton, and the one it starts next numbers its states
-        afresh.
+        Memoized for the graph's life by state's sweep pair, not its number:
+        _sweep's cache can evict a shape's automaton, and the one it starts
+        next numbers its states afresh.
         """
-        tails = self.tails.get((state, steps))
+        key = sweep.pairs[state], steps
+        tails = self.tails.get(key)
         if tails is None:
-            if not steps:
-                tails = [0]  # state's I_i is the full ideal
-            else:
-                sweep = self.sweep
-                moves, last = sweep.delta[state], sweep.pairs[state][1]
-                tails = []
-                for nxt in self.succ[last]:
-                    if steps - 1 in self.paths[nxt]:
-                        added = nxt ^ last
-                        to = moves.get(added) or _swap_step(sweep, state, added)
-                        add = sweep.packed_term[to]
-                        tails += [add + tail for tail in self._tails(to, steps - 1)]
-            self.tails[state, steps] = tails
+            tails = [] if steps else [0]  # with no steps left, state's I_i is the full ideal
+            for to in self._steps(sweep, state, steps - 1):
+                add = sweep.packed_term[to]
+                tails += [add + tail for tail in self._tails(sweep, to, steps - 1)]
+            self.tails[key] = tails
         return tails
 
     def class_orbits(self, m: int) -> tuple[int, list[tuple[int, int, tuple[int, ...]]], int]:
@@ -558,7 +547,7 @@ class _IdealGraph:
         orbit position shifts by m mod the period, so this is a pairwise
         comparison inside each orbit.
         """
-        sweep = self.sweep
+        sweep = _sweep(self.shape)
         promote = sweep.promotions(self.class_promotions(m))
         size = len(promote)
         counts: dict[int, tuple[int, int]] = {}
@@ -590,7 +579,7 @@ def enumerate_gapless(shape: Poset, cap: int | None = None) -> Iterator[Increasi
     Within a ceiling, the tableaux come in ascending order of their label arrays.
     """
     graph = _IdealGraph(shape, cap)
-    sweep = graph.sweep
+    sweep = _sweep(shape)
     fields = sweep.fields
     for m in range(shape.rk + 1, shape.n + 1):
         for key in sorted(sweep.keys(graph.class_promotions(m))):

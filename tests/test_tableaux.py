@@ -605,10 +605,10 @@ def test_table_build_and_promotion_share_one_sweep_automaton(monkeypatch):
 
 
 def test_listing_survives_an_evicted_automaton():
-    # The listing's tails memo is keyed by the states of one automaton. Promotions
+    # The listing's tails memo outlives the automaton it was filled with. Promotions
     # on ten other shapes between the ceilings of a listing evict the shape's
     # automaton from _sweep's cache, so _sweep(shape) starts a new one that numbers
-    # its states afresh; the listing must not read its memo by those numbers.
+    # its states afresh; the memo must not be read by state numbers.
     shape = cayley_moufang()
     others = [rectangle(a, b) for a, b in ((1, 2), (1, 3), (2, 2), (2, 3), (3, 3))]
     others += [propeller(p) for p in (3, 4, 5)] + [parse_poset_spec(f"shifted-staircase-{s}") for s in (3, 4)]
