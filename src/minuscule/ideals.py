@@ -212,15 +212,17 @@ def _multichain_chunks(masks: list[int], subs: dict, below: list[list[int]], k: 
     _CHUNK multichains, where planes[i * width + p] holds byte p of I_(i+1)
     for each multichain.
 
-    The last `depth` levels come from tails listed once per ideal, and the
-    levels above them from a depth-first walk that writes each level once per
-    node, as one run as long as the multichains below it, and stops at the
-    empty ideal: a plane is zero-padded up to its next run and at each chunk
-    cut.  A run, of a walk level or a tail, is written only up to the chunk's
-    end and the rest at the next cut, so no plane outgrows one chunk.  Of the
-    depths whose tails fit in _TAIL_BYTES, the one with the fewest
-    byte-string operations is used: tails cost about depth^2 / 2 joins per
-    ideal, the walk one run per node and depth copies per leaf.
+    below ranks the multichains in walk order, so each chunk is one range of
+    ranks, and its planes start as zeroed buffers of the chunk's length.  The
+    last `depth` levels come from tails listed once per ideal, and the levels
+    above them from a depth-first walk of the chunk's ranks.  The walk writes
+    each level once per node, as one run, in place at the node's lanes and
+    clipped to the chunk.  It skips the sub-ideals whose multichains end
+    before the chunk, stops at the chunk's end, and writes nothing for the
+    empty ideal, whose levels and all below them are zero.  Of the depths
+    whose tails fit in _TAIL_BYTES, the one with the fewest byte-string
+    operations is used: tails cost about depth^2 / 2 joins per ideal, the
+    walk one run per node and depth copies per leaf.
     """
     top = len(masks) - 1
     # cells[p][a]: byte p of ideal a; tops[L]: the multichains of L ideals.
@@ -249,60 +251,34 @@ def _multichain_chunks(masks: list[int], subs: dict, below: list[list[int]], k: 
             {0: b"\0"} | {a: b"".join([cell[c] * counts[c] for c in subs[a]]) for a in nonempty} for cell in cells
         ] + [{0: b"\0"} | {a: b"".join(map(plane.__getitem__, subs[a])) for a in nonempty} for plane in tail]
 
-    planes = [bytearray() for _ in range(k * width)]
-    # rows[i]: the planes of walk level i, and rows[levels] the tail's; a row's planes share one length.
-    rows = [planes[i * width:(i + 1) * width] for i in range(levels)] + [planes[levels * width:]]
-    lanes = 0
-
-    def pad(row: list[bytearray]) -> None:
-        # Zeros up to lanes, where the walk stopped at the empty ideal since the row's last run.
-        if row and len(row[0]) < lanes:
-            for plane in row:
-                plane += bytes(lanes - len(plane))
-
-    # carry[r]: (runs, lanes written, count) of the run on row r that passes the
-    # current chunk's end, one byte string per plane: a walk level's is one cell to
-    # repeat, a tail's the whole run.
-    carry = {}
-    stack = [iter(subs[top])]
-    while stack:
-        b = next(stack[-1], None)
-        if b is None:
-            stack.pop()
-            continue
-        level = len(stack) - 1
-        count = below[k - 1 - level][b]
-        n = min(count, _CHUNK - lanes)
-        pad(rows[level])
-        for plane, cell in zip(rows[level], cells):
-            plane += cell[b] * n
-        if n < count:
-            carry[level] = [cell[b] for cell in cells], n, count
-        if b and level + 1 < levels:
-            stack.append(iter(subs[b]))
-            continue
-        if b:
-            pad(rows[levels])
-            for plane, run in zip(rows[levels], tail):
-                plane += run[b][:n]
-            if n < count:
-                carry[levels] = [run[b] for run in tail], n, count
-        lanes += count
-        while lanes >= _CHUNK:
-            yield _CHUNK, [bytes(plane[:_CHUNK]).ljust(_CHUNK, b"\0") for plane in planes]
-            for plane in planes:
-                del plane[:_CHUNK]
-            lanes -= _CHUNK
-            for r, (runs, done, total) in list(carry.items()):
-                n = min(total - done, _CHUNK)
-                for plane, run in zip(rows[r], runs):
-                    plane += run * n if len(run) == 1 else run[done:done + n]
-                if done + n < total:
-                    carry[r] = runs, done + n, total
-                else:
-                    del carry[r]
-    if lanes:
-        yield lanes, [bytes(plane).ljust(lanes, b"\0") for plane in planes]
+    for lo in range(0, tops[k], _CHUNK):
+        lanes = min(_CHUNK, tops[k] - lo)
+        planes = [bytearray(lanes) for _ in range(k * width)]
+        # rows[i]: the planes of walk level i, and rows[levels] the tail's.
+        rows = [planes[i * width:(i + 1) * width] for i in range(levels)] + [planes[levels * width:]]
+        # stack[i]: the ideals left to try at walk level i, and the lane the next of them starts on.
+        stack = [[iter(subs[top]), -lo]]
+        while stack:
+            node = stack[-1]
+            start = node[1]
+            b = next(node[0], None)
+            if b is None or start >= lanes:
+                stack.pop()
+                continue
+            level = len(stack) - 1
+            end = node[1] = start + below[k - 1 - level][b]
+            if end <= 0 or not b:
+                continue
+            s = start if start > 0 else 0
+            e = end if end < lanes else lanes
+            for plane, cell in zip(rows[level], cells):
+                plane[s:e] = cell[b] * (e - s)
+            if level + 1 < levels:
+                stack.append([iter(subs[b]), start])
+            else:
+                for plane, run in zip(rows[levels], tail):
+                    plane[s:e] = run[b][s - start:e - start]
+        yield lanes, planes
 
 
 def _transpose_bytes(xs: list[int], masks) -> None:

@@ -1,5 +1,6 @@
 import itertools
 from collections import Counter
+from random import Random
 
 import pytest
 
@@ -7,6 +8,7 @@ from minuscule import (
     OrderIdeal,
     ParameterError,
     PlanePartition,
+    Poset,
     StateCapExceeded,
     cayley_moufang,
     chain_product,
@@ -224,10 +226,10 @@ def test_multichain_listing_is_the_product_ideals(monkeypatch):
         assert sorted(listed) == sorted(ideals._ideal_masks(chain_product(P, k)))
 
 
-def test_multichain_planes_stay_within_two_chunks(monkeypatch):
-    # A run longer than the rest of its chunk, on a walk level or from a tail, is
-    # written up to the chunk's end and carried to the next cut: no plane grows past
-    # two chunks, however many multichains lie below a shallow level's ideal.
+def test_multichain_planes_stay_within_one_chunk(monkeypatch):
+    # Every plane is allocated one chunk long and each run, of a walk level or from a
+    # tail, is written in place at its lanes: no plane grows past its chunk, however
+    # many multichains lie below a shallow level's ideal.
     from minuscule import ideals
 
     longest = 0
@@ -239,6 +241,11 @@ def test_multichain_planes_stay_within_two_chunks(monkeypatch):
             longest = max(longest, len(self))
             return result
 
+        def __setitem__(self, index, value):
+            nonlocal longest
+            super().__setitem__(index, value)
+            longest = max(longest, len(self))
+
     cases = ((rectangle(2, 2), 8), (rectangle(1, 2), 30), (propeller(3), 4))
     expected = [rowmotion_orbits(P, k) for P, k in cases]
     monkeypatch.setattr(ideals, "bytearray", Plane, raising=False)
@@ -247,7 +254,34 @@ def test_multichain_planes_stay_within_two_chunks(monkeypatch):
         monkeypatch.setattr(ideals, "_TAIL_BYTES", budget)
         longest = 0
         assert [rowmotion_orbits(P, k) for P, k in cases] == expected
-        assert 0 < longest <= 2 * chunk
+        assert 0 < longest <= chunk
+
+
+def test_rowmotion_orbits_on_random_posets(monkeypatch):
+    # Seeded random orders with small products: the census, over several chunk sizes
+    # and tail budgets, against the cycles of the set-definition rowmotion on every
+    # ideal of P x k.
+    from minuscule import ideals
+    from test_poset import _random_covers
+
+    rng = Random(20261020)
+    budgets = (0, 300, ideals._TAIL_BYTES)
+    cases = 0
+    while cases < 60:
+        n, k = rng.randint(0, 8), rng.randint(0, 3)
+        P = Poset(n, _random_covers(rng, n))
+        product = chain_product(P, k)
+        masks = [ideal.mask for ideal in enumerate_ideals(product)]
+        if len(masks) > 300:  # keeps the run under a second
+            continue
+        cases += 1
+        image = definitional_rowmotion(product)
+        expected = Counter(map(len, ideals._cycles({m: image(m) for m in masks})))
+        for chunk, budget in itertools.product((5, 1 << 16), budgets):
+            monkeypatch.setattr(ideals, "_CHUNK", chunk)
+            monkeypatch.setattr(ideals, "_TAIL_BYTES", budget)
+            summary = rowmotion_orbits(P, k)
+            assert (summary.sizes(), summary.total_states) == (expected, len(masks)), (P.covers, k, chunk, budget)
 
 
 def test_multichain_walk_stops_at_the_empty_ideal(monkeypatch):

@@ -758,8 +758,10 @@ def test_small_builds_start_no_pool(monkeypatch):
 
     from minuscule import orbits
 
-    # On a 2-CPU machine with one CPU busy, a pool gained little or nothing on
-    # rectangle-2x8 (20,793 chains); on rectangle-3x5 (126,289) it wins.
+    # On a 2-CPU machine with both CPUs idle, a 2-worker pool lost on rectangle-2x8
+    # (20,793 chains) and broke even between 39,453 and 56,569 chains, below
+    # rectangle-3x5 (126,289). With one CPU busy it lost on rectangle-3x5 as well
+    # and won only at 352,879 chains (BENCH_27.json, break_even).
     assert 20_793 < orbits._POOL_MIN_CHAINS < 126_289
 
     class NoPool:
