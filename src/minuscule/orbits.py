@@ -79,6 +79,8 @@ def _table_from_dict(data: dict, poset: Poset) -> GaplessOrbitTable:
         raise ParameterError(f"unsupported table schema {data.get('schema')!r}")
     if data.get("poset_digest") != poset.digest():
         raise ParameterError("cached table belongs to a different poset")
+    if poset.n == 0:
+        raise ParameterError("the empty shape has no orbit table")
     rows = tuple(
         GaplessOrbitRow(*map(_integer, (r["m_t"], r["period"], r["orbits"])), tuple(map(_integer, r["rep"])))
         for r in data["rows"]

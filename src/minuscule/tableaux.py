@@ -28,9 +28,9 @@ deflation, sweep and inflation by the rotated content vector in one go;
 the summed terms count for each box how many new ideals it lies outside,
 and that count picks its label.  Without label 1, every label drops by
 one.  The orbit-table build lists the chains as paths in the (small)
-ideal graph, which is how the large shapes stay tractable, and keeps each
-tableau only as one integer, its label key packed above the key of its
-promotion image.  The graph, like the automaton, is keyed by ideal mask.
+ideal graph, which is how the large shapes stay tractable, and streams
+the tableaux a list at a time, each as one integer, its label key above
+its image's; the graph, like the automaton, is keyed by ideal mask.
 The build makes the sweep while it lists the chains: the prefixes of one
 length that share the sweep state share their successors and, for each,
 the next state, so one transition of the automaton promotion() reads
@@ -49,7 +49,7 @@ leaves this module.
 """
 
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from functools import lru_cache
 from operator import itemgetter
 
@@ -248,15 +248,15 @@ class _Sweep:
         """The image key of one sum of packed terms."""
         return total & self.low
 
-    def keys(self, sums: list[int]) -> list[int]:
-        """The keys of sums of packed terms, in their order."""
+    def keys(self, groups: Iterable[list[int]]) -> list[int]:
+        """The keys of lists of sums of packed terms, in their order."""
         shift = self.shift
-        return [total >> shift for total in sums]
+        return [total >> shift for sums in groups for total in sums]
 
-    def promotions(self, sums: list[int]) -> dict[int, int]:
-        """The key-to-image-key map of sums of packed terms."""
+    def promotions(self, groups: Iterable[list[int]]) -> dict[int, int]:
+        """The key-to-image-key map of lists of sums of packed terms."""
         shift, low = self.shift, self.low
-        return {total >> shift: total & low for total in sums}
+        return {total >> shift: total & low for sums in groups for total in sums}
 
 
 @lru_cache(maxsize=8)
@@ -458,7 +458,7 @@ class _IdealGraph:
         """Number of gapless tableaux per ceiling, in ascending order: the paths from the empty ideal."""
         return {m: ways for m, ways in sorted(self.paths[0].items()) if m}
 
-    def class_promotions(self, target: int) -> list[int]:
+    def class_promotions(self, target: int) -> Iterator[list[int]]:
         """The gapless tableaux of ceiling target with their K-promotion images, as sums of packed terms.
 
         Each sum holds a tableau's label key above the sweep's `shift` and
@@ -478,8 +478,8 @@ class _IdealGraph:
         after that depends only on its sweep state and the steps left, so
         each group takes its tails (the graph's memo, _tails) and the
         listing is every prefix sum plus every tail sum: one addition per
-        tableau.  The list comes out in group order, each prefix with all
-        its tails.
+        tableau.  The sums stream out as one list per group, each prefix with
+        all its tails, so no list of the ceiling's sums is ever held.
         """
         sweep = _sweep(self.shape)
         packed_term = sweep.packed_term
@@ -499,12 +499,10 @@ class _IdealGraph:
                     else:
                         entry += extended
             groups = grown
-        listed: list[int] = []
         while groups:
             state, sums = groups.popitem()
             tails = self._tails(sweep, state, target - half)
-            listed += [total + tail for total in sums for tail in tails]
-        return listed
+            yield [total + tail for total in sums for tail in tails]
 
     def _steps(self, sweep: _Sweep, state: int, remaining: int) -> Iterator[int]:
         """The states one sweep step on from state whose I_i reaches the full ideal in remaining steps."""
@@ -589,8 +587,8 @@ def enumerate_gapless(shape: Poset, cap: int | None = None) -> Iterator[Increasi
 def promotion_census(shape: Poset, m: int) -> Counter:
     """Orbit sizes of promotion on all ceiling-m tableaux, by walking every orbit.
 
-    The orbits are the cycles of one tableau-to-image map, popped off it; a
-    promotion that is not a permutation of the tableaux raises.
+    The orbits are the cycles of one label-to-image-label map, popped off
+    it; a promotion that is not a permutation of the tableaux raises.
     """
-    image = {T: promotion(T) for T in enumerate_increasing(shape, m)}
+    image = {T.labels: promotion(T).labels for T in enumerate_increasing(shape, m)}
     return Counter(len(orbit) for orbit in _cycles(image))

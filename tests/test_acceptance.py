@@ -40,6 +40,7 @@ from minuscule import (
     verify_csp,
 )
 from minuscule.orbits import GaplessOrbitTable, _periodic_vector
+from test_tableaux import load_fixture
 
 import json
 
@@ -55,11 +56,6 @@ def criterion(number: int, description: str, ok: bool, detail: str = ""):
 def golden(name: str) -> dict:
     path = resources.files("minuscule").joinpath(f"data/golden/{name}")
     return json.loads(path.read_text())
-
-
-def fixture(name: str, m: int | None = None) -> IncreasingTableau:
-    path = resources.files("minuscule").joinpath(f"data/golden/tableaux/{name}")
-    return IncreasingTableau.from_text(path.read_text(), m=m)
 
 
 def kjdt_promotion(covers, labels, m: int) -> tuple[int, ...]:
@@ -137,12 +133,12 @@ def test_criterion_3_gapless_tables_propellers():
             ok = False
             detail.append(f"p={p}: {table.triples()}")
     two_cycle = [t for t in enumerate_gapless(propeller(4)) if t.m == 8]
-    first = fixture("propeller4_m8_first.txt")
-    second = fixture("propeller4_m8_second.txt")
+    first = load_fixture("propeller4_m8_first.txt")
+    second = load_fixture("propeller4_m8_second.txt")
     ok = ok and set(two_cycle) == {first, second}
     ok = ok and promotion(first) == second and promotion(second) == first
     singleton = [t for t in enumerate_gapless(propeller(4)) if t.m == 7]
-    ok = ok and singleton == [fixture("propeller4_m7.txt")] and promotion(singleton[0]) == singleton[0]
+    ok = ok and singleton == [load_fixture("propeller4_m7.txt")] and promotion(singleton[0]) == singleton[0]
     criterion(3, "propeller orbit tables for p=3..6, including the explicit ceiling-8 two-cycle",
               ok, "; ".join(detail))
 
@@ -326,12 +322,12 @@ def test_criterion_9_closed_form_arithmetic(cm_table):
 
 def test_criterion_10_operator_fixtures():
     ok = True
-    base = fixture("kbk_base.txt")
+    base = load_fixture("kbk_base.txt")
     for i in (3, 4, 5):
-        ok = ok and k_bender_knuth(base, i) == fixture(f"kbk_swap_{i}.txt")
-    ok = ok and promotion(fixture("promotion_cm_m13_input.txt")) == fixture("promotion_cm_m13_output.txt")
-    gappy = fixture("deflation_input_m7.txt", m=7)
-    gapless = fixture("deflation_output.txt")
+        ok = ok and k_bender_knuth(base, i) == load_fixture(f"kbk_swap_{i}.txt")
+    ok = ok and promotion(load_fixture("promotion_cm_m13_input.txt")) == load_fixture("promotion_cm_m13_output.txt")
+    gappy = load_fixture("deflation_input_m7.txt", m=7)
+    gapless = load_fixture("deflation_output.txt")
     ok = ok and deflate(gappy) == gapless
     ok = ok and content_vector(gappy) == (1, 1, 0, 1, 1, 1, 0)
     ok = ok and inflate(gapless, (1, 1, 0, 1, 1, 1, 0)) == gappy

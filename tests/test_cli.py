@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from minuscule import UnsupportedPosetError, poset_from_shape, ShapeDiagram, verify_csp
+from minuscule import Poset, UnsupportedPosetError, poset_from_shape, ShapeDiagram, verify_csp
 from minuscule.cli import emit, main
 
 
@@ -249,6 +249,8 @@ P3 = ("propeller-3", (("gapless-table",), ("verify-csp", "--k", "1"), ("period",
         (*P3, lambda text: text[:200]),
         (*P3, lambda text: "[1, 2, 3]\n"),
         (*P3, lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "rows"})),
+        (*P3, lambda text: json.dumps(json.loads(text) | {"schema": "minuscule.gapless-table/0"})),
+        (*P3, lambda text: json.dumps(json.loads(text) | {"total": json.loads(text)["total"] + 1})),
         (*P3, lambda text: first_row(text, period=1.0, rep=[float(v) for v in json.loads(text)["rows"][0]["rep"]])),
         (*P3, lambda text: first_row(text, period=True, orbits=True)),
         (*P3, lambda text: json.dumps(json.loads(text) | {"rows": [], "total": 0})),
@@ -266,20 +268,23 @@ P3 = ("propeller-3", (("gapless-table",), ("verify-csp", "--k", "1"), ("period",
         ("rectangle-3x3", (("verify-csp", "--k", "3"),), lambda text: with_orbits(text, {(8, 2): 6, (8, 8): 9})),
     ],
     ids=[
-        "truncated", "not-an-object", "no-rows", "float-row", "bool-row", "empty-rows", "row-moved",
-        "zero-period", "negative-orbits", "zero-orbits", "rows-descending", "stable-outside",
-        "stable-unsorted", "rep-decreasing", "rep-short", "rep-not-gapless", "rep-wrong-period", "orbit-split",
+        "truncated", "not-an-object", "no-rows", "wrong-schema", "wrong-total", "float-row", "bool-row",
+        "empty-rows", "row-moved", "zero-period", "negative-orbits", "zero-orbits", "rows-descending",
+        "stable-outside", "stable-unsorted", "rep-decreasing", "rep-short", "rep-not-gapless",
+        "rep-wrong-period", "orbit-split",
     ],
 )
 def test_bad_cache_file_is_bad_input(tmp_path, capsys, spec, commands, content):
     # An unreadable, ill-formed or wrong cached table exits 3 naming the file,
-    # with nothing on stdout, for every command that reads it.  From
-    # "float-row" on, the orbit sizes sum to the total; "empty-rows" and
-    # "row-moved" are well formed but miscount the shape's tableaux at some
-    # ceiling, and every case after them counts them right: a row that is not
-    # positive, rows out of order, a stable set that is not strictly ascending
-    # inside the shape, or a rep that is not a gapless tableau of its ceiling
-    # whose promotion orbit has its row's period.  "orbit-split" moves tableaux
+    # with nothing on stdout, for every command that reads it.  The first
+    # cases are a file cut short, no object, no rows, another schema and
+    # orbit sizes that miss the total.  From "float-row" on, the orbit sizes
+    # sum to the total; "empty-rows" and "row-moved" are well formed but
+    # miscount the shape's tableaux at some ceiling, and every case after them
+    # counts them right: a row that is not positive, rows out of order, a
+    # stable set that is not strictly ascending inside the shape, or a rep
+    # that is not a gapless tableau of its ceiling whose promotion orbit has
+    # its row's period.  "orbit-split" moves tableaux
     # between the periods of one ceiling, which the read checks cannot see:
     # verify-csp's rowmotion recount refuses it.
     cache = ("--poset", spec, "--cache-dir", str(tmp_path))
@@ -290,6 +295,26 @@ def test_bad_cache_file_is_bad_input(tmp_path, capsys, spec, commands, content):
         code, out, err = run(capsys, *command, *cache)
         assert code == 3 and out == ""
         assert err.startswith("error: ") and str(path) in err
+
+
+def test_a_cached_table_for_the_empty_shape_is_refused(tmp_path, capsys):
+    # A build refuses the empty shape, and so does a read: a well-formed table
+    # file for it is bad input naming the file, for every command that reads it.
+    from minuscule.orbits import _TABLE_SCHEMA
+
+    empty = Poset(0, [])
+    spec = tmp_path / "empty.json"
+    spec.write_text(json.dumps({"n": 0, "covers": []}))
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    path = cache_dir / f"gapless-{empty.digest()}.json"
+    table = {"schema": _TABLE_SCHEMA, "family": empty.family, "poset_digest": empty.digest()}
+    path.write_text(json.dumps(table | {"total": 0, "stable": [], "rows": []}))
+    for command in (("period", "--m", "0"), ("gapless-table",), ("frame-check",)):
+        for cache in ((), ("--cache-dir", str(cache_dir))):
+            code, out, err = run(capsys, *command, "--poset", str(spec), *cache)
+            assert code == 3 and out == ""
+            assert "the empty shape has no orbit table" in err and (str(path) in err) == bool(cache)
 
 
 def first_row(text: str, **fields) -> str:

@@ -180,6 +180,24 @@ def test_rowmotion_orbits_checks_the_cap_before_listing(monkeypatch):
         rowmotion_orbits(freudenthal(), 7, cap=10**6)
 
 
+def test_rowmotion_orbits_refuses_a_listing_short_of_the_count(monkeypatch):
+    # The census checks its listing against the count table: a listing that
+    # skips one chunk of ideals raises instead of reporting fewer orbits.
+    from minuscule import ideals
+
+    chunks = ideals._multichain_chunks
+
+    def one_chunk_short(*args):
+        listed = chunks(*args)
+        next(listed)
+        return listed
+
+    monkeypatch.setattr(ideals, "_CHUNK", 5)
+    monkeypatch.setattr(ideals, "_multichain_chunks", one_chunk_short)
+    with pytest.raises(RuntimeError, match="but counted"):
+        rowmotion_orbits(propeller(3), 2)
+
+
 def test_rowmotion_orbits_across_chunks(monkeypatch):
     # Orbits straddle chunk boundaries; sizes are divided out only at the end.
     from minuscule import ideals

@@ -4,6 +4,7 @@ from collections import Counter
 from dataclasses import replace
 from importlib import resources
 from math import comb, gcd, lcm
+from random import Random
 
 import pytest
 
@@ -141,6 +142,28 @@ def test_multiple_rows_inflate_to_exact_multiples(pf_table):
                 if m % e or (e * row.m_t) % m or exact_period_vector_count(m, row.m_t, e) == 0:
                     continue
                 assert inflated_period(m, row.m_t, row.period, e) == j * m
+
+
+def test_table_orbits_match_the_census_on_random_posets():
+    # Seeded random orders: the orbit sizes read off the table, at the least
+    # ceiling, the next one and a ceiling with gaps, against a walk of every
+    # increasing tableau.
+    from test_poset import _random_covers
+    from minuscule.tableaux import _IdealGraph
+
+    rng = Random(20261020)
+    cases = 0
+    while cases < 40:
+        n = rng.randint(3, 8)
+        P = Poset(n, _random_covers(rng, n))
+        sizes = _IdealGraph(P).class_sizes()
+        # Tableaux of ceiling n + 1: each gapless one of ceiling t, spread over t of the n + 1 labels.
+        if sum(sizes.values()) > 3_000 or sum(ways * comb(n + 1, t) for t, ways in sizes.items()) > 30_000:
+            continue  # keeps the run under a second
+        cases += 1
+        table = build_gapless_table(P)
+        for m in (P.rk + 1, P.rk + 2, n + 1):
+            assert promotion_orbits(table, m).sizes() == promotion_census(P, m), (P.covers, m)
 
 
 def test_realized_orbit_sizes_divide_action_order():
@@ -871,12 +894,12 @@ def test_orbit_walks_are_bounded(monkeypatch):
     def onto_least(self, m):
         # Every tableau of the ceiling promoted onto its least one.
         keys = sweep.keys(class_promotions(self, m))
-        return [(key << sweep.shift) + min(keys) for key in keys]
+        return [[(key << sweep.shift) + min(keys) for key in keys]]
 
     def off_the_class(self, m):
         # The last image replaced by a key that is no tableau of the ceiling.
-        listed = class_promotions(self, m)
-        return listed[:-1] + [listed[-1] >> sweep.shift << sweep.shift]
+        *groups, last = class_promotions(self, m)
+        return groups + [last[:-1] + [last[-1] >> sweep.shift << sweep.shift]]
 
     with monkeypatch.context() as patched:
         patched.setattr(_IdealGraph, "class_promotions", onto_least)
@@ -889,6 +912,41 @@ def test_orbit_walks_are_bounded(monkeypatch):
     sink = next(t for t in enumerate_increasing(shape, 8) if t != witness)
     monkeypatch.setattr(orbits, "promotion", lambda t: sink)
     with pytest.raises(RuntimeError, match="within"):
+        promotion_order(shape, 8, table=table)
+
+
+def test_a_listing_one_orbit_short_fails_the_build(monkeypatch):
+    # A listing that drops one whole orbit is still a permutation, so every
+    # walk closes: the count of the ceiling's paths alone refuses it.
+    from minuscule.tableaux import _IdealGraph, _sweep
+
+    shape = rectangle(3, 4)
+    class_promotions = _IdealGraph.class_promotions
+    sweep = _sweep(shape)
+
+    def one_orbit_short(self, m):
+        listed = [total for sums in class_promotions(self, m) for total in sums]
+        promote = sweep.promotions([listed])
+        orbit, key = set(), listed[0] >> sweep.shift
+        while key not in orbit:
+            orbit.add(key)
+            key = promote[key]
+        return [[total for total in listed if total >> sweep.shift not in orbit]]
+
+    monkeypatch.setattr(_IdealGraph, "class_promotions", one_orbit_short)
+    with pytest.raises(RuntimeError, match="enumeration mismatch"):
+        build_gapless_table(shape)
+
+
+def test_a_witness_of_another_orbit_size_is_refused(monkeypatch):
+    # The witness is walked with promotion itself: a promotion that fixes every
+    # tableau closes its orbit at once, short of the table's largest orbit.
+    from minuscule import orbits
+
+    shape = propeller(3)
+    table = build_gapless_table(shape)
+    monkeypatch.setattr(orbits, "promotion", lambda t: t)
+    with pytest.raises(RuntimeError, match="witness verification failed: orbit size 1"):
         promotion_order(shape, 8, table=table)
 
 

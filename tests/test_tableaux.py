@@ -35,12 +35,10 @@ from minuscule import (
 from minuscule.tableaux import _IdealGraph, _sweep
 
 
-def fixture_text(name: str) -> str:
-    return resources.files("minuscule").joinpath(f"data/golden/tableaux/{name}").read_text()
-
-
 def load_fixture(name: str, m: int | None = None) -> IncreasingTableau:
-    return IncreasingTableau.from_text(fixture_text(name), m=m)
+    """A golden tableau, read from its text form; the ceiling defaults to the largest label."""
+    path = resources.files("minuscule").joinpath(f"data/golden/tableaux/{name}")
+    return IncreasingTableau.from_text(path.read_text(), m=m)
 
 
 def all_increasing(shape, m):
@@ -308,6 +306,10 @@ def test_empty_shape_degenerates():
 def test_enumerate_increasing_cap():
     with pytest.raises(StateCapExceeded):
         list(enumerate_increasing(rectangle(2, 3), 7, cap=10))
+    with pytest.raises(ParameterError, match="state cap must be positive"):
+        next(enumerate_increasing(rectangle(2, 3), 7, cap=0))
+    with pytest.raises(ParameterError, match="ceiling must be nonnegative"):
+        next(enumerate_increasing(rectangle(2, 3), -1))
 
 
 def test_enumerate_increasing_deep_chain():
@@ -417,7 +419,7 @@ def listing(graph, m):
     """
     sweep = _sweep(graph.shape)
     fields = sweep.fields
-    listed = graph.class_promotions(m)
+    listed = list(graph.class_promotions(m))
     keys = sweep.keys(listed)
     promote = sweep.promotions(listed)
     assert len(set(keys)) == len(keys) == len(promote) == graph.class_sizes()[m]
@@ -511,7 +513,7 @@ def test_labels_fit_one_byte_up_to_255_elements():
                 assert image == by_kbk(T).labels
             # Read as bytes, each listed sum is the tableau's labels and then its
             # image's: a field reaches the ceiling and carries into no neighbour.
-            raw = [total.to_bytes(2 * n, "big") for total in graph.class_promotions(m)]
+            raw = [total.to_bytes(2 * n, "big") for sums in graph.class_promotions(m) for total in sums]
             assert sorted((r[:n], r[n:]) for r in raw) == sorted(
                 (bytes(T.labels), bytes(promotion(T).labels)) for T, _ in pairs
             )
