@@ -12,6 +12,7 @@ integer per ideal.
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
+from math import lcm
 
 from .errors import ParameterError, StateCapExceeded, _integer, state_cap
 from .poset import Poset, chain_product
@@ -40,7 +41,7 @@ class OrderIdeal:
         return all(m & lm[x] == lm[x] for x in self.members())
 
     def __len__(self):
-        return bin(self.mask).count("1")
+        return self.mask.bit_count()
 
 
 def _trusted_ideal(poset: Poset, mask: int) -> OrderIdeal:
@@ -89,9 +90,13 @@ def _ideal_masks(poset: Poset, cap: int | None = None) -> Iterator[int]:
 
 
 def enumerate_ideals(poset: Poset, cap: int | None = None) -> Iterator[OrderIdeal]:
-    """All order ideals, each exactly once, in a deterministic order."""
-    for mask in _ideal_masks(poset, cap):
-        yield _trusted_ideal(poset, mask)
+    """All order ideals, each exactly once, in a deterministic order.
+
+    The cap is checked at the call; more than cap ideals raise StateCapExceeded
+    during the listing.
+    """
+    cap = state_cap(cap)
+    return (_trusted_ideal(poset, mask) for mask in _ideal_masks(poset, cap))
 
 
 @dataclass(frozen=True)
@@ -109,9 +114,7 @@ class OrbitSummary:
         return sum(size * mult for size, mult in self.orbit_sizes if d % size == 0)
 
     def order(self) -> int:
-        from math import lcm
-
-        return lcm(*(size for size, _ in self.orbit_sizes)) if self.orbit_sizes else 1
+        return lcm(*(size for size, _ in self.orbit_sizes))
 
     @classmethod
     def from_states(cls, states: Counter) -> "OrbitSummary":

@@ -13,6 +13,7 @@ import os
 from collections import Counter
 from contextlib import ExitStack
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 from math import comb, gcd
 from pathlib import Path
@@ -311,6 +312,7 @@ def exact_period_vector_count(m: int, n: int, e: int) -> int:
     return _exact_period_vector_count(m, n, e)
 
 
+@cache
 def _exact_period_vector_count(m: int, n: int, e: int) -> int:
     # Mobius inversion over the periods ep | e; a vector of period ep has n * ep / m ones per window.
     return sum(_mobius(e // ep) * comb(ep, n * ep // m) for ep in _divisors(e) if (n * ep) % m == 0)
@@ -319,11 +321,8 @@ def _exact_period_vector_count(m: int, n: int, e: int) -> int:
 def _inflation_classes(table: GaplessOrbitTable, m: int):
     """All ceiling-m tableaux, as inflations of a table row by the vectors of exact content
     period e: yields (row, e, vector count, promotion period h of each inflation).
-
-    The vector count depends on (m_t, e) only, so each is computed once per call.
     """
     divisors = _divisors(m)
-    counts: dict[tuple[int, int], int] = {}
     for row in table.rows:
         m_t = row.m_t
         if m_t > m:
@@ -331,9 +330,7 @@ def _inflation_classes(table: GaplessOrbitTable, m: int):
         for e in divisors:
             if (e * m_t) % m:
                 continue
-            vectors = counts.get((m_t, e))
-            if vectors is None:
-                vectors = counts[m_t, e] = _exact_period_vector_count(m, m_t, e)
+            vectors = _exact_period_vector_count(m, m_t, e)
             if vectors:
                 yield row, e, vectors, _inflated_period(m, m_t, row.period, e)
 

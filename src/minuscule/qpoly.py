@@ -15,6 +15,7 @@ partitions over a built-in minuscule poset.
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate
 from math import comb, gcd, isqrt, prod
 from operator import sub
@@ -243,24 +244,20 @@ def _mobius(n: int) -> int:
     return mu
 
 
-_CYCLOTOMIC_CACHE: dict[int, QPolynomial] = {}
-
-
 def cyclotomic(n: int) -> QPolynomial:
     """n-th cyclotomic polynomial: q - 1 for n = 1, else prod (1 - q^d)^mu(n/d) over d | n."""
     n = _integer(n)
     if n < 1:
         raise ParameterError("cyclotomic index must be >= 1")
-    cached = _CYCLOTOMIC_CACHE.get(n)
-    if cached is not None:
-        return cached
+    return _cyclotomic(n)
+
+
+@cache
+def _cyclotomic(n: int) -> QPolynomial:
     if n == 1:
-        poly = QPolynomial((-1, 1))
-    else:
-        mu = {d: _mobius(n // d) for d in _divisors(n)}
-        poly = _q_quotient([d for d in mu if mu[d] == 1], [d for d in mu if mu[d] == -1])
-    _CYCLOTOMIC_CACHE[n] = poly
-    return poly
+        return QPolynomial((-1, 1))
+    mu = {d: _mobius(n // d) for d in _divisors(n)}
+    return _q_quotient([d for d in mu if mu[d] == 1], [d for d in mu if mu[d] == -1])
 
 
 @dataclass(frozen=True)

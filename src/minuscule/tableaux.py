@@ -50,7 +50,7 @@ leaves this module.
 
 from collections import Counter
 from collections.abc import Iterable, Iterator
-from functools import lru_cache
+from functools import cache
 from operator import itemgetter
 
 from .errors import ParameterError, StateCapExceeded, _integer, state_cap
@@ -259,7 +259,7 @@ class _Sweep:
         return {total >> shift: total & low for sums in groups for total in sums}
 
 
-@lru_cache(maxsize=8)
+@cache
 def _sweep(shape: Poset) -> _Sweep:
     return _Sweep(shape)
 
@@ -319,7 +319,7 @@ def content_vector(tableau: IncreasingTableau) -> tuple[int, ...]:
 
 
 def rotate_left(v: tuple[int, ...]) -> tuple[int, ...]:
-    return v[1:] + v[:1] if v else v
+    return v[1:] + v[:1]
 
 
 def _check_binary(v) -> None:
@@ -362,11 +362,18 @@ def inflate(gapless: IncreasingTableau, v: tuple[int, ...]) -> IncreasingTableau
 
 
 def enumerate_increasing(shape: Poset, m: int, cap: int | None = None) -> Iterator[IncreasingTableau]:
-    """All increasing tableaux with ceiling m, by backtracking along a linear extension."""
+    """All increasing tableaux with ceiling m, by backtracking along a linear extension.
+
+    The ceiling and the cap are checked at the call; more than cap tableaux
+    raise StateCapExceeded during the listing.
+    """
     m = _integer(m)
     if m < 0:
         raise ParameterError("ceiling must be nonnegative")
-    cap = state_cap(cap)
+    return _increasing(shape, m, state_cap(cap))
+
+
+def _increasing(shape: Poset, m: int, cap: int) -> Iterator[IncreasingTableau]:
     n = shape.n
     if n == 0:
         yield _trusted(shape, (), m)
@@ -516,9 +523,9 @@ class _IdealGraph:
     def _tails(self, sweep: _Sweep, state: int, steps: int) -> list[int]:
         """The sums of packed terms along every chain that finishes the sweep from state in steps steps.
 
-        Memoized for the graph's life by state's sweep pair, not its number:
-        _sweep's cache can evict a shape's automaton, and the one it starts
-        next numbers its states afresh.
+        Memoized for the graph's life by state's sweep pair, not its number: a
+        tail depends only on the pair, so the memo is right under any numbering
+        of the states.
         """
         key = sweep.pairs[state], steps
         tails = self.tails.get(key)
@@ -574,14 +581,18 @@ class _IdealGraph:
 def enumerate_gapless(shape: Poset, cap: int | None = None) -> Iterator[IncreasingTableau]:
     """All gapless tableaux of a shape, for every ceiling from rk+1 to the element count.
 
-    Within a ceiling, the tableaux come in ascending order of their label arrays.
+    Within a ceiling, the tableaux come in ascending order of their label
+    arrays.  The ideal graph is built at the call, so the size limit and the
+    cap are checked before the iterator is returned.
     """
     graph = _IdealGraph(shape, cap)
     sweep = _sweep(shape)
     fields = sweep.fields
-    for m in range(shape.rk + 1, shape.n + 1):
-        for key in sorted(sweep.keys(graph.class_promotions(m))):
-            yield _trusted(shape, tuple(fields(key)), m)
+    return (
+        _trusted(shape, tuple(fields(key)), m)
+        for m in range(shape.rk + 1, shape.n + 1)
+        for key in sorted(sweep.keys(graph.class_promotions(m)))
+    )
 
 
 def promotion_census(shape: Poset, m: int) -> Counter:

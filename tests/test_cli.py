@@ -396,6 +396,34 @@ def test_unusable_output_path_is_bad_input(tmp_path, capsys, monkeypatch, target
     assert err.startswith("error: ") and str(path) in err
 
 
+def test_random_poset_files_never_exit_4(tmp_path, capsys):
+    # Seeded random orders as cover-list files through every subcommand that reads
+    # a poset: each run exits 0-3; 4 would be an internal error.
+    from random import Random
+
+    from test_poset import _random_covers
+
+    rng = Random(20261023)
+    codes = []
+    for i in range(20):
+        n = rng.randint(1, 6)
+        path = tmp_path / f"poset-{i}.json"
+        path.write_text(json.dumps({"n": n, "covers": _random_covers(rng, n)}))
+        spec = str(path)
+        for argv in (
+            ("rowmotion-orbits", "--poset", spec, "--k", str(rng.randint(0, 3))),
+            ("gapless-table", "--poset", spec, "--fresh"),
+            ("period", "--poset", spec, "--m", str(rng.randint(1, n + 3))),
+            ("frame-check", "--poset", spec),
+            ("verify-csp", "--poset", spec, "--k", "1"),
+            ("qpoly", "--poset", spec, "--k", "1"),
+        ):
+            code, _, err = run(capsys, *argv)
+            assert code in (0, 1, 2, 3), (argv, path.read_text(), err)
+            codes.append(code)
+    assert 4 not in codes and {0, 1, 3} <= set(codes)
+
+
 def test_deep_chain_rowmotion(capsys):
     # A 1,200-element chain: the ideal traversal must not recurse per element.
     code, out, err = run(capsys, "rowmotion-orbits", "--poset", "rectangle-1x1", "--k", "1200")

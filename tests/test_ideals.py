@@ -79,6 +79,8 @@ def test_ideal_mask_must_be_down_closed():
         OrderIdeal(P, 0b1000)
     with pytest.raises(ParameterError, match="down-closed"):
         OrderIdeal(P, 0b0110)
+    with pytest.raises(ParameterError, match="out of range"):
+        OrderIdeal(P, 1 << P.n)
     assert OrderIdeal(P, 0b0111).members() == [0, 1, 2]
     # The library's own ideals are down-closed without the check.
     for ideal in enumerate_ideals(chain_product(P, 2)):
@@ -347,6 +349,11 @@ def test_rowmotion_orbits_singleton_chain():
 def test_rowmotion_orbits_cap():
     with pytest.raises(StateCapExceeded):
         rowmotion_orbits(cayley_moufang(), 1, cap=10)
+    # 1,024 ideals fit the cap, but their 3^10 sub-ideal pairs do not.
+    with pytest.raises(StateCapExceeded):
+        rowmotion_orbits(Poset(10, []), 2, cap=2000)
+    with pytest.raises(ParameterError, match="nonnegative"):
+        rowmotion_orbits(cayley_moufang(), -1)
 
 
 def test_state_count_matches_generating_function():
@@ -381,6 +388,10 @@ def test_plane_partition_validation():
         PlanePartition(P, 2, (0, 1, 1, 2))
     with pytest.raises(ParameterError):
         ideal_to_plane_partition(OrderIdeal(P, 0))  # not a chain product
+    with pytest.raises(ParameterError, match="length"):
+        PlanePartition(P, 2, (2, 1, 1))
+    with pytest.raises(ParameterError, match="outside 0..2"):
+        PlanePartition(P, 2, (3, 1, 1, 0))
 
 
 def test_sizes_count_ideal_cardinalities():

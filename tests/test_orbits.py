@@ -93,6 +93,8 @@ def test_inflated_period_examples():
         inflated_period(8, 7, 1, 3)  # 3 does not divide 8
     with pytest.raises(ParameterError):
         inflated_period(9, 7, 1, 3)  # no vector: 9 does not divide 21
+    with pytest.raises(ParameterError, match="positive"):
+        inflated_period(8, 7, 0, 8)
 
 
 def test_inflated_period_brute_force():
@@ -195,6 +197,9 @@ def test_pair_promotion_cases():
     assert promote_pair(S, ones) == (promotion(S), ones)
     with pytest.raises(ParameterError):
         promote_pair(S, (1, 0, 1))
+    gappy = inflate(S, v)
+    with pytest.raises(ParameterError, match="gapless"):
+        promote_pair(gappy, (1,) * 8)
 
 
 def test_exact_period_vector_count():
@@ -219,6 +224,8 @@ def test_exact_period_must_be_positive():
     for e in (0, -1, -2, -6):
         with pytest.raises(ParameterError, match="positive divisor"):
             exact_period_vector_count(6, 3, e)
+    with pytest.raises(ParameterError, match="m positive"):
+        exact_period_vector_count(0, 0, 1)
 
 
 def test_count_fixed_against_census_small():
@@ -241,6 +248,8 @@ def test_count_fixed_monotone_and_total(cm_table):
         for b in divs:
             if b % a == 0:
                 assert count_fixed(cm_table, m, a) <= count_fixed(cm_table, m, b)
+    with pytest.raises(ParameterError, match="positive"):
+        count_fixed(cm_table, m, 0)
 
 
 def test_burnside_consistency(cm_table, pf_table):
@@ -264,6 +273,8 @@ def test_qbinomial_form_agrees_where_valid(cm_table):
 def test_qbinomial_form_rejects_freudenthal(pf_table):
     with pytest.raises(ParameterError):
         count_fixed_qbinomial(pf_table, 24, 2)
+    with pytest.raises(ParameterError, match="must divide"):
+        count_fixed_qbinomial(pf_table, 24, 5)
 
 
 def test_promotion_order_reports(cm_table):
@@ -350,6 +361,8 @@ def test_verify_csp_records(cm_table):
     assert len(data["records"]) == 12
     big = verify_csp(cayley_moufang(), 8, table=cm_table)
     assert big.holds and not big.psi_cross_checked
+    with pytest.raises(ParameterError, match="nonnegative"):
+        verify_csp(cayley_moufang(), -1, table=cm_table)
 
 
 def test_verify_csp_values_are_the_roots_values(cm_table, pf_table):
@@ -667,6 +680,37 @@ def test_shipped_tables_equal_a_fresh_build(tmp_path, cm_table, pf_table):
         assert (tmp_path / name).read_bytes() == shipped.joinpath(name).read_bytes()
 
 
+def _gapless_counts_by_inversion(P) -> dict[int, int]:
+    """Gapless tableaux per ceiling 0..n+1 from the product formula alone.
+
+    The tableaux of ceiling m number N(m) = plane_partition_gf(P, m - rk - 1)(1),
+    none below rk + 1, and each deflates to one gapless tableau of some ceiling t
+    with one of C(m, t) label sets: N(m) = sum_t C(m, t) g(t).  Binomial
+    inversion gives g(m) = sum_t (-1)^(m - t) C(m, t) N(t).
+    """
+    ceilings = range(P.n + 2)
+    total = [plane_partition_gf(P, t - P.rk - 1)(1) if t > P.rk else 0 for t in ceilings]
+    return {m: sum((-1) ** (m - t) * comb(m, t) * total[t] for t in range(m + 1)) for m in ceilings}
+
+
+def test_ceiling_counts_from_the_product_formula():
+    # Every ceiling counted a second time: the golden headline tables' sums of
+    # period x orbits, and the ideal graph's path counts on other shapes, against
+    # the inverted product formula, which leaves no tableau at ceiling n + 1.
+    from minuscule.tableaux import _IdealGraph
+
+    for name, P in (("cayley_moufang", cayley_moufang()), ("freudenthal", freudenthal())):
+        path = resources.files("minuscule").joinpath(f"data/golden/table_{name}.json")
+        by_ceiling = dict.fromkeys(range(P.n + 2), 0)
+        for m_t, period, count in json.loads(path.read_text())["rows"]:
+            by_ceiling[m_t] += period * count
+        assert _gapless_counts_by_inversion(P) == by_ceiling, name
+    for spec in ("propeller-5", "rectangle-3x4", "shifted-staircase-5"):
+        P = parse_poset_spec(spec)
+        by_ceiling = dict.fromkeys(range(P.n + 2), 0) | _IdealGraph(P).class_sizes()
+        assert _gapless_counts_by_inversion(P) == by_ceiling, spec
+
+
 def test_load_or_build_uses_cache_dir(tmp_path):
     shape = propeller(5)
     table = load_or_build_table(shape, cache_dir=tmp_path)
@@ -774,6 +818,31 @@ def test_pool_is_clamped_to_the_ceiling_count(monkeypatch):
     ceilings = {row.m_t for row in single.rows}
     assert sizes == [len(ceilings)] and len(ceilings) < 8
     assert (wide.rows, wide.stable, wide.total) == (single.rows, single.stable, single.total)
+
+
+def test_a_forced_pool_builds_what_one_worker_builds(monkeypatch):
+    # Seeded random orders, far below the pool cut-off, built by a real 2-process
+    # pool once the cut-off is lifted, against the in-process build.
+    import concurrent.futures
+
+    from test_poset import _random_covers
+
+    started = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    rng = Random(20261022)
+    shapes = [Poset(n, _random_covers(rng, n)) for n in (5, 6, 7)]
+    singles = [build_gapless_table(P) for P in shapes]
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(orbits, "_POOL_MIN_CHAINS", 0)
+    for P, single in zip(shapes, singles):
+        pooled = build_gapless_table(P, workers=2)
+        assert (pooled.rows, pooled.stable, pooled.total) == (single.rows, single.stable, single.total), P.covers
+    assert started == [2, 2, 2]
 
 
 def test_small_builds_start_no_pool(monkeypatch):

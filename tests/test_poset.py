@@ -87,6 +87,14 @@ def test_bad_parameters():
         rectangle(0, 3)
     with pytest.raises(ParameterError):
         ShapeDiagram([(0, 0)])
+    with pytest.raises(ParameterError, match="at least one row"):
+        ShapeDiagram([])
+    with pytest.raises(ParameterError, match="offsets must be nonnegative"):
+        ShapeDiagram([(-1, 2)])
+    with pytest.raises(ParameterError, match="staircase size"):
+        shifted_staircase(0)
+    with pytest.raises(ParameterError, match="chain length"):
+        chain_product(propeller(3), -1)
     with pytest.raises(ParameterError, match="rows 0 and 1 share no column"):
         poset_from_shape(ShapeDiagram([(0, 1), (5, 1)]))
     with pytest.raises(ParameterError, match="rows 1 and 2 share no column"):
@@ -100,6 +108,10 @@ def test_cover_list_validation():
         Poset(2, [(0, 1), (1, 0)])  # cycle
     with pytest.raises(ParameterError):
         Poset(2, [(0, 1), (0, 1)])  # duplicate
+    with pytest.raises(ParameterError, match="nonnegative"):
+        Poset(-1, [])
+    with pytest.raises(ParameterError, match="out of range"):
+        Poset(2, [(0, 2)])
 
 
 def test_chain_product():
@@ -155,6 +167,10 @@ def test_load_poset_shape_form(tmp_path):
     path = tmp_path / "shape.json"
     path.write_text(json.dumps({"shape": {"rows": [[0, 5], [3, 5]]}}))
     assert load_poset(str(path)) == propeller(5)
+    for data, message in (({"covers": [[0, 1]]}, "explicit element count"), ({"n": 2}, "'shape' or 'covers'")):
+        path.write_text(json.dumps(data))
+        with pytest.raises(ParameterError, match=message):
+            load_poset(str(path))
 
 
 def test_parse_poset_spec():
@@ -203,6 +219,17 @@ def _random_covers(rng, n):
     return [
         (perm[a], perm[b]) for a in range(n) for b in range(n)
         if a != b and reach[a][b] and not any(reach[a][c] and reach[c][b] for c in range(n) if c not in (a, b))
+    ]
+
+
+def _layered_covers(rng, n, width=8):
+    # Random covers between consecutive layers of `width` elements, with elements
+    # renamed: a path climbs one layer per cover, so no cover is implied by others.
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return [
+        (perm[a], perm[b]) for a in range(n)
+        for b in range((a // width + 1) * width, min(n, (a // width + 2) * width)) if rng.random() < 0.3
     ]
 
 

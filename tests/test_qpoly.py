@@ -28,7 +28,7 @@ from minuscule import (
     rectangle,
     shifted_staircase,
 )
-from minuscule.qpoly import _divisors, _q_quotient
+from minuscule.qpoly import _divisors, _factor_residue, _q_quotient
 
 
 def test_polynomial_basics():
@@ -42,6 +42,10 @@ def test_polynomial_basics():
     assert rem == QPolynomial.zero() and quot.coeffs == (1, 1, 1)
     with pytest.raises(ExactnessError):
         QPolynomial([1, 1]).exact_div(QPolynomial([0, 2]))
+    with pytest.raises(ZeroDivisionError):
+        p.divmod(QPolynomial.zero())
+    with pytest.raises(ParameterError, match="nonnegative"):
+        QPolynomial.monomial(-1)
 
 
 def test_q_binomial_values():
@@ -118,6 +122,8 @@ def test_cyclotomic_small():
             if n % d == 0:
                 prod = prod * cyclotomic(d)
         assert prod == QPolynomial.monomial(n) - QPolynomial.one()
+    with pytest.raises(ParameterError, match=">= 1"):
+        cyclotomic(0)
 
 
 def test_eval_at_root_basics():
@@ -127,6 +133,8 @@ def test_eval_at_root_basics():
     g = q_binomial(4, 2)
     assert eval_at_root(g, 4, 4).equals_int(6)
     assert not eval_at_root(QPolynomial([0, 1]), 8, 1).is_integer  # zeta_8 itself
+    with pytest.raises(ParameterError, match=">= 1"):
+        eval_at_root(f, 0, 1)
 
 
 def test_eval_at_root_agrees_with_closed_form():
@@ -160,6 +168,8 @@ def test_q_binomial_at_root_examples():
                     assert q_binomial_at_root(m, 2 * p - 1, d) == comb(m // d, (2 * p - 1) // d)
     with pytest.raises(ParameterError):
         q_binomial_at_root(10, 4, 3)  # 3 does not divide 10
+    with pytest.raises(ParameterError, match="positive"):
+        q_binomial_at_root(0, 1, 1)
 
 
 def test_character_sum_identity():
@@ -183,6 +193,10 @@ def test_q_ratio_limit():
         assert q_ratio_limit(d, d, n, d) == Fraction(1)
     with pytest.raises(ParameterError):
         q_ratio_limit(7, 4, 8, 4)
+    with pytest.raises(ParameterError, match="positive divisor"):
+        q_ratio_limit(7, 3, 6, 4)  # 4 does not divide 6
+    with pytest.raises(ParameterError, match="indices must be positive"):
+        q_ratio_limit(0, 4, 8, 4)
 
 
 def test_is_zero_at_primitive_root():
@@ -204,6 +218,8 @@ def test_gf_point_counts():
     for k in (0, 1, 2, 3):
         gf = plane_partition_gf(freudenthal(), k)
         assert gf(1) == sum(1 for _ in enumerate_ideals(chain_product(freudenthal(), k)))
+    with pytest.raises(ParameterError, match="nonnegative"):
+        plane_partition_gf(cayley_moufang(), -1)
 
 
 def test_gf_shape_invariants():
@@ -253,6 +269,9 @@ def test_gf_division_is_checked():
     fake = Poset(3, [(0, 1), (0, 2)], family="fake")
     with pytest.raises(ExactnessError):
         plane_partition_gf(fake, 1)
+    # Read from the factors: (1 - q^2) / (1 - q^4) at q = -1 tends to 2 / 4.
+    with pytest.raises(ExactnessError, match="not an integer"):
+        _factor_residue([2], [4], 2)
 
 
 def test_constructor_refuses_floats_and_booleans():

@@ -78,6 +78,8 @@ def test_repr_prints_any_shape():
     T = IncreasingTableau(Poset(2, [(0, 1)]), (1, 2), 2)
     assert repr(T) == "IncreasingTableau(m=2, labels=(1, 2))"
     assert repr(load_fixture("kbk_base.txt")).startswith("IncreasingTableau(m=6, rows='")
+    with pytest.raises(ParameterError, match="diagram shape"):
+        T.to_text()
 
 
 def test_kbk_fixture_swaps():
@@ -306,10 +308,19 @@ def test_empty_shape_degenerates():
 def test_enumerate_increasing_cap():
     with pytest.raises(StateCapExceeded):
         list(enumerate_increasing(rectangle(2, 3), 7, cap=10))
+    # A bad ceiling or cap is refused when a listing is made, not when it is first read.
     with pytest.raises(ParameterError, match="state cap must be positive"):
-        next(enumerate_increasing(rectangle(2, 3), 7, cap=0))
+        enumerate_increasing(rectangle(2, 3), 7, cap=0)
     with pytest.raises(ParameterError, match="ceiling must be nonnegative"):
-        next(enumerate_increasing(rectangle(2, 3), -1))
+        enumerate_increasing(rectangle(2, 3), -1)
+    with pytest.raises(ParameterError, match="state cap must be positive"):
+        enumerate_gapless(rectangle(2, 3), cap=0)
+    with pytest.raises(StateCapExceeded, match="too many gapless tableaux"):
+        enumerate_gapless(cayley_moufang(), cap=100)
+    with pytest.raises(ParameterError, match="at most 255 elements"):
+        enumerate_gapless(rectangle(1, 256))
+    with pytest.raises(ParameterError, match="state cap must be positive"):
+        enumerate_ideals(rectangle(2, 3), cap=0)
 
 
 def test_enumerate_increasing_deep_chain():
@@ -344,6 +355,8 @@ def test_text_format_round_trip():
         assert IncreasingTableau.from_text(T.to_text(), m=T.m) == T
     with pytest.raises(ParameterError):
         IncreasingTableau.from_text("1,.,2")
+    with pytest.raises(ParameterError, match="bad tableau row"):
+        IncreasingTableau.from_text("1,2\n.")
 
 
 def by_kbk(T):
@@ -543,6 +556,38 @@ def _random_linear_labels(shape, m, rng):
     return IncreasingTableau(shape, labels, m)
 
 
+def test_promotion_matches_kbk_on_random_orders():
+    # Seeded random orders of 1 to 9 elements: distinct labels along a random
+    # linear extension, and labels that climb the covers by random steps, so
+    # that incomparable boxes share labels and label 1 may be missing.
+    from test_poset import _random_covers
+
+    rng = random.Random(20261021)
+    for _ in range(60):
+        n = rng.randint(1, 9)
+        shape = Poset(n, _random_covers(rng, n))
+        tableaux = [_random_linear_labels(shape, n + rng.randint(0, 3), rng)]
+        labels = [0] * n
+        for x in shape.topo:
+            labels[x] = max((labels[a] for a in shape.lower[x]), default=0) + rng.randint(1, 2)
+        tableaux.append(IncreasingTableau(shape, labels, max(labels) + rng.randint(0, 2)))
+        for T in tableaux:
+            assert promotion(T) == by_kbk(T), (shape.covers, T.labels, T.m)
+
+
+def test_promotion_matches_kbk_across_the_field_width_boundaries():
+    # A key field counts up to the element count: one byte up to 255 elements,
+    # two from 256.  One random tableau on each side of the 128 and 256 boundaries,
+    # on random covers between layers of 8 elements.
+    from test_poset import _layered_covers
+
+    rng = random.Random(127)
+    for n in (127, 128, 255, 256):
+        shape = Poset(n, _layered_covers(rng, n))
+        T = _random_linear_labels(shape, n + 3, rng)
+        assert promotion(T) == by_kbk(T), n
+
+
 def test_promotion_decodes_wide_shapes_and_high_labels():
     # With more than 255 distinct labels, a box can lie outside more of the
     # swept ideals than one byte counts, so the sweep's per-box fields widen.
@@ -607,22 +652,18 @@ def test_table_build_and_promotion_share_one_sweep_automaton(monkeypatch):
 
 
 def test_listing_survives_an_evicted_automaton():
-    # The listing's tails memo outlives the automaton it was filled with. Promotions
-    # on ten other shapes between the ceilings of a listing evict the shape's
-    # automaton from _sweep's cache, so _sweep(shape) starts a new one that numbers
-    # its states afresh; the memo must not be read by state numbers.
+    # The listing's tails memo outlives the automaton it was filled with. Clearing
+    # _sweep's cache between the ceilings of a listing makes _sweep(shape) start a
+    # new automaton that numbers its states afresh; the memo must not be read by
+    # state numbers.
     shape = cayley_moufang()
-    others = [rectangle(a, b) for a, b in ((1, 2), (1, 3), (2, 2), (2, 3), (3, 3))]
-    others += [propeller(p) for p in (3, 4, 5)] + [parse_poset_spec(f"shifted-staircase-{s}") for s in (3, 4)]
-    assert _sweep.cache_info().maxsize < len(others)
     expected = [(T.m, T.labels) for T in enumerate_gapless(shape)]
     tableaux = enumerate_gapless(shape)
     listed = []
     for m, size in _IdealGraph(shape).class_sizes().items():
         listed += [(T.m, T.labels) for T in itertools.islice(tableaux, size)]
         before = _sweep(shape)
-        for other in others:
-            promotion(next(enumerate_increasing(other, other.rk + 1)))
+        _sweep.cache_clear()
         assert _sweep(shape) is not before
         # The new automaton fills in another order than the listing's did.
         for labels_m, labels in listed[::-5]:
