@@ -1,4 +1,5 @@
-"""Shared exception types, the global state-cap setting, and the input file readers."""
+"""Shared exception types, the immutable value base, the global state-cap setting,
+and the input file readers."""
 
 import json
 import os
@@ -26,6 +27,28 @@ class StateCapExceeded(RuntimeError):
 
 class ExactnessError(ArithmeticError):
     """An exact polynomial division left a nonzero remainder."""
+
+
+class _Frozen:
+    """Base of the value types whose slots are set once, at construction.
+
+    Assignment raises, so an object shared through a cache cannot be changed
+    under its other holders.  Constructors write through `_set`; pickle and
+    copy restore the slots through `__setstate__`, since they would
+    otherwise call the refusing `__setattr__`.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} objects are immutable")
+
+    def _set(self, **slots) -> None:
+        for name, value in slots.items():
+            object.__setattr__(self, name, value)
+
+    def __setstate__(self, state):
+        self._set(**state[1])
 
 
 def _integer(value) -> int:

@@ -13,14 +13,14 @@ import heapq
 import json
 from pathlib import Path
 
-from .errors import ParameterError, _integer, read_json
+from .errors import ParameterError, _Frozen, _integer, read_json
 
 # Diagrams of the two exceptional posets, rows bottom-to-top.
 _CAYLEY_MOUFANG_ROWS = ((0, 5), (2, 3), (3, 3), (3, 5))
 _FREUDENTHAL_ROWS = ((0, 6), (3, 3), (4, 3), (4, 5), (4, 5), (7, 2), (8, 1), (8, 1), (8, 1))
 
 
-class ShapeDiagram:
+class ShapeDiagram(_Frozen):
     """Rows of boxes, bottom-to-top, each row an (offset, length) pair.
 
     Box (r, c) exists when row r is present and offset_r < c <= offset_r + length_r.
@@ -37,7 +37,7 @@ class ShapeDiagram:
                 raise ParameterError("every shape row needs length >= 1")
             if off < 0:
                 raise ParameterError("row offsets must be nonnegative")
-        self.rows = rows
+        self._set(rows=rows)
 
     def boxes(self) -> list[tuple[int, int]]:
         """All boxes (row, col), bottom-to-top then left-to-right."""
@@ -56,7 +56,7 @@ class ShapeDiagram:
         return f"ShapeDiagram({list(self.rows)})"
 
 
-class Poset:
+class Poset(_Frozen):
     """Immutable finite poset given by its cover relation on elements 0..n-1.
 
     The cover list must be acyclic and transitively reduced; both are checked
@@ -84,21 +84,16 @@ class Poset:
                 raise ParameterError(f"cover ({a}, {b}) out of range for {n} elements")
         if len(set(covers)) != len(covers):
             raise ParameterError("duplicate cover relation")
-        self.n = n
-        self.covers = covers
-        self.family = family
-        self.shape = shape
-        self.product_of = product_of
-
         lower = [[] for _ in range(n)]
         upper = [[] for _ in range(n)]
         for a, b in covers:
             lower[b].append(a)
             upper[a].append(b)
-        self.lower = tuple(tuple(v) for v in lower)
-        self.upper = tuple(tuple(v) for v in upper)
-
-        self.topo = self._toposort()
+        self._set(
+            n=n, covers=covers, family=family, shape=shape, product_of=product_of,
+            lower=tuple(tuple(v) for v in lower), upper=tuple(tuple(v) for v in upper),
+        )
+        self._set(topo=self._toposort())
         rank, lower_masks, down_masks = [0] * n, [0] * n, [0] * n
         for x in self.topo:
             m = 1 << x
@@ -119,13 +114,11 @@ class Poset:
             for c in self.upper[a]:
                 if c != b and up_masks[c] >> b & 1:
                     raise ParameterError(f"cover ({a}, {b}) is implied by a longer path")
-        self.rank = tuple(rank)
-        self.corank = tuple(corank)
-        self.lower_masks = tuple(lower_masks)
-        self.down_masks = tuple(down_masks)
-        self.up_masks = tuple(up_masks)
-        self._hash = hash((n, covers))
-        self._digest = None
+        self._set(
+            rank=tuple(rank), corank=tuple(corank), lower_masks=tuple(lower_masks),
+            down_masks=tuple(down_masks), up_masks=tuple(up_masks),
+            _hash=hash((n, covers)), _digest=None,
+        )
 
     def _toposort(self) -> tuple[int, ...]:
         # Least ready element first; an ascending list is already a heap.
@@ -173,7 +166,7 @@ class Poset:
     def digest(self) -> str:
         """sha256 of the canonical JSON, computed once per poset (it keys every table lookup)."""
         if self._digest is None:
-            self._digest = hashlib.sha256(self.canonical_json().encode()).hexdigest()
+            self._set(_digest=hashlib.sha256(self.canonical_json().encode()).hexdigest())
         return self._digest
 
 

@@ -20,7 +20,7 @@ from itertools import accumulate
 from math import comb, gcd, isqrt, prod
 from operator import sub
 
-from .errors import ExactnessError, ParameterError, UnsupportedPosetError, _integer
+from .errors import ExactnessError, ParameterError, UnsupportedPosetError, _Frozen, _integer
 from .poset import Poset
 
 
@@ -30,20 +30,20 @@ def _stripped(coeffs: list) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-class QPolynomial:
+class QPolynomial(_Frozen):
     """Integer polynomial in q, stored as an ascending coefficient tuple."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
         # Exact integers only: a float or a boolean coefficient is refused, never converted.
-        self.coeffs = _stripped([_integer(c) for c in coeffs])
+        self._set(coeffs=_stripped([_integer(c) for c in coeffs]))
 
     @classmethod
     def _of(cls, coeffs: list) -> "QPolynomial":
         """A list of integers the library computed, wrapped without a check."""
         poly = object.__new__(cls)
-        poly.coeffs = _stripped(coeffs)
+        poly._set(coeffs=_stripped(coeffs))
         return poly
 
     @classmethod

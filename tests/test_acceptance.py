@@ -115,11 +115,15 @@ def test_criterion_2_gapless_table_freudenthal(freudenthal_builds):
         and [r.rep for r in dual.rows] == [r.rep for r in single.rows]
     )
     faster = freudenthal_builds["dual_time"] < freudenthal_builds["single_time"]
+    # The CPU seconds say whether a loss is the pool's or the host's: a pool
+    # given one CPU's throughput spends about its wall time in CPU, not twice it.
+    builds = freudenthal_builds
     criterion(
         2,
         "freudenthal orbit table (624493 gapless tableaux; 2 workers faster, identical output)",
         ok and identical and faster,
-        f"single {freudenthal_builds['single_time']:.1f}s, dual {freudenthal_builds['dual_time']:.1f}s",
+        f"single {builds['single_time']:.1f}s (cpu {builds['single_cpu']:.2f}s),"
+        f" dual {builds['dual_time']:.1f}s (cpu {builds['dual_cpu']:.2f}s parent + {builds['dual_pool_cpu']:.2f}s pool)",
     )
 
 

@@ -12,6 +12,8 @@ import pytest
 from minuscule import Poset, UnsupportedPosetError, poset_from_shape, ShapeDiagram, verify_csp
 from minuscule.cli import emit, main
 
+import cli_transcripts
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -184,8 +186,19 @@ def test_manifest(tmp_path, capsys):
     assert manifest["exit_code"] == 0
 
 
+def test_cli_transcripts_replay(capsys):
+    # Each recorded command exits and prints exactly as recorded
+    # (tests/cli_transcripts.py records them).
+    for want in cli_transcripts.load()["commands"]:
+        code, out, err = run(capsys, *want["argv"])
+        got = {"argv": want["argv"], "exit": code, "stdout": out, "stderr": err}
+        assert got == want, " ".join(want["argv"])
+
+
 def test_reproduce_everything(capsys):
-    code, out, _ = run(capsys, "reproduce", "--threads", "2")
+    code, out, _ = run(capsys, *cli_transcripts.REPRODUCE)
+    want = cli_transcripts.load()["reproduce"]
+    assert (code, out) == (want["exit"], want["stdout"])
     lines = out.strip().splitlines()
     assert code == 0, out
     assert all(line.startswith("PASS") for line in lines[:-1])

@@ -163,6 +163,32 @@ def test_digest_is_computed_once_and_unchanged(monkeypatch):
     assert pickle.loads(pickle.dumps(P)).digest() == expected
 
 
+def test_posets_and_shapes_refuse_assignment():
+    # Equal posets share one sweep automaton for the process, so a poset that
+    # could be changed would poison every equal shape's promotion.
+    import copy
+    import pickle
+
+    from minuscule import IncreasingTableau, promotion
+    from minuscule.tableaux import _sweep
+
+    P = propeller(4)
+    with pytest.raises(AttributeError):
+        P.lower_masks = (0,) * 8
+    with pytest.raises(AttributeError):
+        P.shape.rows = ((0, 1),)
+    _sweep(P)
+    T = IncreasingTableau(propeller(4), tuple(range(1, 9)), 8)
+    assert promotion(T).labels == (1, 2, 3, 5, 4, 6, 7, 8)
+    # Pickle (a pool task) and copy restore the slots past the refusal.
+    P.digest()
+    for clone in (pickle.loads(pickle.dumps(P)), copy.copy(P), copy.deepcopy(P)):
+        assert clone == P and clone.shape == P.shape and clone.lower_masks == P.lower_masks
+        assert clone._digest == P.digest()
+        with pytest.raises(AttributeError):
+            clone.n = 0
+
+
 def test_load_poset_shape_form(tmp_path):
     path = tmp_path / "shape.json"
     path.write_text(json.dumps({"shape": {"rows": [[0, 5], [3, 5]]}}))

@@ -126,6 +126,20 @@ def test_cyclotomic_small():
         cyclotomic(0)
 
 
+def test_a_cached_cyclotomic_refuses_assignment():
+    # cyclotomic(n) hands every caller one object; rebinding its coefficients
+    # would change every later root value in the process.
+    import copy
+    import pickle
+
+    c = cyclotomic(5)
+    with pytest.raises(AttributeError):
+        c.coeffs = (1,)
+    assert eval_at_root(QPolynomial([0, 1]), 5, 1).residue == (0, 1)
+    for clone in (pickle.loads(pickle.dumps(c)), copy.copy(c), copy.deepcopy(c)):
+        assert clone == c and hash(clone) == hash(c)
+
+
 def test_eval_at_root_basics():
     f = QPolynomial([1, 1, 1])
     assert eval_at_root(f, 3, 1).equals_int(0)
