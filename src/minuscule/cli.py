@@ -29,7 +29,9 @@ from .orbits import (
 )
 from .poset import freudenthal, parse_poset_spec
 from .qpoly import plane_partition_gf
-from .tableaux import promotion_census
+from .tableaux import (
+    IncreasingTableau, content_vector, deflate, enumerate_gapless, inflate, k_bender_knuth, promotion, promotion_census,
+)
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -200,21 +202,23 @@ def reproduce_all(threads: int = 1, golden_root=None, out=sys.stdout) -> int:
     return failures
 
 
-def _tableau_fixtures_ok(propeller_4) -> bool:
-    from .tableaux import IncreasingTableau, content_vector, deflate, enumerate_gapless, inflate, k_bender_knuth, promotion
+def _load_fixture(name: str, m: int | None = None) -> IncreasingTableau:
+    """A golden tableau, read from its text form; the ceiling defaults to the largest label."""
+    path = resources.files("minuscule").joinpath("data/golden/tableaux", name)
+    return IncreasingTableau.from_text(path.read_text(), m=m)
 
-    fixtures = resources.files("minuscule").joinpath("data/golden/tableaux")
-    load = lambda name, m=None: IncreasingTableau.from_text(fixtures.joinpath(name).read_text(), m=m)
-    base = load("kbk_base.txt")
-    ok = all(k_bender_knuth(base, i) == load(f"kbk_swap_{i}.txt") for i in (3, 4, 5))
-    ok = ok and promotion(load("promotion_cm_m13_input.txt")) == load("promotion_cm_m13_output.txt")
-    gappy = load("deflation_input_m7.txt", m=7)
-    gapless = load("deflation_output.txt")
+
+def _tableau_fixtures_ok(propeller_4) -> bool:
+    base = _load_fixture("kbk_base.txt")
+    ok = all(k_bender_knuth(base, i) == _load_fixture(f"kbk_swap_{i}.txt") for i in (3, 4, 5))
+    ok = ok and promotion(_load_fixture("promotion_cm_m13_input.txt")) == _load_fixture("promotion_cm_m13_output.txt")
+    gappy = _load_fixture("deflation_input_m7.txt", m=7)
+    gapless = _load_fixture("deflation_output.txt")
     ok = ok and deflate(gappy) == gapless
     ok = ok and content_vector(gappy) == (1, 1, 0, 1, 1, 1, 0)
     ok = ok and inflate(gapless, (1, 1, 0, 1, 1, 1, 0)) == gappy
     first, second = [t for t in enumerate_gapless(propeller_4) if t.m == 8]
-    ok = ok and {load("propeller4_m8_first.txt"), load("propeller4_m8_second.txt")} == {first, second}
+    ok = ok and {_load_fixture("propeller4_m8_first.txt"), _load_fixture("propeller4_m8_second.txt")} == {first, second}
     ok = ok and promotion(first) == second and promotion(second) == first
     return ok
 

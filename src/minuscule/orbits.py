@@ -11,21 +11,20 @@ import hashlib
 import json
 import os
 from collections import Counter
-from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import cache
 from importlib import resources
 from math import comb, gcd
 from pathlib import Path
 
-from .errors import ParameterError, StateCapExceeded, UnsupportedPosetError, _integer, read_input, state_cap
+from .errors import ParameterError, StateCapExceeded, _integer, read_input, state_cap
 from .ideals import OrbitSummary, _orbit, rowmotion_orbits
 from .poset import Poset
 from .qpoly import (
     RootOfUnityValue, _divisors, _factor_residue, _hook_factors, _mobius, eval_at_root, plane_partition_gf,
     q_binomial_at_root,
 )
-from .tableaux import IncreasingTableau, _check_binary, _IdealGraph, inflate, promotion, rotate_left
+from .tableaux import IncreasingTableau, _check_pair, _IdealGraph, inflate, promotion, rotate_left
 
 _TABLE_SCHEMA = "minuscule.gapless-table/1"
 
@@ -129,9 +128,9 @@ def build_gapless_table(poset: Poset, workers: int = 1, cap: int | None = None) 
 
     With workers > 1 the ceilings are distributed over processes, unless the
     shape has fewer than _POOL_MIN_CHAINS gapless tableaux: such a build runs
-    in one process whatever the worker count.  Either way the ceilings go
-    through one loop, largest first, so the result is identical (asserted by
-    tests).
+    in one process whatever the worker count.  Either way the graph splits
+    the ceilings, largest first, each checked against its path count, and
+    one loop takes their rows, so the result is identical (asserted by tests).
     """
     cap = state_cap(cap)
     workers = _workers(workers)
@@ -141,26 +140,24 @@ def build_gapless_table(poset: Poset, workers: int = 1, cap: int | None = None) 
     sizes = graph.class_sizes()
     chains = sum(sizes.values())
     order = sorted(sizes, key=lambda m: (-sizes[m], m))
+    if workers > 1 and chains >= _POOL_MIN_CHAINS:
+        # Loaded here, so a process that starts no pool never imports them.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        try:
+            ctx = multiprocessing.get_context("fork")
+        except ValueError:
+            ctx = multiprocessing.get_context()
+        with ProcessPoolExecutor(max_workers=min(workers, len(order)), mp_context=ctx) as pool:
+            classes = list(pool.map(graph.class_orbits, order))
+    else:
+        classes = map(graph.class_orbits, order)
     rows = []
     moved = 0
-    with ExitStack() as stack:
-        mapper = map
-        if workers > 1 and chains >= _POOL_MIN_CHAINS:
-            # Loaded here, so a process that starts no pool never imports them.
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            try:
-                ctx = multiprocessing.get_context("fork")
-            except ValueError:
-                ctx = multiprocessing.get_context()
-            pool = ProcessPoolExecutor(max_workers=min(workers, len(order)), mp_context=ctx)
-            mapper = stack.enter_context(pool).map
-        for m, (size, class_rows, class_moved) in zip(order, mapper(graph.class_orbits, order)):
-            if size != sizes[m]:
-                raise RuntimeError(f"enumeration mismatch at ceiling {m}: {size} found, {sizes[m]} counted")
-            moved |= class_moved
-            rows.extend(GaplessOrbitRow(m, tau, count, rep) for tau, count, rep in class_rows)
+    for m, (class_rows, class_moved) in zip(order, classes):
+        moved |= class_moved
+        rows.extend(GaplessOrbitRow(m, tau, count, rep) for tau, count, rep in class_rows)
     rows.sort(key=lambda row: row.m_t)  # stable: each ceiling keeps its rows by period
     stable = tuple(x for x in range(poset.n) if not (moved >> x) & 1)
     return GaplessOrbitTable(poset, tuple(rows), stable, chains)
@@ -292,11 +289,7 @@ def _inflated_period(m: int, m_t: int, tau: int, ell: int) -> int:
 
 def promote_pair(gapless: IncreasingTableau, v: tuple[int, ...]):
     """Promotion transported through deflation: promote the gapless part iff v starts with 1, rotate v."""
-    if not gapless.is_gapless:
-        raise ParameterError("pair promotion needs a gapless tableau")
-    _check_binary(v)
-    if sum(v) != gapless.m:
-        raise ParameterError("content vector weight must equal the gapless ceiling")
+    _check_pair(gapless, v)
     if v and v[0] == 1:
         return promotion(gapless), rotate_left(v)
     return gapless, rotate_left(v)
@@ -506,17 +499,13 @@ def verify_csp(
     not a sieving failure.
     """
     k = _integer(k)
-    if k < 0:
-        raise ParameterError("height bound must be nonnegative")
-    if poset.family is None:
-        raise UnsupportedPosetError("sieving verdicts need the product generating function, so a built-in family")
+    numer, denom = _hook_factors(poset, k)  # refuses a negative k and a shape of no built-in family
     given = table
     table = _table_for(poset, table, cache_dir, workers)
     m = k + poset.rk + 1
     promo = promotion_orbits(table, m)
     _largest_orbit_witness(poset, table, m, promo)
     order = promo.order()
-    numer, denom = _hook_factors(poset, k)
     (count,) = _factor_residue(numer, denom, 1)  # gf(1): every factor vanishes at q = 1
     recounted = count <= _PSI_CHECK_CAP
     if recounted:

@@ -348,15 +348,18 @@ def deflate(tableau: IncreasingTableau) -> IncreasingTableau:
     return _trusted(tableau.shape, tuple([rank_of[v] for v in tableau.labels]), len(present))
 
 
-def inflate(gapless: IncreasingTableau, v: tuple[int, ...]) -> IncreasingTableau:
-    """Spread a gapless tableau's labels onto the positions of the ones of v."""
+def _check_pair(gapless: IncreasingTableau, v) -> None:
+    # A deflation pair: a gapless tableau and a binary content vector with one 1 per label.
     if not gapless.is_gapless:
-        raise ParameterError("inflation needs a gapless tableau")
+        raise ParameterError("a deflation pair needs a gapless tableau")
     _check_binary(v)
     if sum(v) != gapless.m:
-        raise ParameterError(
-            f"content vector has {sum(v)} ones but the tableau ceiling is {gapless.m}"
-        )
+        raise ParameterError(f"content vector has {sum(v)} ones but the tableau ceiling is {gapless.m}")
+
+
+def inflate(gapless: IncreasingTableau, v: tuple[int, ...]) -> IncreasingTableau:
+    """Spread a gapless tableau's labels onto the positions of the ones of v."""
+    _check_pair(gapless, v)
     positions = [pos for pos, bit in enumerate(v, start=1) if bit]
     return _trusted(gapless.shape, tuple([positions[val - 1] for val in gapless.labels]), len(v))
 
@@ -429,8 +432,9 @@ class _IdealGraph:
     masks, and paths[mask][r] is the number of r-step paths from it to the
     full ideal (a step count that cannot reach it has no entry).  tails is
     the listing's memo (_tails), which lives and dies with the graph.  The build
-    takes shapes of at most 255 elements, and a shape with more than cap
-    gapless tableaux raises StateCapExceeded before any is listed.
+    takes shapes of at most 255 elements, as _tails recurses about n/2 deep,
+    and a shape with more than cap gapless tableaux raises StateCapExceeded
+    before any is listed.
     """
 
     def __init__(self, shape: Poset, cap: int | None = None):
@@ -537,24 +541,26 @@ class _IdealGraph:
             self.tails[key] = tails
         return tails
 
-    def class_orbits(self, m: int) -> tuple[int, list[tuple[int, int, tuple[int, ...]]], int]:
-        """The gapless tableaux of ceiling m split into promotion orbits: (size, rows, moved).
+    def class_orbits(self, m: int) -> tuple[list[tuple[int, int, tuple[int, ...]]], int]:
+        """The gapless tableaux of ceiling m split into promotion orbits: (rows, moved).
 
         The orbits are the cycles of the key-to-image map of the listing
-        (class_promotions), popped off it (ideals._cycles).  A promotion that
-        is not a permutation of the keys raises: the walk fails, and only
-        then is the ceiling listed again and its images compared with its
-        keys, to tell an image that is no tableau of the class from one that
-        two tableaux share.  rows holds (period, orbit count, representative
-        labels) by ascending period; a representative is the least label
-        array among the tableaux of its period.  moved is the mask of the
-        elements whose entry the m-fold promotion changes on some tableau:
-        orbit position shifts by m mod the period, so this is a pairwise
-        comparison inside each orbit.
+        (class_promotions), popped off it (ideals._cycles).  A listing of
+        another size than paths[0][m] raises, and so does a promotion that is
+        not a permutation of the keys: the walk fails, and only then is the
+        ceiling listed again and its images compared with its keys, to tell an
+        image that is no tableau of the class from one that two tableaux
+        share.  rows holds (period, orbit count, representative labels) by
+        ascending period; a representative is the least label array among the
+        tableaux of its period.  moved is the mask of the elements whose entry
+        the m-fold promotion changes on some tableau: orbit position shifts by
+        m mod the period, so this is a pairwise comparison inside each orbit.
         """
         sweep = _sweep(self.shape)
         promote = sweep.promotions(self.class_promotions(m))
-        size = len(promote)
+        counted = self.paths[0].get(m, 0)
+        if len(promote) != counted:
+            raise RuntimeError(f"enumeration mismatch at ceiling {m}: {len(promote)} found, {counted} counted")
         counts: dict[int, tuple[int, int]] = {}
         moved = 0
         try:
@@ -575,7 +581,7 @@ class _IdealGraph:
             raise
         fields = sweep.fields
         rows = [(tau, count, tuple(fields(rep))) for tau, (count, rep) in sorted(counts.items())]
-        return size, rows, sum(1 << x for x, field in enumerate(fields(moved)) if field)
+        return rows, sum(1 << x for x, field in enumerate(fields(moved)) if field)
 
 
 def enumerate_gapless(shape: Poset, cap: int | None = None) -> Iterator[IncreasingTableau]:

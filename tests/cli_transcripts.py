@@ -41,6 +41,15 @@ def commands() -> list[tuple[str, ...]]:
         for fmt in ("text", "json", "csv")
     ]
     out += [
+        ("rowmotion-orbits", "--poset", "cayley-moufang", "--k", "2"),
+        ("rowmotion-orbits", "--poset", "freudenthal", "--k", "1", "--format", "json"),
+        ("rowmotion-orbits", "--poset", "propeller-4", "--k", "3", "--format", "csv"),
+        ("qpoly", "--poset", "freudenthal", "--k", "3"),
+        ("qpoly", "--poset", "cayley-moufang", "--k", "5"),
+        ("frame-check",),
+        ("frame-check", "--poset", "cayley-moufang"),
+    ]
+    out += [
         ("rowmotion-orbits", "--poset", "dodecahedron", "--k", "1"),
         ("period", "--poset", "cayley-moufang", "--m", "5"),
         ("gapless-table", "--poset", "rectangle-1x256", "--fresh"),

@@ -28,7 +28,6 @@ from minuscule import (
     freudenthal,
     inflate,
     is_zero_at_primitive_root,
-    k_bender_knuth,
     plane_partition_gf,
     promotion,
     promotion_census,
@@ -39,6 +38,7 @@ from minuscule import (
     rowmotion_orbits,
     verify_csp,
 )
+from minuscule import cli
 from minuscule.orbits import GaplessOrbitTable, _periodic_vector
 from test_tableaux import load_fixture
 
@@ -325,14 +325,5 @@ def test_criterion_9_closed_form_arithmetic(cm_table):
 
 
 def test_criterion_10_operator_fixtures():
-    ok = True
-    base = load_fixture("kbk_base.txt")
-    for i in (3, 4, 5):
-        ok = ok and k_bender_knuth(base, i) == load_fixture(f"kbk_swap_{i}.txt")
-    ok = ok and promotion(load_fixture("promotion_cm_m13_input.txt")) == load_fixture("promotion_cm_m13_output.txt")
-    gappy = load_fixture("deflation_input_m7.txt", m=7)
-    gapless = load_fixture("deflation_output.txt")
-    ok = ok and deflate(gappy) == gapless
-    ok = ok and content_vector(gappy) == (1, 1, 0, 1, 1, 1, 0)
-    ok = ok and inflate(gapless, (1, 1, 0, 1, 1, 1, 0)) == gappy
+    ok = cli._tableau_fixtures_ok(propeller(4))
     criterion(10, "label-swap, promotion, and deflation/inflation fixtures", ok)

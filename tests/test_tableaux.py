@@ -1,7 +1,6 @@
 import itertools
 import random
 from collections import Counter
-from importlib import resources
 from math import comb
 
 import pytest
@@ -32,13 +31,8 @@ from minuscule import (
     rotate_left,
     vector_inflation,
 )
+from minuscule.cli import _load_fixture as load_fixture
 from minuscule.tableaux import _IdealGraph, _sweep
-
-
-def load_fixture(name: str, m: int | None = None) -> IncreasingTableau:
-    """A golden tableau, read from its text form; the ceiling defaults to the largest label."""
-    path = resources.files("minuscule").joinpath(f"data/golden/tableaux/{name}")
-    return IncreasingTableau.from_text(path.read_text(), m=m)
 
 
 def all_increasing(shape, m):
@@ -504,8 +498,9 @@ def test_grouped_listing_matches_chains_and_sweep():
 
 
 def test_labels_fit_one_byte_up_to_255_elements():
-    # The table build takes shapes of at most 255 elements, where a label,
-    # which can reach the element count, fits one byte; 256 are refused
+    # Up to 255 elements a label, which can reach the element count, fits
+    # one byte of a key.  The table build takes no more elements, as its tail
+    # listing (_IdealGraph._tails) recurses about n/2 deep; 256 are refused
     # before any listing.
     (chain,) = enumerate_gapless(rectangle(1, 255))
     assert chain.labels == tuple(range(1, 256))
