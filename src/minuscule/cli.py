@@ -10,7 +10,6 @@ regardless of worker count.
 
 import argparse
 import hashlib
-import io
 import json
 import sys
 import time
@@ -122,6 +121,15 @@ def _cmd_qpoly(args) -> tuple[int, str]:
     return EXIT_OK, emit(list(gf.coeffs), "json")
 
 
+_GOLDEN = resources.files("minuscule").joinpath("data/golden")
+
+
+def _golden_table(root, family: str) -> tuple[list, int]:
+    """The rows and total of a family's golden orbit table in the directory root."""
+    path = root.joinpath(f"table_{family.replace('-', '_')}.json")
+    return read_json(path, lambda data: (data["rows"], data["total"]), "golden")
+
+
 # Headline shapes, in report order; each table is built fresh once per run.
 _FAMILIES = ("cayley-moufang", "propeller-3", "propeller-4", "propeller-5", "propeller-6", "freudenthal")
 
@@ -146,8 +154,7 @@ def _headline_checks(threads: int, golden_root):
     """Yield (name, passed, detail) for each headline result, in report order."""
     tables = {}
     for family in _FAMILIES:
-        golden = golden_root.joinpath(f"table_{family.replace('-', '_')}.json")
-        rows, total = read_json(golden, lambda data: (data["rows"], data["total"]), "golden")
+        rows, total = _golden_table(golden_root, family)
         table = tables[family] = build_gapless_table(parse_poset_spec(family), workers=threads)
         got = table.triples()
         detail = f"got {got}" if family.startswith("propeller") else f"got total {table.total}"
@@ -182,29 +189,9 @@ def _headline_checks(threads: int, golden_root):
     yield "generating function point counts", points == (27, 56), ""
 
 
-def reproduce_all(threads: int = 1, golden_root=None, out=sys.stdout) -> int:
-    """Recompute the headline results and compare them with the golden files.
-
-    Emits one PASS/FAIL line per item; returns the number of failures.
-    Tables are rebuilt from scratch (never read from cache).
-    """
-    if golden_root is None:
-        golden_root = resources.files("minuscule").joinpath("data/golden")
-    failures = 0
-    for name, ok, detail in _headline_checks(threads, golden_root):
-        line = f"{'PASS' if ok else 'FAIL'}  {name}"
-        if not ok:
-            failures += 1
-            if detail:
-                line += f"  ({detail})"
-        print(line, file=out)
-    print(f"{'OK' if failures == 0 else 'MISMATCH'}: {failures} failure(s)", file=out)
-    return failures
-
-
 def _load_fixture(name: str, m: int | None = None) -> IncreasingTableau:
     """A golden tableau, read from its text form; the ceiling defaults to the largest label."""
-    path = resources.files("minuscule").joinpath("data/golden/tableaux", name)
+    path = _GOLDEN.joinpath("tableaux", name)
     return IncreasingTableau.from_text(path.read_text(), m=m)
 
 
@@ -224,10 +211,15 @@ def _tableau_fixtures_ok(propeller_4) -> bool:
 
 
 def _cmd_reproduce(args) -> tuple[int, str]:
-    buf = io.StringIO()
-    golden_root = Path(args.golden_dir) if args.golden_dir else None
-    failures = reproduce_all(threads=args.threads, golden_root=golden_root, out=buf)
-    return (EXIT_OK if failures == 0 else EXIT_MISMATCH), buf.getvalue()
+    """One PASS/FAIL line per headline result, every table rebuilt from scratch, then the count of failures."""
+    golden_root = Path(args.golden_dir) if args.golden_dir else _GOLDEN
+    lines = [
+        f"{'PASS' if ok else 'FAIL'}  {name}" + (f"  ({detail})" if detail and not ok else "")
+        for name, ok, detail in _headline_checks(args.threads, golden_root)
+    ]
+    failures = sum(line.startswith("FAIL") for line in lines)
+    lines.append(f"{'OK' if failures == 0 else 'MISMATCH'}: {failures} failure(s)")
+    return (EXIT_OK if failures == 0 else EXIT_MISMATCH), "\n".join(lines) + "\n"
 
 
 def _add_common(sub: argparse.ArgumentParser, poset_required: bool = True, tables: bool = True, state_cap: bool = False) -> None:

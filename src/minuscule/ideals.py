@@ -101,7 +101,7 @@ def enumerate_ideals(poset: Poset, cap: int | None = None) -> Iterator[OrderIdea
 
 @dataclass(frozen=True)
 class OrbitSummary:
-    """Multiset of rowmotion orbit sizes: sorted (size, multiplicity) pairs."""
+    """Multiset of orbit sizes of rowmotion or promotion: sorted (size, multiplicity) pairs."""
 
     orbit_sizes: tuple[tuple[int, int], ...]
     total_states: int

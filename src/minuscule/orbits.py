@@ -98,8 +98,8 @@ def _table_from_dict(data: dict, poset: Poset) -> GaplessOrbitTable:
     by_ceiling: Counter = Counter()
     for r in rows:
         by_ceiling[r.m_t] += r.period * r.orbits
-    # Each ideal lies on one of a true table's total chains, of at most n + 1
-    # ideals each, so that product bounds the recount for every true table.
+    # Each ideal and successor entry of a true table's shape lies on one of its
+    # total chains (n + 1 ideals, n steps), so that product bounds its recount.
     try:
         sizes = _IdealGraph(poset, max(1, table.total * (poset.n + 1))).class_sizes()
     except StateCapExceeded:
@@ -330,6 +330,8 @@ def _inflation_classes(table: GaplessOrbitTable, m: int):
 
 def promotion_orbits(table: GaplessOrbitTable, m: int) -> OrbitSummary:
     """Multiset of promotion orbit sizes on all ceiling-m tableaux, read off the table."""
+    if m < 0:
+        raise ParameterError("ceiling must be nonnegative")
     states: Counter = Counter()
     for row, _, vectors, h in _inflation_classes(table, m):
         states[h] += row.period * row.orbits * vectors
@@ -357,6 +359,8 @@ def count_fixed_qbinomial(table: GaplessOrbitTable, m: int, d: int) -> int:
     Cayley-Moufang poset and the propellers).
     """
     m, d = _integer(m), _integer(d)
+    if m < 0:
+        raise ParameterError("ceiling must be nonnegative")
     if d < 1 or m % d:
         raise ParameterError(f"d = {d} must divide m = {m}")
     total = 0

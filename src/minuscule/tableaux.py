@@ -430,11 +430,12 @@ class _IdealGraph:
     decodes; keys never leave the graph: class_orbits hands out label
     tuples and element masks.  succ maps each ideal mask to its successor
     masks, and paths[mask][r] is the number of r-step paths from it to the
-    full ideal (a step count that cannot reach it has no entry).  tails is
-    the listing's memo (_tails), which lives and dies with the graph.  The build
-    takes shapes of at most 255 elements, as _tails recurses about n/2 deep,
-    and a shape with more than cap gapless tableaux raises StateCapExceeded
-    before any is listed.
+    full ideal (a step count that cannot reach it has no entry).  sweep is the
+    shape's automaton and tails the listing's memo (_tails), keyed by its state
+    numbers: both live and die with the graph.  Shapes of over 255 elements are
+    refused, as _tails recurses about n/2 deep, and over cap ideals, successor
+    entries (each ideal's counted before they are made) or gapless tableaux
+    raise StateCapExceeded.
     """
 
     def __init__(self, shape: Poset, cap: int | None = None):
@@ -443,19 +444,24 @@ class _IdealGraph:
         if n > 255:
             raise ParameterError(f"gapless tableaux need a shape of at most 255 elements, got {n}")
         self.shape = shape
-        self.tails: dict[tuple[tuple[int, int], int], list[int]] = {}
+        self.sweep = _sweep(shape)
+        self.tails: dict[tuple[int, int], list[int]] = {}
         lower_masks = shape.lower_masks
         full = (1 << n) - 1
         self.succ, self.paths = {}, {}
+        entries = 0
         # Every successor is a strict superset, so with supersets first each
         # path count is made from finished ones.
         for mask in sorted(_ideal_masks(shape, cap), key=int.bit_count, reverse=True):
+            minimal = [x for x in range(n) if not (mask >> x) & 1 and mask & lower_masks[x] == lower_masks[x]]
+            entries += (1 << len(minimal)) - 1
+            if entries > cap:
+                raise StateCapExceeded("too many successor entries in the ideal graph", cap)
             # Targets by doubling over the minimal elements of the complement, in
             # index order: position s adds the t-th of them for each set bit t of s.
             targets = [mask]
-            for x in range(n):
-                if not (mask >> x) & 1 and mask & lower_masks[x] == lower_masks[x]:
-                    targets += [t | 1 << x for t in targets]
+            for x in minimal:
+                targets += [t | 1 << x for t in targets]
             self.succ[mask] = tuple(targets[1:])
             counts = {0: 1} if mask == full else {}
             for nxt in self.succ[mask]:
@@ -492,8 +498,7 @@ class _IdealGraph:
         tableau.  The sums stream out as one list per group, each prefix with
         all its tails, so no list of the ceiling's sums is ever held.
         """
-        sweep = _sweep(self.shape)
-        packed_term = sweep.packed_term
+        packed_term = self.sweep.packed_term
         half = target // 2
         # state -> sums; the start state 0 is the pair (0, I_0).
         groups = {0: [packed_term[0]]}
@@ -501,7 +506,7 @@ class _IdealGraph:
             grown: dict[int, list[int]] = {}
             while groups:  # popped, so each level is freed as the next one grows
                 state, sums = groups.popitem()
-                for to in self._steps(sweep, state, target - depth - 1):
+                for to in self._steps(state, target - depth - 1):
                     add = packed_term[to]
                     extended = [total + add for total in sums]
                     entry = grown.get(to)
@@ -512,32 +517,31 @@ class _IdealGraph:
             groups = grown
         while groups:
             state, sums = groups.popitem()
-            tails = self._tails(sweep, state, target - half)
+            tails = self._tails(state, target - half)
             yield [total + tail for total in sums for tail in tails]
 
-    def _steps(self, sweep: _Sweep, state: int, remaining: int) -> Iterator[int]:
+    def _steps(self, state: int, remaining: int) -> Iterator[int]:
         """The states one sweep step on from state whose I_i reaches the full ideal in remaining steps."""
-        moves, last = sweep.delta[state], sweep.pairs[state][1]
+        moves, last = self.sweep.delta[state], self.sweep.pairs[state][1]
         paths = self.paths
         for nxt in self.succ[last]:
             if remaining in paths[nxt]:
                 added = nxt ^ last
-                yield moves.get(added) or _swap_step(sweep, state, added)
+                yield moves.get(added) or _swap_step(self.sweep, state, added)
 
-    def _tails(self, sweep: _Sweep, state: int, steps: int) -> list[int]:
+    def _tails(self, state: int, steps: int) -> list[int]:
         """The sums of packed terms along every chain that finishes the sweep from state in steps steps.
 
-        Memoized for the graph's life by state's sweep pair, not its number: a
-        tail depends only on the pair, so the memo is right under any numbering
-        of the states.
+        Memoized by (state, steps) for the graph's life, which is the life of
+        the automaton whose state numbers key it.
         """
-        key = sweep.pairs[state], steps
+        key = state, steps
         tails = self.tails.get(key)
         if tails is None:
             tails = [] if steps else [0]  # with no steps left, state's I_i is the full ideal
-            for to in self._steps(sweep, state, steps - 1):
-                add = sweep.packed_term[to]
-                tails += [add + tail for tail in self._tails(sweep, to, steps - 1)]
+            for to in self._steps(state, steps - 1):
+                add = self.sweep.packed_term[to]
+                tails += [add + tail for tail in self._tails(to, steps - 1)]
             self.tails[key] = tails
         return tails
 
@@ -556,8 +560,7 @@ class _IdealGraph:
         the m-fold promotion changes on some tableau: orbit position shifts by
         m mod the period, so this is a pairwise comparison inside each orbit.
         """
-        sweep = _sweep(self.shape)
-        promote = sweep.promotions(self.class_promotions(m))
+        promote = self.sweep.promotions(self.class_promotions(m))
         counted = self.paths[0].get(m, 0)
         if len(promote) != counted:
             raise RuntimeError(f"enumeration mismatch at ceiling {m}: {len(promote)} found, {counted} counted")
@@ -575,11 +578,11 @@ class _IdealGraph:
                     for s in range(tau):
                         moved |= orbit[s] ^ orbit[(s + shift) % tau]
         except RuntimeError:
-            promote = sweep.promotions(self.class_promotions(m))
+            promote = self.sweep.promotions(self.class_promotions(m))
             if not set(promote.values()) <= promote.keys():
                 raise RuntimeError(f"a promotion image is not a chain of ceiling {m}") from None
             raise
-        fields = sweep.fields
+        fields = self.sweep.fields
         rows = [(tau, count, tuple(fields(rep))) for tau, (count, rep) in sorted(counts.items())]
         return rows, sum(1 << x for x, field in enumerate(fields(moved)) if field)
 
@@ -592,10 +595,9 @@ def enumerate_gapless(shape: Poset, cap: int | None = None) -> Iterator[Increasi
     cap are checked before the iterator is returned.
     """
     graph = _IdealGraph(shape, cap)
-    sweep = _sweep(shape)
-    fields = sweep.fields
+    sweep = graph.sweep
     return (
-        _trusted(shape, tuple(fields(key)), m)
+        _trusted(shape, tuple(sweep.fields(key)), m)
         for m in range(shape.rk + 1, shape.n + 1)
         for key in sorted(sweep.keys(graph.class_promotions(m)))
     )

@@ -11,7 +11,6 @@ promotion (`kjdt_promotion`) that shares no code with the library.
 
 import time
 from collections import Counter
-from importlib import resources
 from math import comb, gcd, lcm
 
 from minuscule import (
@@ -42,8 +41,6 @@ from minuscule import cli
 from minuscule.orbits import GaplessOrbitTable, _periodic_vector
 from test_tableaux import load_fixture
 
-import json
-
 
 def criterion(number: int, description: str, ok: bool, detail: str = ""):
     line = f"[criterion {number:2d}] {'PASS' if ok else 'FAIL'}  {description}"
@@ -51,11 +48,6 @@ def criterion(number: int, description: str, ok: bool, detail: str = ""):
         line += f"  :: {detail}"
     print(line)
     assert ok, f"criterion {number}: {description} {detail}"
-
-
-def golden(name: str) -> dict:
-    path = resources.files("minuscule").joinpath(f"data/golden/{name}")
-    return json.loads(path.read_text())
 
 
 def kjdt_promotion(covers, labels, m: int) -> tuple[int, ...]:
@@ -96,8 +88,8 @@ def test_criterion_1_gapless_table_cayley_moufang():
     start = time.monotonic()
     table = build_gapless_table(cayley_moufang(), workers=1)
     elapsed = time.monotonic() - start
-    want = golden("table_cayley_moufang.json")
-    ok = table.triples() == want["rows"] and table.total == want["total"] == 549
+    rows, total = cli._golden_table(cli._GOLDEN, "cayley-moufang")
+    ok = table.triples() == rows and table.total == total == 549
     ok = ok and elapsed < 10.0
     criterion(1, "cayley-moufang orbit table (549 gapless tableaux, single-threaded < 10 s)", ok,
               f"total {table.total}, {elapsed:.2f}s")
@@ -106,8 +98,8 @@ def test_criterion_1_gapless_table_cayley_moufang():
 def test_criterion_2_gapless_table_freudenthal(freudenthal_builds):
     single = freudenthal_builds["single"]
     dual = freudenthal_builds["dual"]
-    want = golden("table_freudenthal.json")
-    ok = single.triples() == want["rows"] and single.total == want["total"] == 624493
+    rows, total = cli._golden_table(cli._GOLDEN, "freudenthal")
+    ok = single.triples() == rows and single.total == total == 624493
     identical = (
         dual.triples() == single.triples()
         and dual.total == single.total
@@ -132,8 +124,8 @@ def test_criterion_3_gapless_tables_propellers():
     detail = []
     for p in (3, 4, 5, 6):
         table = build_gapless_table(propeller(p))
-        want = golden(f"table_propeller_{p}.json")
-        if table.triples() != want["rows"] or table.total != 3:
+        rows, _ = cli._golden_table(cli._GOLDEN, f"propeller-{p}")
+        if table.triples() != rows or table.total != 3:
             ok = False
             detail.append(f"p={p}: {table.triples()}")
     two_cycle = [t for t in enumerate_gapless(propeller(4)) if t.m == 8]

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -489,6 +490,18 @@ def test_importing_the_package_loads_no_process_pool():
     )
     assert done.returncode == 0 and done.stderr == "", done.stderr
     assert done.stdout == "[]\n"
+
+
+def test_the_package_imports_only_the_standard_library():
+    # Every absolute import in the package, lazy ones inside functions included.
+    imported = set()
+    for path in (ROOT / "src" / "minuscule").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert imported and sorted(imported - sys.stdlib_module_names) == []
 
 
 def test_an_orbit_longer_than_the_state_cap_is_not_walked(capsys, monkeypatch):

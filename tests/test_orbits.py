@@ -44,7 +44,7 @@ from minuscule import (
     shifted_staircase,
     verify_csp,
 )
-from minuscule import orbits
+from minuscule import cli, orbits
 from minuscule.ideals import OrbitSummary, _ideal_masks
 from minuscule.qpoly import (
     _factor_residue, _hook_factors, eval_at_root, is_zero_at_primitive_root, plane_partition_gf,
@@ -699,10 +699,9 @@ def test_ceiling_counts_from_the_product_formula():
     # the inverted product formula, which leaves no tableau at ceiling n + 1.
     from minuscule.tableaux import _IdealGraph
 
-    for name, P in (("cayley_moufang", cayley_moufang()), ("freudenthal", freudenthal())):
-        path = resources.files("minuscule").joinpath(f"data/golden/table_{name}.json")
+    for name, P in (("cayley-moufang", cayley_moufang()), ("freudenthal", freudenthal())):
         by_ceiling = dict.fromkeys(range(P.n + 2), 0)
-        for m_t, period, count in json.loads(path.read_text())["rows"]:
+        for m_t, period, count in cli._golden_table(cli._GOLDEN, name)[0]:
             by_ceiling[m_t] += period * count
         assert _gapless_counts_by_inversion(P) == by_ceiling, name
     for spec in ("propeller-5", "rectangle-3x4", "shifted-staircase-5"):
@@ -723,6 +722,22 @@ def test_load_or_build_uses_cache_dir(tmp_path):
 def test_build_cap():
     with pytest.raises(StateCapExceeded):
         build_gapless_table(cayley_moufang(), cap=10)
+
+
+def test_the_build_counts_successor_entries_against_the_cap():
+    # A 13-element antichain has 8,192 ideals but 3**13 - 2**13 successor
+    # entries. Each ideal's are counted before they are made, so the build is
+    # refused in about a megabyte; making them all first would take some 65 MB.
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(StateCapExceeded, match="too many successor entries"):
+            build_gapless_table(Poset(13, []), cap=10**4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
 
 
 @pytest.mark.parametrize("value", [True, 2.0])
@@ -769,6 +784,20 @@ def test_entry_points_refuse_non_integer_parameters(value):
     for call in calls:
         with pytest.raises(ParameterError, match="expected an integer"):
             call()
+
+
+def test_fixed_point_counts_refuse_a_negative_ceiling():
+    # As enumerate_increasing does; ceiling 0 has no tableau to count.
+    table = load_or_build_table(cayley_moufang())
+    calls = (
+        lambda: promotion_orbits(table, -3),
+        lambda: count_fixed(table, -3, 1),
+        lambda: count_fixed_qbinomial(table, -4, 2),
+    )
+    for call in calls:
+        with pytest.raises(ParameterError, match="ceiling must be nonnegative"):
+            call()
+    assert count_fixed(table, 0, 1) == count_fixed_qbinomial(table, 0, 1) == 0
 
 
 @pytest.mark.parametrize("value", [0, -1])

@@ -647,10 +647,10 @@ def test_table_build_and_promotion_share_one_sweep_automaton(monkeypatch):
 
 
 def test_listing_survives_an_evicted_automaton():
-    # The listing's tails memo outlives the automaton it was filled with. Clearing
-    # _sweep's cache between the ceilings of a listing makes _sweep(shape) start a
-    # new automaton that numbers its states afresh; the memo must not be read by
-    # state numbers.
+    # The graph holds the automaton its tails memo is keyed by. Clearing _sweep's
+    # cache between the ceilings of a listing makes _sweep(shape) start a new
+    # automaton that numbers its states afresh; the listing must go on with the
+    # graph's own, so the memo's state numbers still name the states they did.
     shape = cayley_moufang()
     expected = [(T.m, T.labels) for T in enumerate_gapless(shape)]
     tableaux = enumerate_gapless(shape)
