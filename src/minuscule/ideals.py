@@ -7,11 +7,22 @@ action whose orbit structure the rest of the package studies.  The orbit
 census counts those ideals as multichains of ideals of P in one table,
 lists them from it, and steps a whole chunk of them at once, one bit of an
 integer per ideal.
+
+What the census reads of P alone is kept in one _Lattice per poset and
+shared by every census of P, at any k: the ideals of P, their sub-ideal
+lists, the rows of the count table, the byte cells, and the shallowest
+multichain tail levels, up to _TAIL_BYTES >> 4 (256 KB) per poset.  A
+deeper tail level is built for its census and dropped; keeping them all
+would hold megabytes per shape and make a deep census slower.  The sweep's
+step plan depends on k and is made per census; kept, one shape's plans
+would grow with every height asked.
 """
 
+import sys
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cache
 from math import lcm
 
 from .errors import ParameterError, StateCapExceeded, _integer, state_cap
@@ -156,15 +167,16 @@ def _cycles(image: dict) -> Iterator[list]:
         yield cycle
 
 
-# Lanes per sweep; the bytes of multichain tails listed ahead of the sweep; and
-# a sweep hands its last lanes to a later one once at most lanes >> _STRAGGLERS remain.
+# Lanes per sweep; the bytes of multichain tails listed ahead of the sweep, of which
+# a shape's lattice keeps _TAIL_BYTES >> 4; and a sweep hands its last lanes to a
+# later one once at most lanes >> _STRAGGLERS remain.
 _CHUNK = 1 << 16
 _TAIL_BYTES = 1 << 22
 _STRAGGLERS = 10
 
 
-def _sub_ideals(poset: Poset, masks: list[int], cap: int) -> list[set[int]]:
-    """For each ideal in masks (sorted), the indices of the ideals inside it.
+def _sub_ideals(poset: Poset, masks: tuple[int, ...], cap: int) -> tuple[tuple[int, ...], ...]:
+    """For each ideal in masks (sorted), the indices of the ideals inside it, ascending.
 
     An ideal holds itself and whatever the ideals one maximal element
     smaller hold.  These pairs are the ideals of poset x 2, so there are no
@@ -178,59 +190,122 @@ def _sub_ideals(poset: Poset, masks: list[int], cap: int) -> list[set[int]]:
         inside = {i}
         for x in range(poset.n):
             if a & up[x] == 1 << x:
-                inside |= subs[index[a ^ 1 << x]]
-        subs.append(inside)
+                inside.update(subs[index[a ^ 1 << x]])
+        subs.append(tuple(sorted(inside)))
         pairs += len(inside)
         if pairs > cap:
             raise StateCapExceeded("too many order ideals", cap)
-    return subs
+    return tuple(subs)
 
 
-def _multichain_counts(poset: Poset, k: int, cap: int) -> tuple[list[int], dict, list[list[int]]]:
-    """The ideals of poset (sorted masks), the sub-ideal lists the listing follows, and
-    below[L][a], the number of multichains of L ideals inside ideal a, for L < k (L = 0
-    alone when k = 0), by a dynamic program; sum(below[-1]) is the number of ideals of poset x k.
+def _size(tail: tuple[tuple[bytes, ...], ...]) -> int:
+    """The bytes a tail holds: its tuples and byte strings, headers included."""
+    return sys.getsizeof(tail) + sum(sys.getsizeof(plane) + sum(map(sys.getsizeof, plane)) for plane in tail)
 
-    Raises StateCapExceeded when poset x k has more than cap ideals, before any is listed.
+
+class _Lattice:
+    """The tables every census of one poset P shares, filled as censuses ask for them.
+
+    masks: the ideals of P, sorted, so the first is the empty ideal and the
+    last is P itself; cells[p][a]: byte p of ideal a; subs[a]: the indices of
+    the ideals inside ideal a; below[L][a]: the number of multichains of L
+    ideals inside ideal a, one row per level asked so far, so that
+    sum(below[k - 1]) is the number of ideals of P x k; tails[d][j][a]: plane
+    j of the below[d][a] multichains of d ideals inside ideal a, for the
+    levels d kept.  Every table is a tuple (of ints, tuples or bytes),
+    none is changed once filled, and a fill that raises stores nothing.
     """
-    masks = sorted(_ideal_masks(poset, cap)) if k else [0]
-    top = len(masks) - 1
-    subs = dict(enumerate(_sub_ideals(poset, masks, cap))) if k > 1 else {top: range(len(masks))}
-    below = [[1] * len(masks)]
-    while len(below) < k:
-        counts = below[-1]
-        below.append([sum(map(counts.__getitem__, subs[a])) for a in range(len(masks))])
-    if sum(below[-1]) > cap:
-        raise StateCapExceeded("too many order ideals", cap)
-    return masks, subs, below
+
+    def __init__(self, poset: Poset):
+        self.poset = poset
+        self.width = (poset.n + 7) // 8
+        self.masks = self.cells = self.subs = None
+        self.below = ()
+        self.tails = ((),)
+        self.kept = 0
+
+    def count(self, k: int, cap: int) -> int:
+        """The number of ideals of P x k (k >= 1), with the tables that list them filled.
+
+        Raises StateCapExceeded, before any ideal of P x k is listed, when P has
+        more than cap ideals, or they have more than cap sub-ideal pairs (k >= 2), or
+        P x k has more than cap ideals.  Every call checks cap, filled tables or
+        not: below[1] sums to the pairs and the row sums grow with L, so the
+        check of row k - 1 covers the pairs.
+        """
+        if self.masks is None:
+            masks = tuple(sorted(_ideal_masks(self.poset, cap)))
+            rows = [m.to_bytes(self.width, "little") for m in masks]
+            self.cells = tuple(tuple([row[p:p + 1] for row in rows]) for p in range(self.width))
+            self.below = ((1,) * len(masks),)
+            self.masks = masks
+        if len(self.masks) > cap:
+            raise StateCapExceeded("too many order ideals", cap)
+        if k > 1 and self.subs is None:
+            self.subs = _sub_ideals(self.poset, self.masks, cap)
+        below = self.below
+        while len(below) < k:
+            counts = below[-1]
+            below += (tuple([sum(map(counts.__getitem__, s)) for s in self.subs]),)
+            if sum(below[-1]) > cap:
+                raise StateCapExceeded("too many order ideals", cap)
+        self.below = below
+        total = sum(below[k - 1])
+        if total > cap:
+            raise StateCapExceeded("too many order ideals", cap)
+        return total
+
+    def tail(self, depth: int) -> tuple[tuple[bytes, ...], ...]:
+        """tails[depth], built level by level from the deepest level kept.
+
+        A new level is kept while the kept levels total at most _TAIL_BYTES >> 4
+        bytes; a deeper one is built for the caller alone and then dropped.
+        Reads below[depth - 1], so a census of P x k asks for depth < k.
+        """
+        tail = self.tails[min(depth, len(self.tails) - 1)]
+        for level in range(len(self.tails), depth + 1):
+            counts = self.below[level - 1]
+            tail = (
+                *(tuple([b"".join([cell[c] * counts[c] for c in s]) for s in self.subs]) for cell in self.cells),
+                *(tuple([b"".join(map(plane.__getitem__, s)) for s in self.subs]) for plane in tail),
+            )
+            if level == len(self.tails) and self.kept + (size := _size(tail)) <= _TAIL_BYTES >> 4:
+                self.tails += (tail,)
+                self.kept += size
+        return tail
 
 
-def _multichain_chunks(masks: list[int], subs: dict, below: list[list[int]], k: int, width: int):
+@cache
+def _lattice(poset: Poset) -> _Lattice:
+    return _Lattice(poset)
+
+
+def _multichain_chunks(lattice: _Lattice, k: int):
     """Stream the multichains I_1 ⊇ ... ⊇ I_k of ideals of P, that is the ideals of P x k.
 
-    masks are the ideals of P, sorted, so the first is the empty ideal and the
-    last is P itself; subs[a] lists the indices of the ideals inside ideal a,
-    for every a that can be followed by another level; below is the count
-    table of _multichain_counts.  Yields (lanes, planes) chunks of at most
-    _CHUNK multichains, where planes[i * width + p] holds byte p of I_(i+1)
-    for each multichain.
+    Reads the tables of lattice, counted for k (k >= 1).  Yields (lanes,
+    planes) chunks of at most _CHUNK multichains, where planes[i * width + p]
+    holds byte p of I_(i+1) for each multichain.
 
     below ranks the multichains in walk order, so each chunk is one range of
     ranks, and its planes start as zeroed buffers of the chunk's length.  The
-    last `depth` levels come from tails listed once per ideal, and the levels
-    above them from a depth-first walk of the chunk's ranks.  The walk writes
-    each level once per node, as one run, in place at the node's lanes and
-    clipped to the chunk.  It skips the sub-ideals whose multichains end
-    before the chunk, stops at the chunk's end, and writes nothing for the
-    empty ideal, whose levels and all below them are zero.  Of the depths
-    whose tails fit in _TAIL_BYTES, the one with the fewest byte-string
-    operations is used: tails cost about depth^2 / 2 joins per ideal, the
-    walk one run per node and depth copies per leaf.
+    last `depth` levels come from the lattice's tails, one per ideal, and the
+    levels above them from a depth-first walk of the chunk's ranks.  The walk
+    writes each level once per node, as one run, in place at the node's
+    lanes and clipped to the chunk.  It skips the sub-ideals whose
+    multichains end before the chunk, stops at the chunk's end, and writes
+    nothing for the empty ideal, whose levels and all below them are zero.
+    Of the depths whose tails fit in _TAIL_BYTES, the one with the fewest
+    byte-string operations is used: tails cost about depth^2 / 2 joins per
+    ideal, the walk one run per node and depth copies per leaf.  The lattice
+    keeps the shallow tail levels, so a later census of the same shape joins
+    only the levels past them.
     """
+    masks, cells, width, below = lattice.masks, lattice.cells, lattice.width, lattice.below
     top = len(masks) - 1
-    # cells[p][a]: byte p of ideal a; tops[L]: the multichains of L ideals.
-    cells = [[m.to_bytes(width, "little")[p:p + 1] for m in masks] for p in range(width)]
-    tops = [1, *map(sum, below)]
+    subs = lattice.subs if k > 1 else {top: range(len(masks))}
+    # tops[L]: the multichains of L ideals.
+    tops = [1, *map(sum, below[:k])]
 
     def operations(d: int) -> int:
         # A walk of w levels has tops[w] + tops[w-1] - 1 nodes; tops[w] - tops[w-1] leaves copy a tail.
@@ -244,15 +319,7 @@ def _multichain_chunks(masks: list[int], subs: dict, below: list[list[int]], k: 
         if operations(d) < operations(depth):
             depth = d
     levels = k - depth
-    # tail[j][a]: plane j of the below[depth][a] multichains inside ideal a; the empty
-    # ideal's single one is all zero.
-    tail = []
-    nonempty = range(1, len(masks))
-    for level in range(1, depth + 1):
-        counts = below[level - 1]
-        tail = [
-            {0: b"\0"} | {a: b"".join([cell[c] * counts[c] for c in subs[a]]) for a in nonempty} for cell in cells
-        ] + [{0: b"\0"} | {a: b"".join(map(plane.__getitem__, subs[a])) for a in nonempty} for plane in tail]
+    tail = lattice.tail(depth)
 
     for lo in range(0, tops[k], _CHUNK):
         lanes = min(_CHUNK, tops[k] - lo)
@@ -413,21 +480,26 @@ def rowmotion_orbits(poset: Poset, k: int, cap: int | None = None) -> OrbitSumma
     dynamic program), so an over-cap census fails before listing any.  They
     are then listed in chunks from the same count table and swept
     bit-parallel: at step j, the lanes back at their start for the first
-    time lie in orbits of size j.  Reads only the covers of poset and its
-    ideal masks; a sweep longer than the ideal count raises.
+    time lie in orbits of size j.  The count table and the tables the
+    listing reads come from the poset's lattice, shared by every census of
+    it; each census still lists and steps every ideal.  Reads only the
+    covers of poset and its ideal masks; a sweep longer than the ideal count
+    raises.
     """
     cap = state_cap(cap)
     k = _integer(k)
     if k < 0:
         raise ParameterError("chain length must be nonnegative")
-    masks, subs, below = _multichain_counts(poset, k, cap)
-    total = sum(below[-1])
+    if not k:  # P x 0 has one ideal, the empty one, and rowmotion fixes it
+        return OrbitSummary(((1, 1),), 1)
+    lattice = _lattice(poset)
+    total = lattice.count(k, cap)
     step = _sweep_step(poset, k)
-    width = (poset.n + 7) // 8
+    width = lattice.width
     states = Counter()
     listed = 0
     stragglers = []
-    for lanes, planes in _multichain_chunks(masks, subs, below, k, width):
+    for lanes, planes in _multichain_chunks(lattice, k):
         listed += lanes
         stragglers += _sweep(step, *_bit_columns(lanes, planes, poset.n, k, width), states, total)
     while stragglers:

@@ -297,13 +297,13 @@ def promotion(tableau: IncreasingTableau) -> IncreasingTableau:
     if 1 not in labels:
         return _trusted(shape, tuple([v - 1 for v in labels]), m)
     sweep = _sweep(shape)
-    by_label = [0] * m  # by_label[v - 1]: the boxes labelled v
+    by_label = [0] * (m + 1)  # by_label[v]: the boxes labelled v
     for v, bit in zip(labels, sweep.bits):
-        by_label[v - 1] |= bit
+        by_label[v] |= bit
     delta, packed_term = sweep.delta, sweep.packed_term
     state = total = 0
     out = []  # out[c]: the label of the boxes outside c new ideals, one below the next present label
-    for below, added in enumerate(by_label):
+    for below, added in enumerate(by_label, -1):
         if added:
             state = delta[state].get(added) or _swap_step(sweep, state, added)
             total += packed_term[state]

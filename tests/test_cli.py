@@ -504,6 +504,57 @@ def test_the_package_imports_only_the_standard_library():
     assert imported and sorted(imported - sys.stdlib_module_names) == []
 
 
+# Every process-wide cache in the package, by module.  A new one joins this registry
+# and the call list below, which must reach it.
+PROCESS_CACHES = {
+    "ideals": {"_lattice"},
+    "orbits": {"_exact_period_vector_count"},
+    "qpoly": {"_cyclotomic"},
+    "tableaux": {"_sweep"},
+}
+
+
+def test_process_wide_caches_are_registered_and_history_free():
+    # Each @cache or @lru_cache in the package is named in PROCESS_CACHES; and one fixed
+    # call list gives the same results forward and in reverse, each run on cleared
+    # caches, so no result depends on what the process asked before.
+    import minuscule
+
+    found = {}
+    for path in (ROOT / "src" / "minuscule").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for decorator in node.decorator_list:
+                    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+                    if name in ("cache", "lru_cache"):
+                        found.setdefault(path.stem, set()).add(node.name)
+    assert found == PROCESS_CACHES
+    caches = [getattr(sys.modules[f"minuscule.{module}"], name) for module, names in found.items() for name in names]
+
+    shapes = minuscule.propeller(3), minuscule.rectangle(2, 2), minuscule.cayley_moufang()
+    calls = [
+        lambda: minuscule.rowmotion_orbits(shapes[0], 4),
+        lambda: minuscule.rowmotion_orbits(shapes[0], 1),
+        lambda: minuscule.rowmotion_orbits(shapes[1], 30),
+        lambda: minuscule.rowmotion_orbits(shapes[1], 3),
+        lambda: minuscule.rowmotion_orbits(shapes[2], 2),
+        lambda: minuscule.promotion_census(shapes[2], 12),
+        lambda: minuscule.promotion_order(shapes[0], 9),
+        lambda: minuscule.verify_csp(shapes[2], 3).to_dict(),
+        lambda: minuscule.verify_csp(shapes[0], 2).to_dict(),
+        lambda: minuscule.exact_period_vector_count(12, 6, 4),
+        lambda: minuscule.cyclotomic(12),
+    ]
+
+    def run(order):
+        for cache in caches:
+            cache.cache_clear()
+        return {i: calls[i]() for i in order}
+
+    assert run(range(len(calls))) == run(reversed(range(len(calls))))
+
+
 def test_an_orbit_longer_than_the_state_cap_is_not_walked(capsys, monkeypatch):
     # The largest orbit at m = 5000 has 5000 tableaux: past a cap of 1000 the
     # witness walk is refused as a resource limit, with nothing on stdout.

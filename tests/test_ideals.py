@@ -182,6 +182,87 @@ def test_rowmotion_orbits_checks_the_cap_before_listing(monkeypatch):
         rowmotion_orbits(freudenthal(), 7, cap=10**6)
 
 
+def test_a_warm_lattice_still_checks_the_cap_before_listing(monkeypatch):
+    # With freudenthal's count rows stored up to k = 7, a census under a smaller cap
+    # is refused from the stored counts of ideals of P x k (7), sub-ideal pairs (2,
+    # 1,463) and ideals of P (1, 56), before any ideal is listed.
+    from minuscule import ideals
+
+    P = freudenthal()
+    rowmotion_orbits(P, 2)
+    assert ideals._lattice(P).count(7, 10**9) == 144_538_624
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the census listed ideals past the state cap")
+
+    monkeypatch.setattr(ideals, "_multichain_chunks", refuse)
+    for k, cap in ((7, 10**6), (2, 1000), (1, 50)):
+        with pytest.raises(StateCapExceeded):
+            rowmotion_orbits(P, k, cap=cap)
+
+
+def test_recounts_of_one_shape_list_its_ideals_once(monkeypatch):
+    # Censuses of one shape at k = 2..6 share its lattice: its ideals and their
+    # sub-ideal lists are made once, and every census matches one on a cold lattice.
+    from minuscule import ideals
+
+    P = propeller(3)
+    cold = []
+    for k in range(2, 7):
+        ideals._lattice.cache_clear()
+        cold.append(rowmotion_orbits(P, k))
+    ideals._lattice.cache_clear()
+    calls = Counter()
+    for name in ("_ideal_masks", "_sub_ideals"):
+        real = getattr(ideals, name)
+        monkeypatch.setattr(ideals, name, lambda *args, real=real, name=name: calls.update([name]) or real(*args))
+    assert [rowmotion_orbits(P, k) for k in range(2, 7)] == cold
+    assert calls == {"_ideal_masks": 1, "_sub_ideals": 1}
+
+
+def test_a_deep_census_keeps_a_bounded_tail():
+    # rectangle(2, 2) x 60 lists its last levels from tails some 25 levels deep; the
+    # lattice keeps only the shallow levels, at most _TAIL_BYTES >> 4 = 256 KB of them,
+    # as traced on a copy of what it keeps (the census itself runs untraced).
+    import pickle
+    import tracemalloc
+
+    from minuscule import ideals
+
+    ideals._lattice.cache_clear()
+    assert rowmotion_orbits(rectangle(2, 2), 60).total_states == 1_231_041
+    tails = ideals._lattice(rectangle(2, 2)).tails
+    ideals._lattice.cache_clear()
+    saved = pickle.dumps(tails)
+    tracemalloc.start()
+    try:
+        copy = pickle.loads(saved)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert copy == tails and 1 < len(tails) - 1 < 25
+    assert 0 < kept <= 256 * 1024
+
+
+def test_the_lattice_hands_out_immutable_tables():
+    # A census that changed a shared table would change every later census of the shape.
+    from minuscule import ideals
+
+    P = propeller(4)
+    rowmotion_orbits(P, 5)
+    lattice = ideals._lattice(P)
+    assert len(lattice.tails) > 1
+
+    def immutable(table):  # ints, bytes, and tuples of them at any depth
+        return isinstance(table, (int, bytes)) or isinstance(table, tuple) and all(map(immutable, table))
+
+    tables = [lattice.masks, lattice.cells, lattice.subs, lattice.below, lattice.tails, lattice.tail(4)]
+    assert all(map(immutable, tables))
+    for table in tables:
+        with pytest.raises(TypeError):
+            table[0] = table[0]
+
+
 def test_rowmotion_orbits_refuses_a_listing_short_of_the_count(monkeypatch):
     # The census checks its listing against the count table: a listing that
     # skips one chunk of ideals raises instead of reporting fewer orbits.
@@ -223,15 +304,18 @@ def test_multichain_listing_is_the_product_ideals(monkeypatch):
     monkeypatch.setattr(ideals, "_CHUNK", 7)
     # rectangle(1, 2) x 12: walks that stop at the empty ideal inside a chunk, zero-padded.
     cases = (
-        (rectangle(2, 2), 0), (propeller(3), 1), (rectangle(3, 3), 2), (cayley_moufang(), 3), (rectangle(1, 1), 9),
+        (rectangle(2, 2), 4), (propeller(3), 1), (rectangle(3, 3), 2), (cayley_moufang(), 3), (rectangle(1, 1), 9),
         (rectangle(1, 2), 12),
     )
-    for budget, (P, k) in itertools.product((0, 300, ideals._TAIL_BYTES), cases):
+    # Each budget on a fresh lattice: at 1 << 14 it keeps a few shallow tail levels
+    # and builds the deeper ones from them.
+    for budget, (P, k) in itertools.product((0, 300, 1 << 14, ideals._TAIL_BYTES), cases):
         monkeypatch.setattr(ideals, "_TAIL_BYTES", budget)
-        masks, subs, below = ideals._multichain_counts(P, k, 10**6)
+        lattice = ideals._Lattice(P)
+        lattice.count(k, 10**6)
         width = (P.n + 7) // 8
         listed = []
-        for lanes, planes in ideals._multichain_chunks(masks, subs, below, k, width):
+        for lanes, planes in ideals._multichain_chunks(lattice, k):
             assert lanes <= 7 and all(len(plane) == lanes for plane in planes)
             chunk = []
             for j in range(lanes):
@@ -321,10 +405,11 @@ def test_multichain_walk_stops_at_the_empty_ideal(monkeypatch):
 
     monkeypatch.setattr(ideals, "_TAIL_BYTES", 0)
     k = 50
-    masks, subs, below = ideals._multichain_counts(rectangle(1, 1), k, 10**6)
-    subs = {a: Counted(a, inside) for a, inside in subs.items()}
+    lattice = ideals._Lattice(rectangle(1, 1))
+    lattice.count(k, 10**6)
+    lattice.subs = tuple(Counted(a, inside) for a, inside in enumerate(lattice.subs))
     iterated = Counter()
-    listed = sum(lanes for lanes, _ in ideals._multichain_chunks(masks, subs, below, k, 1))
+    listed = sum(lanes for lanes, _ in ideals._multichain_chunks(lattice, k))
     assert listed == k + 1
     assert iterated[0] == 0
     assert sum(iterated.values()) <= k
@@ -352,6 +437,9 @@ def test_rowmotion_orbits_cap():
     # 1,024 ideals fit the cap, but their 3^10 sub-ideal pairs do not.
     with pytest.raises(StateCapExceeded):
         rowmotion_orbits(Poset(10, []), 2, cap=2000)
+    # The count rows stop at the first level past the cap, not at level k.
+    with pytest.raises(StateCapExceeded):
+        rowmotion_orbits(rectangle(1, 1), 10**9, cap=1000)
     with pytest.raises(ParameterError, match="nonnegative"):
         rowmotion_orbits(cayley_moufang(), -1)
 
