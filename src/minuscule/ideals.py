@@ -363,30 +363,24 @@ def _transpose_bytes(xs: list[int], masks) -> None:
                 xs[r] = a ^ (t << h)
 
 
-def _bit_columns(lanes: int, planes: list[bytes], n: int, k: int, width: int) -> tuple[list[int], int]:
-    """Transpose a chunk into one lane-bit integer per element of P x k, and the lane mask.
+def _bit_columns(lanes: int, planes: list[bytes], n: int, k: int, width: int) -> list[int]:
+    """Transpose a chunk into one lane-bit integer per element of P x k; lane j is bit j.
 
-    Lane j of the chunk sits at bit 8 * (j % s) + j // s, s = ceil(lanes / 8):
-    the plane's eighths are read as integers whose byte i holds lane
-    s * t + i of eighth t, and a bit transpose within each byte turns
+    Bytes t, t + 8, t + 16, ... of a plane are read as one integer, whose
+    byte i holds lane 8i + t, and a bit transpose within each byte turns
     byte p of element masks into the columns of elements 8p, ..., 8p + 7.
     """
-    s = -(-lanes // 8)
-    ones = int.from_bytes(b"\x01" * s, "little")
+    ones = int.from_bytes(b"\x01" * ((lanes + 7) // 8), "little")
     masks = ((4, ones * 0x0F), (2, ones * 0x33), (1, ones * 0x55))
-    full = 0
-    for t in range(8):
-        size = min(s, max(0, lanes - s * t))
-        full |= (ones >> 8 * (s - size)) << t
     columns = [0] * (n * k)
     for i in range(k):
         for p in range(width):
-            view = memoryview(planes[i * width + p])
-            xs = [int.from_bytes(view[s * t:s * (t + 1)], "little") for t in range(8)]
+            plane = planes[i * width + p]
+            xs = [int.from_bytes(plane[t::8], "little") for t in range(8)]
             _transpose_bytes(xs, masks)
             for x in range(8 * p, min(8 * p + 8, n)):
                 columns[x * k + i] = xs[x - 8 * p]
-    return columns, full
+    return columns
 
 
 def _sweep_step(poset: Poset, k: int):
@@ -395,7 +389,9 @@ def _sweep_step(poset: Poset, k: int):
     Column x * k + i is element (x, i) of P x k.  An element is a minimal
     element of the complement when it is absent and all its lower covers
     are present; the image is the down-closure of those, filled in reverse
-    topological order from the upper covers.
+    topological order from the upper covers.  The step takes the columns, the
+    sweep's start columns and the lane mask, and returns the image and the
+    lanes it moved: those whose image differs from their start.
     """
     n = poset.n * k
     plan = []
@@ -406,9 +402,10 @@ def _sweep_step(poset: Poset, k: int):
             # Index n stands for the all-lanes mask: what a minimal element's lower covers give.
             plan.append((x * k + i, (lower or [n])[0], lower[1:], upper))
 
-    def step(ideal: list[int], full: int) -> list[int]:
+    def step(ideal: list[int], start: list[int], full: int) -> tuple[list[int], int]:
         ideal = [*ideal, full]
         image = [0] * n
+        moved = 0
         for x, first, lower, upper in plan:
             v = ideal[first]
             for y in lower:
@@ -417,7 +414,8 @@ def _sweep_step(poset: Poset, k: int):
             for y in upper:
                 v |= image[y]
             image[x] = v
-        return image
+            moved |= v ^ start[x]
+        return image, moved
 
     return step
 
@@ -434,36 +432,33 @@ def _lane_masks(columns: list[int], lanes: int) -> list[int]:
     return masks
 
 
-def _mask_columns(masks: list[int], n: int) -> tuple[list[int], int]:
-    """Lane-bit columns of a few ideals given as masks, and their lane mask."""
+def _mask_columns(masks: list[int], n: int) -> list[int]:
+    """Lane-bit columns of a few ideals given as masks; lane j is masks[j]."""
     columns = [0] * n
     for q, mask in enumerate(masks):
         for e in range(n):
             if mask >> e & 1:
                 columns[e] |= 1 << q
-    return columns, (1 << len(masks)) - 1
+    return columns
 
 
-def _sweep(step, start: list[int], full: int, states: Counter, bound: int) -> list[int]:
-    """Step every lane of full until it is back at its start, adding it to states[j] at
-    its first return, after j steps: its orbit size.
+def _sweep(step, start: list[int], lanes: int, states: Counter, bound: int) -> list[int]:
+    """Step lanes 0, ..., lanes - 1 until each is back at its start, adding it to states[j]
+    at its first return, after j steps: its orbit size.  Each step returns the image
+    and the lanes it moved, so a lane is back when it did not move.
 
     Once at most a 2^-_STRAGGLERS share of the lanes is left, the sweep stops
     and returns their current ideals as masks: an orbit has the same size from
     any of its states, so they restart, together, in a narrower sweep.
     """
-    pending = full
+    full = pending = (1 << lanes) - 1
     current = start
-    lanes = full.bit_count()
     j = 0
     while pending:
         if j == bound:
             raise RuntimeError(f"rowmotion sweep did not return every lane to its start within {bound} steps")
-        current = step(current, full)
+        current, moved = step(current, start, full)
         j += 1
-        moved = 0
-        for a, b in zip(current, start):
-            moved |= a ^ b
         back = pending & ~moved
         if back:
             states[j] += back.bit_count()
@@ -501,9 +496,9 @@ def rowmotion_orbits(poset: Poset, k: int, cap: int | None = None) -> OrbitSumma
     stragglers = []
     for lanes, planes in _multichain_chunks(lattice, k):
         listed += lanes
-        stragglers += _sweep(step, *_bit_columns(lanes, planes, poset.n, k, width), states, total)
+        stragglers += _sweep(step, _bit_columns(lanes, planes, poset.n, k, width), lanes, states, total)
     while stragglers:
-        stragglers = _sweep(step, *_mask_columns(stragglers, poset.n * k), states, total)
+        stragglers = _sweep(step, _mask_columns(stragglers, poset.n * k), len(stragglers), states, total)
     if listed != total:
         raise RuntimeError(f"listed {listed} ideals of {poset!r} x {k}, but counted {total}")
     return OrbitSummary.from_states(states)

@@ -399,14 +399,25 @@ class PeriodReport:
     witness: IncreasingTableau | None
 
 
-def _largest_orbit_witness(poset: Poset, table: GaplessOrbitTable, m: int, promo: OrbitSummary):
-    """(largest orbit size in promo, the ceiling-m summary of table; a tableau attaining
-    it, or None): an inflated table row whose orbit is walked to confirm its size.
-    An orbit longer than the state cap is not walked: it raises StateCapExceeded."""
-    max_orbit = promo.orbit_sizes[-1][0] if promo.orbit_sizes else 1
+def _largest_orbit_witness(poset: Poset, table: GaplessOrbitTable, m: int):
+    """(the ceiling-m summary of table, its largest orbit size, a tableau attaining it or
+    None): the tableau is an inflated table row whose orbit is walked to confirm its size.
+
+    An orbit longer than the state cap is not walked: it raises StateCapExceeded.  Above
+    the element count, so above every m_t, the check precedes the summary's O(sqrt(m))
+    divisor listing: there the longest orbits of each row are its inflations of content
+    period m, of period m * tau / gcd(m_t, tau).
+    """
+    if m > poset.n:
+        promo, max_orbit = None, m * max(row.period // gcd(row.m_t, row.period) for row in table.rows)
+    else:
+        promo = promotion_orbits(table, m)
+        max_orbit = promo.orbit_sizes[-1][0] if promo.orbit_sizes else 1
     cap = state_cap()
     if max_orbit > cap:
         raise StateCapExceeded(f"the largest orbit has {max_orbit} tableaux to walk", cap)
+    if promo is None:
+        promo = promotion_orbits(table, m)
     for row, e, _, h in _inflation_classes(table, m):
         if h == max_orbit:
             rep = IncreasingTableau(poset, row.rep, row.m_t)
@@ -416,8 +427,8 @@ def _largest_orbit_witness(poset: Poset, table: GaplessOrbitTable, m: int, promo
                 raise RuntimeError(f"orbit walk did not return to its start within {max_orbit} steps")
             if steps != max_orbit:
                 raise RuntimeError(f"witness verification failed: orbit size {steps}, expected {max_orbit}")
-            return max_orbit, witness
-    return max_orbit, None
+            return promo, max_orbit, witness
+    return promo, max_orbit, None
 
 
 def promotion_order(
@@ -438,8 +449,7 @@ def promotion_order(
     if m < poset.rk + 1:
         raise ParameterError(f"no tableaux of this shape with ceiling {m}")
     table = _table_for(poset, table, cache_dir, workers)
-    promo = promotion_orbits(table, m)
-    max_orbit, witness = _largest_orbit_witness(poset, table, m, promo)
+    promo, max_orbit, witness = _largest_orbit_witness(poset, table, m)
     return PeriodReport(m, promo.order(), max_orbit, witness)
 
 
@@ -507,8 +517,7 @@ def verify_csp(
     given = table
     table = _table_for(poset, table, cache_dir, workers)
     m = k + poset.rk + 1
-    promo = promotion_orbits(table, m)
-    _largest_orbit_witness(poset, table, m, promo)
+    promo = _largest_orbit_witness(poset, table, m)[0]
     order = promo.order()
     (count,) = _factor_residue(numer, denom, 1)  # gf(1): every factor vanishes at q = 1
     recounted = count <= _PSI_CHECK_CAP

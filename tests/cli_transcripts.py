@@ -53,6 +53,9 @@ def commands() -> list[tuple[str, ...]]:
         ("rowmotion-orbits", "--poset", "dodecahedron", "--k", "1"),
         ("period", "--poset", "cayley-moufang", "--m", "5"),
         ("gapless-table", "--poset", "rectangle-1x256", "--fresh"),
+        # Largest orbits past the state cap, refused before the divisors of m are listed.
+        ("period", "--poset", "propeller-3", "--m", str(10**30)),
+        ("verify-csp", "--poset", "cayley-moufang", "--k", str(10**30)),
     ]
     return out
 

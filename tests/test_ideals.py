@@ -131,16 +131,18 @@ def test_rowmotion_matches_set_definition():
         # The census's bit-parallel step, on every ideal of the product at once.
         base, k = P.product_of
         masks = [ideal.mask for ideal in enumerate_ideals(P)] + [0] * 8  # a top byte of empty ideals
-        columns, full = ideals._mask_columns(masks, P.n)
+        columns, full = ideals._mask_columns(masks, P.n), (1 << len(masks)) - 1
         assert ideals._lane_masks(columns, full) == masks
-        assert ideals._lane_masks(ideals._sweep_step(base, k)(columns, full), full) == [oracle(m) for m in masks]
+        image, moved = ideals._sweep_step(base, k)(columns, columns, full)
+        assert ideals._lane_masks(image, full) == [oracle(m) for m in masks]
+        assert moved == sum(1 << j for j, m in enumerate(masks) if oracle(m) != m)
 
 
 def test_rowmotion_orbit_walk_is_bounded(monkeypatch):
     # A rowmotion that is not a bijection must fail the census, not hang it.
     from minuscule import ideals
 
-    monkeypatch.setattr(ideals, "_sweep_step", lambda poset, k: lambda ideal, full: [0] * (poset.n * k))
+    monkeypatch.setattr(ideals, "_sweep_step", lambda poset, k: lambda ideal, start, full: ([0] * (poset.n * k), full))
     with pytest.raises(RuntimeError, match="within"):
         rowmotion_orbits(propeller(3), 1)
 
@@ -221,17 +223,19 @@ def test_recounts_of_one_shape_list_its_ideals_once(monkeypatch):
 
 
 def test_a_deep_census_keeps_a_bounded_tail():
-    # rectangle(2, 2) x 60 lists its last levels from tails some 25 levels deep; the
+    # rectangle(2, 2) x 60 lists its last 32 levels from the lattice's tails; the
     # lattice keeps only the shallow levels, at most _TAIL_BYTES >> 4 = 256 KB of them,
-    # as traced on a copy of what it keeps (the census itself runs untraced).
+    # as traced on a copy of what it keeps (the tails are built untraced).
     import pickle
     import tracemalloc
 
     from minuscule import ideals
 
     ideals._lattice.cache_clear()
-    assert rowmotion_orbits(rectangle(2, 2), 60).total_states == 1_231_041
-    tails = ideals._lattice(rectangle(2, 2)).tails
+    lattice = ideals._lattice(rectangle(2, 2))
+    assert lattice.count(60, 10**7) == 1_231_041
+    lattice.tail(32)  # the depth the census of rectangle(2, 2) x 60 lists with
+    tails = lattice.tails
     ideals._lattice.cache_clear()
     saved = pickle.dumps(tails)
     tracemalloc.start()
@@ -301,32 +305,33 @@ def test_multichain_listing_is_the_product_ideals(monkeypatch):
     # whether the levels come from precomputed tails or from the depth-first walk above them.
     from minuscule import ideals
 
-    monkeypatch.setattr(ideals, "_CHUNK", 7)
     # rectangle(1, 2) x 12: walks that stop at the empty ideal inside a chunk, zero-padded.
     cases = (
         (rectangle(2, 2), 4), (propeller(3), 1), (rectangle(3, 3), 2), (cayley_moufang(), 3), (rectangle(1, 1), 9),
         (rectangle(1, 2), 12),
     )
     # Each budget on a fresh lattice: at 1 << 14 it keeps a few shallow tail levels
-    # and builds the deeper ones from them.
-    for budget, (P, k) in itertools.product((0, 300, 1 << 14, ideals._TAIL_BYTES), cases):
+    # and builds the deeper ones from them.  Chunks of 7 lanes fill part of one byte
+    # per plane, and of 19 lanes two bytes and part of a third.
+    for chunk, budget, (P, k) in itertools.product((7, 19), (0, 300, 1 << 14, ideals._TAIL_BYTES), cases):
+        monkeypatch.setattr(ideals, "_CHUNK", chunk)
         monkeypatch.setattr(ideals, "_TAIL_BYTES", budget)
         lattice = ideals._Lattice(P)
         lattice.count(k, 10**6)
         width = (P.n + 7) // 8
         listed = []
         for lanes, planes in ideals._multichain_chunks(lattice, k):
-            assert lanes <= 7 and all(len(plane) == lanes for plane in planes)
-            chunk = []
+            assert lanes <= chunk and all(len(plane) == lanes for plane in planes)
+            masks = []
             for j in range(lanes):
                 mask = 0
                 for i in range(k):
                     level = int.from_bytes(bytes(planes[i * width + p][j] for p in range(width)), "little")
                     mask |= sum(1 << (x * k + i) for x in range(P.n) if level >> x & 1)
-                chunk.append(mask)
-            # The transposed chunk holds the same ideals, one lane each.
-            assert sorted(ideals._lane_masks(*ideals._bit_columns(lanes, planes, P.n, k, width))) == sorted(chunk)
-            listed += chunk
+                masks.append(mask)
+            # The transposed chunk holds the same ideals, lane j at bit j.
+            assert ideals._lane_masks(ideals._bit_columns(lanes, planes, P.n, k, width), (1 << lanes) - 1) == masks
+            listed += masks
         assert sorted(listed) == sorted(ideals._ideal_masks(chain_product(P, k)))
 
 

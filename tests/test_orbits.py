@@ -571,6 +571,23 @@ def test_verify_csp_reads_one_orbit_summary(monkeypatch):
         assert calls == {"promotion_orbits": 1, "_largest_orbit_witness": 1}
 
 
+def test_a_huge_ceiling_is_refused_before_its_divisors_are_listed(monkeypatch, cm_table):
+    # Above the element count the largest orbit is read off the rows, so an orbit past
+    # the state cap is refused without the trial divisions that list the divisors of m.
+    real = orbits._divisors
+
+    def divisors(n):
+        assert n <= 10**6, f"listed the divisors of {n}"
+        return real(n)
+
+    monkeypatch.setattr(orbits, "_divisors", divisors)
+    with pytest.raises(StateCapExceeded, match=f"the largest orbit has {10**30} tableaux to walk"):
+        promotion_order(propeller(3), 10**30, table=build_gapless_table(propeller(3)))
+    m = 10**30 + cayley_moufang().rk + 1
+    with pytest.raises(StateCapExceeded, match=f"the largest orbit has {m} tableaux to walk"):
+        verify_csp(cayley_moufang(), 10**30, table=cm_table)
+
+
 def test_frame_of_exceptional_shapes(pf_table, cm_table):
     pf_report = frame_check(freudenthal(), table=pf_table)
     assert pf_report.match
