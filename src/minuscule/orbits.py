@@ -302,34 +302,40 @@ def exact_period_vector_count(m: int, n: int, e: int) -> int:
         raise ParameterError("need 0 <= n <= m with m positive")
     if e < 1 or m % e:
         raise ParameterError(f"exact period {e} must be a positive divisor of the length {m}")
-    return _exact_period_vector_count(m, n, e)
+    g = gcd(m, n)
+    j, off = divmod(e, m // g)
+    return 0 if off else _exact_period_count(m // g, n // g, j)
+
+
+def _exact_period_count(step: int, ones: int, j: int) -> int:
+    # Length m, n ones: a period e holds n * e / m ones, so e = step * j, step = m / gcd(m, n),
+    # j | gcd(m, n).  Mobius inversion over the periods step * i, i | j, of ones * i ones each.
+    return sum(_mobius(j // i) * comb(step * i, ones * i) for i in _divisors(j))
 
 
 @cache
-def _exact_period_vector_count(m: int, n: int, e: int) -> int:
-    # Mobius inversion over the periods ep | e; a vector of period ep has n * ep / m ones per window.
-    return sum(_mobius(e // ep) * comb(ep, n * ep // m) for ep in _divisors(e) if (n * ep) % m == 0)
+def _content_periods(m: int, n: int) -> tuple[tuple[int, int], ...]:
+    """The exact rotation periods e of the binary vectors of length m with n ones, ascending,
+    each with its nonzero vector count: one divisor listing of gcd(m, n) <= n."""
+    g = gcd(m, n)
+    counts = ((m // g * j, _exact_period_count(m // g, n // g, j)) for j in _divisors(g))
+    return tuple((e, vectors) for e, vectors in counts if vectors)
 
 
 def _inflation_classes(table: GaplessOrbitTable, m: int):
     """All ceiling-m tableaux, as inflations of a table row by the vectors of exact content
     period e: yields (row, e, vector count, promotion period h of each inflation).
     """
-    divisors = _divisors(m)
     for row in table.rows:
-        m_t = row.m_t
-        if m_t > m:
-            continue
-        for e in divisors:
-            if (e * m_t) % m:
-                continue
-            vectors = _exact_period_vector_count(m, m_t, e)
-            if vectors:
-                yield row, e, vectors, _inflated_period(m, m_t, row.period, e)
+        if row.m_t <= m:
+            for e, vectors in _content_periods(m, row.m_t):
+                yield row, e, vectors, _inflated_period(m, row.m_t, row.period, e)
 
 
 def promotion_orbits(table: GaplessOrbitTable, m: int) -> OrbitSummary:
-    """Multiset of promotion orbit sizes on all ceiling-m tableaux, read off the table."""
+    """Multiset of promotion orbit sizes on all ceiling-m tableaux, read off the table: each
+    row of ceiling m_t lists the divisors of gcd(m, m_t) <= m_t, so the cost does not grow with m."""
+    m = _integer(m)
     if m < 0:
         raise ParameterError("ceiling must be nonnegative")
     states: Counter = Counter()
@@ -343,7 +349,7 @@ def count_fixed(table: GaplessOrbitTable, m: int, j: int) -> int:
 
     Sums, over table rows and admissible content periods e, the count of
     exact-period-e vectors whose inflated period divides j, weighted by the
-    row's tableau count.
+    row's tableau count; the periods e of a row follow the divisors of gcd(m, m_t).
     """
     m, j = _integer(m), _integer(j)
     if j < 1:
@@ -403,21 +409,14 @@ def _largest_orbit_witness(poset: Poset, table: GaplessOrbitTable, m: int):
     """(the ceiling-m summary of table, its largest orbit size, a tableau attaining it or
     None): the tableau is an inflated table row whose orbit is walked to confirm its size.
 
-    An orbit longer than the state cap is not walked: it raises StateCapExceeded.  Above
-    the element count, so above every m_t, the check precedes the summary's O(sqrt(m))
-    divisor listing: there the longest orbits of each row are its inflations of content
-    period m, of period m * tau / gcd(m_t, tau).
+    An orbit longer than the state cap is not walked: it raises StateCapExceeded.  The
+    summary lists the divisors of gcd(m, m_t) <= n per row, so a huge m is refused at once.
     """
-    if m > poset.n:
-        promo, max_orbit = None, m * max(row.period // gcd(row.m_t, row.period) for row in table.rows)
-    else:
-        promo = promotion_orbits(table, m)
-        max_orbit = promo.orbit_sizes[-1][0] if promo.orbit_sizes else 1
+    promo = promotion_orbits(table, m)
+    max_orbit = promo.orbit_sizes[-1][0] if promo.orbit_sizes else 1
     cap = state_cap()
     if max_orbit > cap:
         raise StateCapExceeded(f"the largest orbit has {max_orbit} tableaux to walk", cap)
-    if promo is None:
-        promo = promotion_orbits(table, m)
     for row, e, _, h in _inflation_classes(table, m):
         if h == max_orbit:
             rep = IncreasingTableau(poset, row.rep, row.m_t)

@@ -508,7 +508,7 @@ def test_the_package_imports_only_the_standard_library():
 # and the call list below, which must reach it.
 PROCESS_CACHES = {
     "ideals": {"_lattice"},
-    "orbits": {"_exact_period_vector_count"},
+    "orbits": {"_content_periods"},
     "qpoly": {"_cyclotomic"},
     "tableaux": {"_sweep"},
 }
@@ -544,6 +544,7 @@ def test_process_wide_caches_are_registered_and_history_free():
         lambda: minuscule.verify_csp(shapes[2], 3).to_dict(),
         lambda: minuscule.verify_csp(shapes[0], 2).to_dict(),
         lambda: minuscule.exact_period_vector_count(12, 6, 4),
+        lambda: minuscule.count_fixed(minuscule.load_or_build_table(shapes[0]), 10**30, 10**30),
         lambda: minuscule.cyclotomic(12),
     ]
 

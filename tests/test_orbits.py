@@ -572,8 +572,10 @@ def test_verify_csp_reads_one_orbit_summary(monkeypatch):
 
 
 def test_a_huge_ceiling_is_refused_before_its_divisors_are_listed(monkeypatch, cm_table):
-    # Above the element count the largest orbit is read off the rows, so an orbit past
-    # the state cap is refused without the trial divisions that list the divisors of m.
+    # Content periods are read from the divisors of gcd(m, m_t), never of m, so a
+    # huge ceiling is summed, counted and refused past the state cap at once.
+    import time
+
     real = orbits._divisors
 
     def divisors(n):
@@ -581,11 +583,70 @@ def test_a_huge_ceiling_is_refused_before_its_divisors_are_listed(monkeypatch, c
         return real(n)
 
     monkeypatch.setattr(orbits, "_divisors", divisors)
-    with pytest.raises(StateCapExceeded, match=f"the largest orbit has {10**30} tableaux to walk"):
-        promotion_order(propeller(3), 10**30, table=build_gapless_table(propeller(3)))
+    table = build_gapless_table(propeller(3))  # rows (5, 1, 1) and (6, 2, 1)
+    m = 10**30
+    start = time.monotonic()
+    summary = promotion_orbits(table, m)
+    assert summary.orbit_sizes[0] == (m // 5, 1)  # one window of length m / 5 with a single one
+    assert [size for size, _ in summary.orbit_sizes] == [m // 5, m]
+    assert summary.total_states == count_fixed(table, m, m) == comb(m, 5) + 2 * comb(m, 6)
+    assert count_fixed(table, m, m // 5) == exact_period_vector_count(m, 5, m // 5) == m // 5
+    assert exact_period_vector_count(m, 27, m) == comb(m, 27)  # 27 and m coprime: no smaller period
+    assert exact_period_vector_count(m, 0, 1) == 1
+    assert time.monotonic() - start < 1
+    with pytest.raises(StateCapExceeded, match=f"the largest orbit has {m} tableaux to walk"):
+        promotion_order(propeller(3), m, table=table)
     m = 10**30 + cayley_moufang().rk + 1
     with pytest.raises(StateCapExceeded, match=f"the largest orbit has {m} tableaux to walk"):
         verify_csp(cayley_moufang(), 10**30, table=cm_table)
+
+
+def _factored(n: int) -> Counter:
+    primes, p = Counter(), 2
+    while p * p <= n:
+        while n % p == 0:
+            primes[p] += 1
+            n //= p
+        p += 1
+    if n > 1:
+        primes[n] += 1
+    return primes
+
+
+def _summary_over_every_divisor(table, m: int) -> OrbitSummary:
+    """The orbit summary over every divisor e of m, kept when e * m_t / m is whole, with
+    its exact-period vectors counted by Mobius inversion over the kept ep | e."""
+    divisors = [1]
+    for p, power in _factored(m).items():
+        divisors = [d * p**i for d in divisors for i in range(power + 1)]
+    divisors.sort()
+
+    def mobius(n):
+        powers = _factored(n).values()
+        return 0 if any(a > 1 for a in powers) else (-1) ** len(powers)
+
+    states = Counter()
+    for row in table.rows:
+        if row.m_t > m:
+            continue
+        for e in divisors:
+            if (e * row.m_t) % m:
+                continue
+            vectors = sum(
+                mobius(e // ep) * comb(ep, row.m_t * ep // m)
+                for ep in divisors if e % ep == 0 and (row.m_t * ep) % m == 0
+            )
+            if vectors:
+                states[inflated_period(m, row.m_t, row.period, e)] += row.period * row.orbits * vectors
+    return OrbitSummary.from_states(states)
+
+
+def test_content_periods_from_the_gcd_match_every_divisor_of_the_ceiling(cm_table):
+    # The summaries of three shapes at every ceiling up to 500, at 720720 (240 divisors)
+    # and at 2**40, against the rule that lists every divisor of m.
+    for table in (cm_table, packaged_table(freudenthal()), build_gapless_table(propeller(3))):
+        for m in (*range(1, 501), 720720, 2**40):
+            assert promotion_orbits(table, m) == _summary_over_every_divisor(table, m), (table.poset.family, m)
 
 
 def test_frame_of_exceptional_shapes(pf_table, cm_table):
@@ -782,6 +843,7 @@ def test_entry_points_refuse_non_integer_parameters(value):
         lambda: inflated_period(value, 2, 1, 2),
         lambda: exact_period_vector_count(4, 2, value),
         lambda: exact_period_vector_count(value, 1, 1),
+        lambda: promotion_orbits(table, value),
         lambda: count_fixed(table, value, 2),
         lambda: count_fixed(table, 12, value),
         lambda: count_fixed_qbinomial(table, value, 1),

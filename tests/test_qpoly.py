@@ -18,6 +18,7 @@ from minuscule import (
     eval_at_root,
     freudenthal,
     is_zero_at_primitive_root,
+    parse_poset_spec,
     plane_partition_gf,
     propeller,
     q_binomial,
@@ -276,6 +277,88 @@ def test_gf_matches_dense_product_oracle():
                 num = num * (QPolynomial.monomial(r + 1 + k) - one)
                 den = den * (QPolynomial.monomial(r + 1) - one)
             assert plane_partition_gf(P, k) == num.exact_div(den), (P.family, k)
+
+
+def _ideal_lattice(P):
+    """(size, indices of its sub-ideals) for each order ideal of P, read from P.covers alone:
+    the ideals are bit masks grown from the empty one an addable element at a time."""
+    below = [0] * P.n
+    for a, b in P.covers:
+        below[b] |= 1 << a
+    ideals, level = {0}, {0}
+    while level:  # the ideals one element larger than those of the last level
+        level = {ideal | 1 << x for ideal in level for x in range(P.n) if not ideal >> x & 1 and not below[x] & ~ideal}
+        ideals |= level
+    ideals = sorted(ideals)
+    return [(ideal.bit_count(), [j for j, sub in enumerate(ideals) if not sub & ~ideal]) for ideal in ideals]
+
+
+def _gf_by_transfer(P, heights) -> dict[int, tuple[int, ...]]:
+    """The coefficients of the plane-partition generating function of P at each height k in
+    heights, counted by size as multichains I_1 ⊆ ... ⊆ I_k of order ideals:
+    F_k(I) = q^|I| * sum over J ⊆ I of F_(k-1)(J), F_0 = 1 at the empty ideal.  Each
+    polynomial is one integer with a byte-aligned field per coefficient, wide enough for the
+    total at the largest height, which bounds every coefficient."""
+    lattice = _ideal_lattice(P)
+    start = [1] + [0] * (len(lattice) - 1)
+    f = start
+    for _ in range(max(heights)):
+        f = [sum(f[j] for j in subs) for _, subs in lattice]
+    width = sum(f).bit_length() // 8 + 1
+    f, out = start, {}
+    for k in range(max(heights) + 1):
+        if k:
+            f = [sum(f[j] for j in subs) << (8 * width * size) for size, subs in lattice]
+        if k in heights:
+            packed = sum(f).to_bytes(width * (k * P.n + 1), "little")
+            out[k] = tuple(int.from_bytes(packed[i:i + width], "little") for i in range(0, len(packed), width))
+    return out
+
+
+# The heights of the sieve workload's verify_csp queries.
+SIEVE_HEIGHTS = {
+    "cayley-moufang": (*range(21), 25, 80),
+    "freudenthal": (*range(8), 10, 16),
+    **{f"propeller-{p}": range(7) for p in range(3, 7)},
+    "rectangle-3x4": range(4),
+    "shifted-staircase-5": range(4),
+}
+
+
+def test_gf_coefficients_counted_by_a_transfer_over_ideals():
+    # Every coefficient counted a second time, sharing no code with the ideal listing or
+    # the hook product: a wrong height or cover passes the q = 1 counts, not this.  At every
+    # sieve query the values at the roots the sieve reads (the divisors of the promotion
+    # order) equal the factor rule wherever it decides them.
+    from minuscule import load_or_build_table
+    from minuscule.orbits import promotion_orbits
+    from minuscule.qpoly import _hook_factors
+
+    coefficient_heights = {
+        "cayley-moufang": range(21),
+        "freudenthal": range(21),
+        **{f"propeller-{p}": range(11) for p in range(3, 7)},
+        "rectangle-3x4": range(11),
+        "shifted-staircase-5": range(11),
+    }
+    decided = 0
+    for spec in coefficient_heights:
+        P = parse_poset_spec(spec)
+        gf = _gf_by_transfer(P, {*coefficient_heights[spec], *SIEVE_HEIGHTS[spec]})
+        for k in coefficient_heights[spec]:
+            assert gf[k] == plane_partition_gf(P, k).coeffs, (spec, k)
+        table = load_or_build_table(P)
+        for k in SIEVE_HEIGHTS[spec]:
+            numer, denom = _hook_factors(P, k)
+            for d in _divisors(promotion_orbits(table, k + P.rk + 1).order()):
+                residue = _factor_residue(numer, denom, d)
+                if residue is not None:
+                    decided += 1
+                    assert eval_at_root(QPolynomial(gf[k]), d, 1).residue == residue, (spec, k, d)
+        if spec in ("cayley-moufang", "freudenthal"):
+            # The dimensions of the minuscule representations of E6 and E7 pin the transfer itself.
+            assert sum(gf[1]) == {"cayley-moufang": 27, "freudenthal": 56}[spec]
+    assert decided == 265
 
 
 def test_gf_division_is_checked():
