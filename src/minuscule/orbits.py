@@ -11,10 +11,12 @@ import hashlib
 import json
 import os
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from importlib import resources
 from math import comb, gcd
+from operator import eq, index
 from pathlib import Path
 
 from .errors import ParameterError, StateCapExceeded, _integer, read_input, state_cap
@@ -24,7 +26,7 @@ from .qpoly import (
     RootOfUnityValue, _divisors, _factor_residue, _hook_factors, _mobius, eval_at_root, plane_partition_gf,
     q_binomial_at_root,
 )
-from .tableaux import IncreasingTableau, _check_pair, _IdealGraph, inflate, promotion, rotate_left
+from .tableaux import IncreasingTableau, _check_pair, _IdealGraph, _promote, _sweep, inflate, promotion, rotate_left
 
 _TABLE_SCHEMA = "minuscule.gapless-table/1"
 
@@ -106,11 +108,12 @@ def _table_from_dict(data: dict, poset: Poset) -> GaplessOrbitTable:
         sizes = None
     if by_ceiling != sizes:
         raise ParameterError("cached table does not match the shape: wrong tableau count at some ceiling")
+    sweep = _sweep(poset)
     for r in rows:  # last, as each rep's orbit is walked
         start = IncreasingTableau(poset, r.rep, r.m_t)
         if not start.is_gapless:
             raise ParameterError(f"cached table row {r.m_t, r.period}: its rep is not gapless")
-        if _orbit(start, promotion, r.period) != r.period:
+        if _orbit(start.labels, partial(_promote, sweep, m=r.m_t), r.period) != r.period:
             raise ParameterError(f"cached table row {r.m_t, r.period}: its rep's orbit has another size")
     return table
 
@@ -302,6 +305,8 @@ def exact_period_vector_count(m: int, n: int, e: int) -> int:
         raise ParameterError("need 0 <= n <= m with m positive")
     if e < 1 or m % e:
         raise ParameterError(f"exact period {e} must be a positive divisor of the length {m}")
+    if n in (0, m):  # the constant vector, of period 1; here gcd(m, n) = m, too many divisors to list
+        return int(e == 1)
     g = gcd(m, n)
     j, off = divmod(e, m // g)
     return 0 if off else _exact_period_count(m // g, n // g, j)
@@ -421,7 +426,7 @@ def _largest_orbit_witness(poset: Poset, table: GaplessOrbitTable, m: int):
         if h == max_orbit:
             rep = IncreasingTableau(poset, row.rep, row.m_t)
             witness = inflate(rep, _periodic_vector(m, row.m_t, e))
-            steps = _orbit(witness, promotion, max_orbit)
+            steps = _orbit(witness.labels, partial(_promote, _sweep(poset), m=m), max_orbit)
             if steps is None:
                 raise RuntimeError(f"orbit walk did not return to its start within {max_orbit} steps")
             if steps != max_orbit:
@@ -460,13 +465,63 @@ class CspRecord:
     match: bool
 
 
+class _CspRecords(Sequence):
+    """The records d = 1..order of a verdict, read-only, each built when it is read.
+
+    Record d depends on d only through g = gcd(d, order), so only the classes
+    g -> (fixed count, residue, match) are kept: memory follows the divisors
+    of the order, not the order.  Indexing, slicing (to a tuple), iteration,
+    equality and hashing behave as on the tuple of every record.
+    """
+
+    __slots__ = ("_order", "_by_gcd")
+
+    def __init__(self, order: int, by_gcd: dict[int, tuple[int, tuple[int, ...], bool]]):
+        self._order = order
+        self._by_gcd = by_gcd
+
+    def _record(self, d: int) -> CspRecord:
+        g = gcd(d, self._order)
+        fixed, residue, match = self._by_gcd[g]
+        return CspRecord(d, fixed, RootOfUnityValue(self._order, d, self._order // g, residue), match)
+
+    def __len__(self) -> int:
+        return self._order
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self._record, range(1, self._order + 1)[i]))
+        i = index(i)
+        if i < 0:
+            i += self._order
+        if not 0 <= i < self._order:
+            raise IndexError("CSP record index out of range")
+        return self._record(i + 1)
+
+    def __iter__(self):
+        return map(self._record, range(1, self._order + 1))
+
+    def __eq__(self, other):
+        if isinstance(other, _CspRecords):
+            return self._order == other._order and self._by_gcd == other._by_gcd
+        if isinstance(other, tuple):
+            return len(other) == self._order and all(map(eq, self, other))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self):
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class CspVerdict:
     poset_family: str
     k: int
     m: int
     order: int
-    records: tuple[CspRecord, ...]
+    records: Sequence[CspRecord]
     holds: bool
     psi_cross_checked: bool = False
 
@@ -505,11 +560,12 @@ def verify_csp(
     value at each primitive order is read exactly from the hook product's factors
     where they decide it; the polynomial is built, at most once, only when some
     primitive order needs it, and evaluated there.  A non-integer value is an
-    automatic mismatch.  At most _PSI_CHECK_CAP ideals, the rowmotion orbit
-    multiset is recounted by brute force and must equal the tableau side's.  A
-    disagreement raises: as bad input naming the file when the table was read from
-    cache_dir and a fresh build differs from it, and otherwise as an engine bug,
-    not a sieving failure.
+    automatic mismatch.  The verdict keeps one fixed count and value per divisor
+    class gcd(d, order) and builds the record of each power d when it is read.  At
+    most _PSI_CHECK_CAP ideals, the rowmotion orbit multiset is recounted by brute
+    force and must equal the tableau side's.  A disagreement raises: as bad input
+    naming the file when the table was read from cache_dir and a fresh build
+    differs from it, and otherwise as an engine bug, not a sieving failure.
     """
     k = _integer(k)
     numer, denom = _hook_factors(poset, k)  # refuses a negative k and a shape of no built-in family
@@ -538,17 +594,10 @@ def verify_csp(
             if gf is None:
                 gf = plane_partition_gf(poset, k)
             residue = eval_at_root(gf, order, g).residue
-        by_gcd[g] = promo.fixed_by_power(g), residue
-    records = []
-    for d in range(1, order + 1):
-        g = gcd(d, order)
-        fixed, residue = by_gcd[g]
-        value = RootOfUnityValue(order, d, order // g, residue)
-        records.append(CspRecord(d, fixed, value, value.equals_int(fixed)))
-    return CspVerdict(
-        poset.family, k, m, order, tuple(records),
-        all(r.match for r in records), recounted,
-    )
+        fixed = promo.fixed_by_power(g)
+        by_gcd[g] = fixed, residue, RootOfUnityValue(order, g, order // g, residue).equals_int(fixed)
+    holds = all(match for _, _, match in by_gcd.values())
+    return CspVerdict(poset.family, k, m, order, _CspRecords(order, by_gcd), holds, recounted)
 
 
 def max_tree_ideal(poset: Poset) -> frozenset[int]:

@@ -27,18 +27,21 @@ new I_(i-1) take the label just below the (i+1)-th present one, which is
 deflation, sweep and inflation by the rotated content vector in one go;
 the summed terms count for each box how many new ideals it lies outside,
 and that count picks its label.  Without label 1, every label drops by
-one.  The orbit-table build lists the chains as paths in the (small)
-ideal graph, which is how the large shapes stay tractable, and streams
-the tableaux a list at a time, each as one integer, its label key above
-its image's; the graph, like the automaton, is keyed by ideal mask.
-The build makes the sweep while it lists the chains: the prefixes of one
-length that share the sweep state share their successors and, for each,
-the next state, so one transition of the automaton promotion() reads
-extends a whole group of chains at once, one addition per chain, and the
-automaton alone splits the sums.  The groups grow so only to half the
-ceiling: what the rest of a chain adds depends only on its sweep state
-and the steps left, so each such tail sum is made once, memoized on the
-graph for the build, and a tableau is one prefix sum plus one tail sum.
+one.  That step maps label tuples to label tuples (_promote);
+promotion() wraps it in one tableau, and the orbit walks of orbits.py,
+which only compare labels, call it directly.  The orbit-table build
+lists the chains as paths in the (small) ideal graph, which is how the
+large shapes stay tractable, and streams the tableaux a list at a time,
+each as one integer, its label key above its image's; the graph, like
+the automaton, is keyed by ideal mask.  The build makes the sweep while
+it lists the chains: the prefixes of one length that share the sweep
+state share their successors and, for each, the next state, so one
+transition of the automaton _promote reads extends a whole group of
+chains at once, one addition per chain, and the automaton alone splits
+the sums.  The groups grow so only to half the ceiling: what the rest of
+a chain adds depends only on its sweep state and the steps left, so each
+such tail sum is made once, memoized on the graph for the build, and a
+tableau is one prefix sum plus one tail sum.
 One table, the number of paths of each length from each ideal to the
 full one, both prunes the listing to chains that can still finish and
 counts the tableaux of each ceiling.
@@ -215,7 +218,7 @@ class _Sweep:
     2**shift, so nothing carries across, and image(), keys() and
     promotions() split such sums.  State 0 is entered by no transition, so
     its packed term, the key term of I_0 alone, starts every listed sum;
-    promotion() starts from 0 and reads the image half alone.
+    _promote starts from 0 and reads the image half alone.
     """
 
     __slots__ = ("lower_masks", "n", "bits", "width", "shift", "low", "pairs", "ids", "delta", "packed_term")
@@ -290,13 +293,17 @@ def promotion(tableau: IncreasingTableau) -> IncreasingTableau:
     otherwise every label drops by one.  A box lying outside c of the new
     ideals new I_0, ..., new I_(t-1) of the t present labels settles at the
     c-th step, so the sweep only sums the states' packed terms and the image
-    half of the sum is decoded once.
+    half of the sum is decoded once.  The sweep itself is _promote.
     """
-    labels = tableau.labels
     shape, m = tableau.shape, tableau.m
+    return _trusted(shape, _promote(_sweep(shape), tableau.labels, m), m)
+
+
+def _promote(sweep: _Sweep, labels: tuple[int, ...], m: int) -> tuple[int, ...]:
+    """K-promotion on a label tuple of ceiling m through the shape's automaton: promotion()
+    without the tableau, for the walks that only compare labels."""
     if 1 not in labels:
-        return _trusted(shape, tuple([v - 1 for v in labels]), m)
-    sweep = _sweep(shape)
+        return tuple([v - 1 for v in labels])
     by_label = [0] * (m + 1)  # by_label[v]: the boxes labelled v
     for v, bit in zip(labels, sweep.bits):
         by_label[v] |= bit
@@ -309,7 +316,9 @@ def promotion(tableau: IncreasingTableau) -> IncreasingTableau:
             total += packed_term[state]
             out.append(below)
     out.append(m)  # the boxes outside every new ideal settle last
-    return _trusted(shape, tuple([out[c] for c in sweep.fields(sweep.image(total))]), m)
+    fields = sweep.fields(sweep.image(total))
+    # One gather; itemgetter of one index gives no tuple.
+    return itemgetter(*fields)(out) if sweep.n > 1 else (out[fields[0]],)
 
 
 def content_vector(tableau: IncreasingTableau) -> tuple[int, ...]:
@@ -483,7 +492,7 @@ class _IdealGraph:
         while the chains are listed.  A prefix I_0..I_(L-1) carries one sum,
         its partial key and that of its image prefix new I_0..new I_(L-2),
         and the prefixes of one level are grouped by their sweep state, the
-        state of the shape's automaton (the one promotion() reads) for the
+        state of the shape's automaton (the one _promote reads) for the
         pair (new I_(L-2), I_(L-1)): every prefix of a group has the same
         successors I_L from which the full ideal is reachable in the steps
         left and, for each, the same next state (new I_(L-1), I_L).  So each

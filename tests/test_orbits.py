@@ -47,9 +47,10 @@ from minuscule import (
 from minuscule import cli, orbits
 from minuscule.ideals import OrbitSummary, _ideal_masks
 from minuscule.qpoly import (
-    _factor_residue, _hook_factors, eval_at_root, is_zero_at_primitive_root, plane_partition_gf,
+    RootOfUnityValue, _factor_residue, _hook_factors, eval_at_root, is_zero_at_primitive_root,
+    plane_partition_gf,
 )
-from minuscule.orbits import load_table, packaged_table, promotion_orbits, save_table
+from minuscule.orbits import CspRecord, load_table, packaged_table, promotion_orbits, save_table
 
 
 def census_fixed(sizes: Counter, j: int) -> int:
@@ -418,6 +419,13 @@ def test_root_values_read_from_the_factors(spec):
     assert (decided, cases) == _FACTOR_DECIDED[spec]
 
 
+# The (shape, height) of every verify_csp query of the sieve workload.
+SIEVE_QUERIES = [("cayley-moufang", k) for k in (*range(21), 25, 80)]
+SIEVE_QUERIES += [("freudenthal", k) for k in (*range(8), 10, 16)]
+SIEVE_QUERIES += [(f"propeller-{p}", k) for p in range(3, 7) for k in range(7)]
+SIEVE_QUERIES += [(spec, k) for spec in ("rectangle-3x4", "shifted-staircase-5") for k in range(4)]
+
+
 def test_verify_csp_builds_the_polynomial_only_for_undecided_roots(monkeypatch):
     # Over the heights a sieve pass queries, only Freudenthal k >= 5 has a
     # primitive order the factors leave open, and each query builds once.
@@ -429,17 +437,71 @@ def test_verify_csp_builds_the_polynomial_only_for_undecided_roots(monkeypatch):
         return real(poset, k)
 
     monkeypatch.setattr(orbits, "plane_partition_gf", spy)
-    queries = [("cayley-moufang", k) for k in (*range(21), 25, 80)]
-    queries += [("freudenthal", k) for k in (*range(8), 10, 16)]
-    queries += [(f"propeller-{p}", k) for p in range(3, 7) for k in range(7)]
-    queries += [(spec, k) for spec in ("rectangle-3x4", "shifted-staircase-5") for k in range(4)]
     tables = {}
-    for spec, k in queries:
+    for spec, k in SIEVE_QUERIES:
         shape = parse_poset_spec(spec)
         if spec not in tables:
             tables[spec] = load_or_build_table(shape)
         verify_csp(shape, k, table=tables[spec])
     assert built == [("freudenthal", k) for k in (5, 6, 7, 10, 16)]
+
+
+def _eager_records(shape, k: int, table, order: int) -> tuple[CspRecord, ...]:
+    """Every record d = 1..order built one by one, each class gcd(d, order) counted
+    afresh from the table and the expanded polynomial."""
+    m = k + shape.rk + 1
+    gf = plane_partition_gf(shape, k)
+    classes, records = {}, []
+    for d in range(1, order + 1):
+        g = gcd(d, order)
+        if g not in classes:
+            classes[g] = count_fixed(table, m, g), eval_at_root(gf, order, g).residue
+        fixed, residue = classes[g]
+        value = RootOfUnityValue(order, d, order // g, residue)
+        records.append(CspRecord(d, fixed, value, value.equals_int(fixed)))
+    return tuple(records)
+
+
+def test_verify_csp_records_built_on_read_equal_the_eager_tuple():
+    # A verdict keeps one value per divisor class of the order and builds record d when
+    # it is read; read every way, the records are the tuple of every power's record.
+    tables = {}
+    for spec, k in SIEVE_QUERIES:
+        shape = parse_poset_spec(spec)
+        if spec not in tables:
+            tables[spec] = load_or_build_table(shape)
+        verdict = verify_csp(shape, k, table=tables[spec])
+        lazy, eager = verdict.records, _eager_records(shape, k, tables[spec], verdict.order)
+        where = (spec, k)
+        assert len(lazy) == len(eager) == verdict.order, where
+        assert lazy[0] == eager[0] and lazy[-1] == eager[-1], where
+        assert lazy[1::3] == eager[1::3] and isinstance(lazy[1::3], tuple), where
+        assert tuple(lazy) == eager, where
+        assert lazy == eager and eager == lazy and not lazy != eager, where
+        for past in (verdict.order, -verdict.order - 1):
+            with pytest.raises(IndexError):
+                lazy[past]
+        full = replace(verdict, records=eager, holds=all(r.match for r in eager))
+        assert verdict == full and full == verdict and hash(verdict) == hash(full), where
+        assert verdict.to_dict() == full.to_dict() and verdict.holds == full.holds, where
+
+
+def test_verify_csp_memory_follows_the_divisor_classes():
+    # Order 5011, prime: two divisor classes.  Its 5011 records, had they been held,
+    # would take some 1.4 MB; the walk of the largest orbit keeps one label tuple.
+    import tracemalloc
+
+    shape = cayley_moufang()
+    table = packaged_table(shape)
+    verify_csp(shape, 5000, table=table)  # the process-wide caches are filled once
+    tracemalloc.start()
+    try:
+        verdict = verify_csp(shape, 5000, table=table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.holds and len(verdict.records) == verdict.order == 5011
+    assert peak < 0.25 * 2**20, f"peak {peak / 2**20:.2f} MB"
 
 
 def test_verify_csp_recount_rejects_a_wrong_table(cm_table):
@@ -592,7 +654,8 @@ def test_a_huge_ceiling_is_refused_before_its_divisors_are_listed(monkeypatch, c
     assert summary.total_states == count_fixed(table, m, m) == comb(m, 5) + 2 * comb(m, 6)
     assert count_fixed(table, m, m // 5) == exact_period_vector_count(m, 5, m // 5) == m // 5
     assert exact_period_vector_count(m, 27, m) == comb(m, 27)  # 27 and m coprime: no smaller period
-    assert exact_period_vector_count(m, 0, 1) == 1
+    for n, e, count in ((0, 1, 1), (0, m, 0), (m, m, 0), (m, 1, 1)):  # constant vectors: period 1
+        assert exact_period_vector_count(m, n, e) == count
     assert time.monotonic() - start < 1
     with pytest.raises(StateCapExceeded, match=f"the largest orbit has {m} tableaux to walk"):
         promotion_order(propeller(3), m, table=table)
@@ -1087,7 +1150,7 @@ def test_orbit_walks_are_bounded(monkeypatch):
             build_gapless_table(shape)
     witness = promotion_order(shape, 8, table=table).witness
     sink = next(t for t in enumerate_increasing(shape, 8) if t != witness)
-    monkeypatch.setattr(orbits, "promotion", lambda t: sink)
+    monkeypatch.setattr(orbits, "_promote", lambda sweep, labels, m: sink.labels)
     with pytest.raises(RuntimeError, match="within"):
         promotion_order(shape, 8, table=table)
 
@@ -1116,13 +1179,13 @@ def test_a_listing_one_orbit_short_fails_the_build(monkeypatch):
 
 
 def test_a_witness_of_another_orbit_size_is_refused(monkeypatch):
-    # The witness is walked with promotion itself: a promotion that fixes every
-    # tableau closes its orbit at once, short of the table's largest orbit.
+    # The witness is walked with the labels-only promotion step: a step that fixes
+    # every label tuple closes its orbit at once, short of the table's largest orbit.
     from minuscule import orbits
 
     shape = propeller(3)
     table = build_gapless_table(shape)
-    monkeypatch.setattr(orbits, "promotion", lambda t: t)
+    monkeypatch.setattr(orbits, "_promote", lambda sweep, labels, m: labels)
     with pytest.raises(RuntimeError, match="witness verification failed: orbit size 1"):
         promotion_order(shape, 8, table=table)
 

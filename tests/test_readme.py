@@ -3,6 +3,7 @@ benchmark record it cites, and its library quick start."""
 
 import contextlib
 import io
+import json
 import re
 from pathlib import Path
 
@@ -48,6 +49,10 @@ def test_readme_numbers_match_the_code():
     # Every measured number cites the benchmark record it comes from.
     cited = stated(r"BENCH_(\d+)\.json")
     assert [n for n in sorted(cited) if not (ROOT / f"BENCH_{n}.json").is_file()] == []
+    # The sieve row states the median its record measured.
+    (row,) = re.findall(r"\| `sieve` workload, `wall_ref` \| ([\d.]+) \| `BENCH_(\d+)\.json` \|", README)
+    record = json.loads((ROOT / f"BENCH_{row[1]}.json").read_text())
+    assert row == (f"{record['benchmark_summary']['sieve']['wall_ref']['change_median']:.1f}", "37")
 
 
 def test_readme_quick_start_runs():

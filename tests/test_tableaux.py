@@ -32,7 +32,7 @@ from minuscule import (
     vector_inflation,
 )
 from minuscule.cli import _load_fixture as load_fixture
-from minuscule.tableaux import _IdealGraph, _sweep
+from minuscule.tableaux import _IdealGraph, _promote, _sweep
 
 
 def all_increasing(shape, m):
@@ -113,6 +113,9 @@ def test_promotion_single_box():
     box = poset_from_shape(ShapeDiagram([(0, 1)]))
     T = IncreasingTableau(box, (1,), 1)
     assert promotion(T) == T
+    # At ceiling 2 the one label cycles: the one-box decode makes a tuple too.
+    assert promotion(IncreasingTableau(box, (1,), 2)).labels == (2,)
+    assert promotion(IncreasingTableau(box, (2,), 2)).labels == (1,)
 
 
 def test_promotion_is_bijection():
@@ -121,6 +124,15 @@ def test_promotion_is_bijection():
     assert len(images) == len(tabs)
     for T in images:
         IncreasingTableau(T.shape, T.labels, T.m)
+
+
+def test_promotion_wraps_the_labels_only_step():
+    # The orbit walks call _promote on label tuples; promotion() is that step in a tableau.
+    for shape, m in ((cayley_moufang(), 13), (freudenthal(), 19)):
+        tabs = all_increasing(shape, m)
+        assert any(1 not in T.labels for T in tabs)
+        sweep = _sweep(shape)
+        assert all(promotion(T).labels == _promote(sweep, T.labels, m) for T in tabs)
 
 
 def test_content_examples():
